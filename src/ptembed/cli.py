@@ -179,25 +179,19 @@ def _sample_times(t_grid_end, stride):
 
 def _fewmode_columns(run, ts, j12, nonlinear, gauge_shift=0.0):
     """Tabulate a controlled four-mode run at the sample times."""
-    cols = {name: np.zeros(len(ts)) for name in (
-        "n0", "n1", "n2", "n3", "j01", "j12", "j23",
-        "E0", "E3", "J01", "J23", "gamma", "breakdown",
-    )}
-    for i, t in enumerate(ts):
-        psi = run.trajectory.sample(t)
-        cs = run.controls_at(t, psi)
-        n = np.abs(psi) ** 2
-        p = np.outer(psi, np.conj(psi))
-        jt = -2.0 * p.imag
-        cols["n0"][i], cols["n1"][i], cols["n2"][i], cols["n3"][i] = n
-        cols["j01"][i] = cs.J01 * jt[0, 1]
-        cols["j12"][i] = j12 * jt[1, 2]
-        cols["j23"][i] = cs.J23 * jt[2, 3]
-        cols["E0"][i] = cs.E0 - gauge_shift
-        cols["E3"][i] = cs.E3 - gauge_shift
-        cols["J01"][i] = cs.J01
-        cols["J23"][i] = cs.J23
-        cols["gamma"][i] = cs.gamma
+    psi = run.trajectory.sample(ts)
+    j01c, j23c, e0, e3, gamma, cond = np.fromiter(
+        ((cs.J01, cs.J23, cs.E0, cs.E3, cs.gamma, cs.lgs_condition)
+         for cs in map(run.controls_at, ts, psi)),
+        dtype=(float, 6), count=len(ts)).T
+    n = np.abs(psi) ** 2
+    jt = -2.0 * (psi[:, :-1] * np.conj(psi[:, 1:])).imag  # j~_{k,k+1}
+    cols = {
+        "n0": n[:, 0], "n1": n[:, 1], "n2": n[:, 2], "n3": n[:, 3],
+        "j01": j01c * jt[:, 0], "j12": j12 * jt[:, 1], "j23": j23c * jt[:, 2],
+        "E0": e0 - gauge_shift, "E3": e3 - gauge_shift, "J01": j01c, "J23": j23c,
+        "gamma": gamma, "breakdown": np.zeros(len(ts)), "lgs_condition": cond,
+    }
     if run.broke_down:
         cols["breakdown"][-1] = 1.0
     return cols
@@ -205,12 +199,10 @@ def _fewmode_columns(run, ts, j12, nonlinear, gauge_shift=0.0):
 
 def _condition_residuals(run):
     """Worst embedding-condition residual at the accepted integrator steps."""
-    worst = 0.0
-    for t, psi in zip(run.trajectory.t, run.trajectory.y):
-        cs = run.controls_at(t, psi)
-        res = embedding.check_conditions(psi, cs)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    return max(
+        float(np.max(np.abs(embedding.check_conditions(psi, run.controls_at(t, psi)))))
+        for t, psi in zip(run.trajectory.t, run.trajectory.y)
+    )
 
 
 def _run_abstract(cfg):
@@ -381,7 +373,7 @@ def _run_adiabatic_variational(cfg):
 
 
 _FEWMODE_COLUMNS = ("t", "n0", "n1", "n2", "n3", "j01", "j12", "j23",
-                    "E0", "E3", "J01", "J23", "gamma", "breakdown")
+                    "E0", "E3", "J01", "J23", "gamma", "breakdown", "lgs_condition")
 _VARIATIONAL_COLUMNS = ("t", "n0", "n1", "n2", "n3", "j01", "j12", "j23",
                         "V0", "V3", "delta0", "delta1", "delta2", "delta3",
                         "gamma", "breakdown")
@@ -490,8 +482,17 @@ def compare_runs(a, b):
     return report
 
 
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read config: {exc}") from exc
+    return parse_config(text)
+
+
 def _cmd_run(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = _read_config(args.config)
     if cfg.scenario == "compare":
         a = read_timeseries(cfg.get("scenario", "file_a"))
         b = read_timeseries(cfg.get("scenario", "file_b"))
@@ -516,7 +517,7 @@ def _cmd_compare(args):
 
 
 def _cmd_fit(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = _read_config(args.config)
     wells = _trap(cfg)
     units = _units(cfg)
     basis, d_amp, energy = dnlse.fit_ground_state(wells, units)
@@ -533,7 +534,7 @@ def _cmd_fit(args):
 
 
 def _cmd_params(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = _read_config(args.config)
     wells = _trap(cfg)
     units = _units(cfg)
     basis, d_amp, energy = dnlse.fit_ground_state(wells, units)

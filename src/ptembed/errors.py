@@ -24,6 +24,10 @@ class NonFiniteDerivative(PtError):
     """ODE right-hand side produced NaN/Inf (collapse or controller failure)."""
 
 
+class StepSizeUnderflow(PtError):
+    """Adaptive step size fell below the resolution of the time variable."""
+
+
 class SingularMatrix(PtError):
     """Linear system is singular or too ill-conditioned to trust."""
 
@@ -114,7 +118,7 @@ class UnitError(PtError):
 
 
 class IoError(PtError):
-    """Output files could not be written."""
+    """A config or output file could not be read or written."""
 
 
 class NoOverlap(PtError):

@@ -26,6 +26,7 @@ from .errors import (
     RefinementLimit,
     SingularMatrix,
     StepLimitExceeded,
+    StepSizeUnderflow,
 )
 
 
@@ -70,13 +71,15 @@ class Trajectory:
         s = np.where(h > 0, (tq - t0) / np.where(h > 0, h, 1.0), 0.0)
         s = np.clip(s, 0.0, 1.0)[:, None]
         hh = h[:, None]
-        y0, y1 = self.y[idx], self.y[idx + 1]
-        f0, f1 = self.f[idx], self.f[idx + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s**2 * (3 - 2 * s)
         h11 = s**2 * (s - 1)
-        out = h00 * y0 + h10 * hh * f0 + h01 * y1 + h11 * hh * f1
+        # accumulated in place: one gathered block is live at a time
+        out = h00 * self.y[idx]
+        out += h10 * hh * self.f[idx]
+        out += h01 * self.y[idx + 1]
+        out += h11 * hh * self.f[idx + 1]
         return out[0] if scalar else out
 
     def final(self):
@@ -180,7 +183,7 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
         h *= min(5.0, max(0.2, fac))
         h = min(h, settings.max_step)
         if h <= 1e-15 * max(abs(t), 1.0):
-            _fail(NonFiniteDerivative(f"step size underflow at t={t}"), t)
+            _fail(StepSizeUnderflow(f"step size underflow at t={t}"), t)
 
     return Trajectory(np.array(ts), np.array(ys), np.array(fs))
 

@@ -97,8 +97,10 @@ class TestRunAndOutputs:
         assert ts[0] == 0.0 and abs(ts[-1] - 1.0) < 1e-9
         assert abs(ts[1] - ts[0] - 0.1) < 1e-12
         for key in ("n0", "n1", "n2", "n3", "j01", "j12", "j23",
-                    "E0", "E3", "J01", "J23", "gamma", "breakdown"):
+                    "E0", "E3", "J01", "J23", "gamma", "breakdown", "lgs_condition"):
             assert key in cols and len(cols[key]) == len(ts)
+        cond = np.asarray(cols["lgs_condition"])
+        assert np.all(np.isfinite(cond)) and np.all(cond >= 1.0)
 
     def test_csv_round_trip(self, stationary_run, tmp_path):
         status, ts, cols, summary = stationary_run
@@ -171,6 +173,9 @@ class TestMain:
         assert "breakdown at t" in out
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["breakdown_time"] is not None
+        # E0 diverges as the source reservoir empties, and the step size
+        # collapses before the depletion floor or the condition limit is hit
+        assert summary["breakdown_reason"] == "StepSizeUnderflow"
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[scenario]\nname = stationary\nbogus = 1\n")
@@ -182,6 +187,12 @@ class TestMain:
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "fit", "params"])
+    def test_unreadable_config_is_io_error(self, tmp_path, capsys, command):
+        rc = main([command, "--config", str(tmp_path / "absent.cfg")])
+        assert rc == 1
+        assert "error: IoError: cannot read config" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path, capsys, stationary_run):
         status, ts, cols, summary = stationary_run

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptembed.embedding import (
     ControlState,
@@ -9,6 +11,7 @@ from ptembed.embedding import (
     closed_form_observables,
     constant_gamma,
     gamma_ramp,
+    make_controlled_rhs,
     pt_stationary_state,
     ramp_gamma,
     run_controlled,
@@ -19,6 +22,7 @@ from ptembed.embedding import (
 from ptembed.errors import ControlSingular, ZeroCoupling
 from ptembed.fewmode import (
     TridiagonalComplexModel,
+    cross_moments,
     model_rhs,
     observables,
     pt_two_mode,
@@ -179,3 +183,107 @@ def test_nonlinear_stationary_state():
         mu = dpsi / (-1j * psi)
         assert abs(mu[0] - mu[1]) < 1e-12
         assert abs(mu[0].imag) < 1e-12
+
+
+# ------------------------------------------------- control synthesis properties
+
+@st.composite
+def controlled_inputs(draw):
+    """An admissible four-mode state with random ramp, coupling, reservoirs,
+    middle-pair parameters and nonlinearities."""
+    gamma = draw(st.floats(-0.9, 0.9))
+    d = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 2.0))
+    a1 = draw(st.floats(0.1, 0.9))
+    phase = draw(st.floats(-1.0, 1.0))
+    psi1 = np.sqrt(a1) * np.exp(1j * phase)
+    psi0 = build_initial_state(psi1, np.sqrt(1.0 - a1), draw(st.floats(1.0, 3.0)),
+                               draw(st.floats(1.0, 3.0)), gamma, d)
+    return dict(
+        psi=psi0, gamma=gamma, gamma_dot=draw(st.floats(-1.0, 1.0)), d=d,
+        nonlinear=np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))),
+        j12=draw(st.floats(0.5, 2.0)), e1=draw(st.floats(-1.0, 1.0)),
+        e2=draw(st.floats(-1.0, 1.0)),
+    )
+
+
+def reference_controls(psi, gamma, gamma_dot, d, nonlinear, j12, e1, e2):
+    """Onsite controls and controlled derivative from the numpy few-mode
+    primitives, with the onsite system solved by numpy.linalg."""
+    c_mat, jt = cross_moments(psi)
+    n = np.abs(psi) ** 2
+    j01, j23 = d * c_mat[1, 3], d * c_mat[0, 2]
+    coupling = np.array([j01, j12, j23])
+    a = d * np.array([[c_mat[0, 1] * c_mat[1, 3], jt[0, 1] * jt[1, 3]],
+                      [-jt[0, 2] * jt[2, 3], -c_mat[0, 2] * c_mat[2, 3]]])
+    free = model_rhs(psi, TridiagonalComplexModel([0.0, e1, e2, 0.0], coupling, nonlinear))
+    pdot = np.outer(free, np.conj(psi)) + np.outer(psi, np.conj(free))
+    c_dot, jt_dot = 2.0 * pdot.real, -2.0 * pdot.imag
+    b = d * np.array([c_dot[1, 3] * jt[0, 1] + c_mat[1, 3] * jt_dot[0, 1],
+                      c_dot[0, 2] * jt[2, 3] + c_mat[0, 2] * jt_dot[2, 3]])
+    target = np.array([
+        2.0 * gamma_dot * n[1] + 2.0 * gamma * (j01 * jt[0, 1] - j12 * jt[1, 2]),
+        2.0 * gamma_dot * n[2] + 2.0 * gamma * (j12 * jt[1, 2] - j23 * jt[2, 3]),
+    ])
+    e0, e3 = np.linalg.solve(a, target - b)
+    dpsi = model_rhs(psi, TridiagonalComplexModel([e0, e1, e2, e3], coupling, nonlinear))
+    return dpsi, e0, e3, np.linalg.cond(a)
+
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(controlled_inputs())
+def test_controlled_rhs_matches_numpy_reference(inp):
+    dpsi_ref, e0, e3, cond = reference_controls(**inp)
+    # near the singular surface both solves lose cond * eps; that regime is
+    # covered by test_singular_phase_surface_raises
+    assume(cond < 1e3)
+    g, gd = inp["gamma"], inp["gamma_dot"]
+    cs = synth_onsite(inp["psi"], ControlState(gamma=g, gamma_dot=gd, d=inp["d"]),
+                      inp["nonlinear"], j12=inp["j12"], e1=inp["e1"], e2=inp["e2"])
+    scale = max(abs(e0), abs(e3), 1.0)
+    assert abs(cs.E0 - e0) <= 1e-12 * scale
+    assert abs(cs.E3 - e3) <= 1e-12 * scale
+    assert abs(cs.lgs_condition - cond) <= 1e-12 * cond
+    rhs = make_controlled_rhs(lambda t: (g, gd), inp["d"], inp["nonlinear"],
+                              j12=inp["j12"], e1=inp["e1"], e2=inp["e2"])
+    dpsi = rhs(0.0, inp["psi"])
+    assert np.max(np.abs(dpsi - dpsi_ref)) <= 1e-12 * np.max(np.abs(dpsi_ref))
+
+
+@PROPERTY_SETTINGS
+@given(controlled_inputs())
+def test_replication_holds_along_controlled_runs(inp):
+    assume(reference_controls(**inp)[3] < 1e3)
+    g, gd = inp["gamma"], inp["gamma_dot"]
+    run = run_controlled(
+        inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
+        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"],
+        settings=IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
+    )
+    controls = [run.controls_at(t, psi) for t, psi in zip(run.trajectory.t, run.trajectory.y)]
+    res = np.abs([check_conditions(psi, cs) for psi, cs in zip(run.trajectory.y, controls)])
+    # the three enforced conditions hold wherever the run gets
+    assert np.max(res[:, :3]) < 1e-8
+    # the implied fourth is not enforced: near the singular surface E0 and E3
+    # diverge and amplify the integration error in it (a run reaching
+    # condition 2e7 within t = 0.5 ends with 8.8e-3), so it is held to the
+    # bound only while the onsite system stays well conditioned
+    if max(cs.lgs_condition for cs in controls) < 100.0:
+        assert np.max(res[:, 3]) < 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(gamma=st.floats(0.05, 0.9), d=st.floats(0.3, 2.0), a1=st.floats(0.1, 0.9),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_singular_phase_surface_raises(gamma, d, a1, sign):
+    # with psi1 real and equal reservoirs r^2 = gamma / (2 d), psi0 and psi3
+    # are in phase quadrature (C03 = 0), where the onsite system is singular
+    gamma, d = sign * gamma, sign * d
+    r = np.sqrt(gamma / (2.0 * d))
+    psi0 = build_initial_state(np.sqrt(a1), np.sqrt(1.0 - a1), r, r, gamma, d)
+    with pytest.raises(ControlSingular, match="singular"):
+        synth_onsite(psi0, ControlState(gamma=gamma, gamma_dot=0.0, d=d), np.zeros(4))
+    with pytest.raises(ControlSingular, match="singular"):
+        make_controlled_rhs(constant_gamma(gamma), d, np.zeros(4))(0.0, psi0)

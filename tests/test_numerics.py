@@ -6,6 +6,7 @@ from ptembed.errors import (
     RefinementLimit,
     SingularMatrix,
     StepLimitExceeded,
+    StepSizeUnderflow,
 )
 from ptembed.numerics import (
     IntegratorSettings,
@@ -62,6 +63,16 @@ class TestIntegrator:
         assert exc.value.trajectory is not None
         assert exc.value.t_fail is not None
         assert exc.value.t_fail <= 1.1
+
+    def test_finite_time_blowup_underflows_step_size(self):
+        # y' = y^2 with y(0) = 1 blows up at t = 1: the step size collapses
+        # while y is still finite
+        with pytest.raises(StepSizeUnderflow) as exc:
+            integrate_adaptive(lambda t, y: y**2, np.array([1.0]), (0.0, 2.0),
+                               IntegratorSettings())
+        assert 0.999 < exc.value.t_fail < 1.0
+        assert exc.value.trajectory.t[-1] == exc.value.t_fail
+        assert np.all(np.isfinite(exc.value.trajectory.y))
 
     def test_max_steps_enforced(self):
         with pytest.raises(StepLimitExceeded):
