@@ -177,7 +177,7 @@ def _sample_times(t_grid_end, stride):
     return ts
 
 
-def _fewmode_columns(run, ts, j12, nonlinear, gauge_shift=0.0):
+def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
     """Tabulate a controlled four-mode run at the sample times."""
     psi = run.trajectory.sample(ts)
     j01c, j23c, e0, e3, gamma, cond = np.fromiter(
@@ -239,7 +239,7 @@ def _run_abstract(cfg):
     t_grid_end = run.trajectory.t[-1]
     stride = cfg.get("output", "stride", 0.02)
     ts = _sample_times(t_grid_end, stride)
-    cols = _fewmode_columns(run, ts, 1.0, nonlinear)
+    cols = _fewmode_columns(run, ts, 1.0)
 
     summary = {
         "scenario": name,
@@ -299,7 +299,7 @@ def _run_adiabatic_fewmode(cfg):
     t_grid_end = run.trajectory.t[-1]
     stride = cfg.get("output", "stride", 0.02)
     ts = _sample_times(t_grid_end, stride)
-    cols = _fewmode_columns(run, ts, j12, c, gauge_shift=shift)
+    cols = _fewmode_columns(run, ts, j12, gauge_shift=shift)
     n1 = cols["n1"]
     tail = ts >= t_f
     summary = {
@@ -367,6 +367,9 @@ def _run_adiabatic_variational(cfg):
         "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
         if np.any(tail) else None,
         "middle_imbalance": float(abs(cols["n1"][-1] - cols["n2"][-1]) / cols["n1"][-1]),
+        "control_root_iterations": int(record.root_iterations.sum()),
+        "control_jacobian_refreshes": int(record.jacobian_refreshes.sum()),
+        "control_integrations": int(record.integrations.sum()),
     }
     status = 2 if record.broke_down else 0
     return status, ts, cols, summary

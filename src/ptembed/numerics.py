@@ -44,10 +44,20 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class RootFindReport:
+    """Outcome of :func:`root_find`.
+
+    ``jacobian`` is the Broyden model at ``solution`` after the last step's
+    update (the ``jac`` passed in when no step was taken, possibly None);
+    pass it as ``jac`` to a nearby search to skip the finite-difference
+    build. ``jacobian_refreshes`` counts the finite-difference builds.
+    """
+
     solution: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
+    jacobian: np.ndarray | None = None
+    jacobian_refreshes: int = 0
 
 
 @dataclass
@@ -212,12 +222,18 @@ def _fd_jacobian(f, x, fx):
 
 
 def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
-    """Quasi-Newton (Broyden) root search with finite-difference Jacobian.
+    """Quasi-Newton (Broyden) root search.
+
+    ``jac``, when given, is the starting model Jacobian (for example the
+    ``jacobian`` of a previous report on a nearby problem); otherwise it is
+    built by forward differences at ``x0``. A search that stagnates (a step
+    backtracked below 1e-6) rebuilds it by forward differences.
 
     Deterministic: same inputs give the same iterates. Returns a
     :class:`RootFindReport`; convergence is measured in the max norm.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    refreshes = 0
 
     def feval(xv):
         fv = np.atleast_1d(np.asarray(f(xv), dtype=float))
@@ -233,15 +249,20 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
             # Broyden updates along it restore an invertible model
             return np.linalg.lstsq(jac_m, -fx_v, rcond=None)[0]
 
+    def report(iterations, converged):
+        return RootFindReport(x, float(np.max(np.abs(fx))), iterations, converged,
+                              jac, refreshes)
+
     fx = feval(x)
     if np.max(np.abs(fx)) <= tol:
-        return RootFindReport(x, float(np.max(np.abs(fx))), 0, True)
+        return report(0, True)
     if jac is None:
         jac = _fd_jacobian(feval, x, fx)
+        refreshes += 1
     for it in range(1, max_iter + 1):
         dx = newton_step(jac, fx)
         if not np.all(np.isfinite(dx)) or np.max(np.abs(dx)) == 0.0:
-            return RootFindReport(x, float(np.max(np.abs(fx))), it, False)
+            return report(it, False)
         # backtracking on the residual norm
         lam = 1.0
         norm0 = np.max(np.abs(fx))
@@ -256,20 +277,21 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
                 break
             lam *= 0.5
         if f_new is None:
-            return RootFindReport(x, float(np.max(np.abs(fx))), it, False)
+            return report(it, False)
         step = lam * dx
         x = x + step
         df = f_new - fx
         fx = f_new
-        if np.max(np.abs(fx)) <= tol:
-            return RootFindReport(x, float(np.max(np.abs(fx))), it, True)
         denom = step @ step
         if denom > 0:
             jac = jac + np.outer((df - jac @ step) / denom, step)
+        if np.max(np.abs(fx)) <= tol:
+            return report(it, True)
         if lam < 1e-6:
             # stagnation: refresh the Jacobian
             jac = _fd_jacobian(feval, x, fx)
-    return RootFindReport(x, float(np.max(np.abs(fx))), max_iter, False)
+            refreshes += 1
+    return report(max_iter, False)
 
 
 def minimize_norm_constrained(energy, x0, constraint=None, tol=1e-6, project=None,

@@ -459,23 +459,39 @@ def free_gaussian_width(a0, t):
 
 @dataclass
 class ControlledStepResult:
+    """One control interval: the end state, the accepted outer depths, the
+    end currents, the root search's iterations and finite-difference
+    Jacobian builds, the end-of-interval integrations it made, and
+    ``jacobian``, the Broyden model of d(j_01, j_23) / d(V^0, V^3) at the
+    accepted depths (unscaled currents)."""
+
     state: VariationalState
     depths: tuple
     currents: np.ndarray
     iterations: int
+    jacobian_refreshes: int
+    integrations: int
+    jacobian: np.ndarray | None
 
 
 def controlled_step(state: VariationalState, wells: WellPotentialSpec,
                     units: UnitSystem, targets, dt,
                     settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
                     partition: WallPartition | None = None,
-                    tol=1e-8):
+                    tol=1e-8, jacobian=None):
     """Advance one control interval with (V^0, V^3) held constant.
 
     The two depths are found by a root search demanding that the outer wall
-    currents at the end of the step equal ``targets``. Returns the advanced
-    state, the depths, the achieved currents and the root-search iteration
-    count, plus the well specification with the accepted depths.
+    currents at the end of the step equal ``targets``. ``jacobian`` is the
+    previous interval's ``ControlledStepResult.jacobian``: the
+    depth-to-current map changes little from one interval to the next, so
+    the search starts from it instead of building a finite-difference
+    Jacobian (two extra end-of-interval integrations); without it, or when
+    the search stagnates, the Jacobian is built by finite differences.
+    A search that stalls or tries a depth >= 0 raises
+    :class:`ControlSearchFailed`.
+    Returns the :class:`ControlledStepResult` and the well specification
+    with the accepted depths.
     """
     if partition is None:
         partition = WallPartition.from_wells(wells)
@@ -487,6 +503,11 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     def end_state(v):
         key = (float(v[0]), float(v[1]))
         if key not in cache:
+            if max(key) >= 0.0:
+                # targets beyond what attractive outer wells can drive
+                raise ControlSearchFailed(
+                    f"depth search left the attractive domain (V0, V3 = {key})"
+                )
             depths = wells.depths.copy()
             depths[0], depths[-1] = v
             wtrial = replace(wells, depths=depths)
@@ -500,7 +521,9 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
         return np.array([(j[0] - targets[0]) / scale, (j[2] - targets[1]) / scale])
 
     v0 = np.array([wells.depths[0], wells.depths[-1]])
-    report = root_find(residual, v0, tol=tol / scale, max_iter=40)
+    # the search works on currents divided by this interval's scale
+    report = root_find(residual, v0, tol=tol / scale, max_iter=40,
+                       jac=None if jacobian is None else jacobian / scale)
     if not report.converged:
         raise ControlSearchFailed(
             f"depth search stalled (residual {report.residual_norm * scale:.3e})"
@@ -512,17 +535,26 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     depths[0], depths[-1] = v
     return ControlledStepResult(
         state=st, depths=(v[0], v[1]), currents=j, iterations=report.iterations,
+        jacobian_refreshes=report.jacobian_refreshes, integrations=len(cache),
+        jacobian=None if report.jacobian is None else report.jacobian * scale,
     ), replace(wells, depths=depths)
 
 
 @dataclass
 class VariationalRunRecord:
+    """Sampled observables at the control-interval ends (``t[0] = 0``), and
+    per completed interval the depth search's root iterations,
+    finite-difference Jacobian builds and end-of-interval integrations."""
+
     t: np.ndarray
     n: np.ndarray
     j: np.ndarray
     depths: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
+    root_iterations: np.ndarray
+    jacobian_refreshes: np.ndarray
+    integrations: np.ndarray
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
 
@@ -540,6 +572,10 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
 
     ``gamma_fn(t) -> (gamma, gamma_dot)`` sets the target currents
     j_01 = 2 gamma n_1 and j_23 = 2 gamma n_2 (enforced at step ends).
+    Each interval's depth search starts from the Jacobian the previous
+    interval ended with. Only the first interval that iterates builds one
+    by finite differences; later ones rebuild it only when their search
+    stagnates.
     Returns a VariationalRunRecord; a failed control search terminates the
     run and is recorded as a breakdown, not raised.
     """
@@ -552,8 +588,22 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     depths = [wells.depths.copy()]
     gammas = [gamma_fn(0.0)[0]]
     deltas = [state.q_z - wells.positions]
+    iterations, refreshes, integrations = [], [], []
+    jacobian = None
     t = 0.0
     current_wells = wells
+
+    def record(**breakdown):
+        return VariationalRunRecord(
+            t=np.array(times), n=np.array(ns), j=np.array(js),
+            depths=np.array(depths), gamma=np.array(gammas),
+            delta=np.array(deltas),
+            root_iterations=np.array(iterations, dtype=int),
+            jacobian_refreshes=np.array(refreshes, dtype=int),
+            integrations=np.array(integrations, dtype=int),
+            **breakdown,
+        )
+
     while t < t_end - 1e-12:
         dt = min(control_dt, t_end - t)
         g_end = gamma_fn(t + dt)[0]
@@ -563,16 +613,12 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
             result, current_wells = controlled_step(
                 state, current_wells, units, targets, dt,
                 settings=settings, partition=partition, tol=control_tol,
+                jacobian=jacobian,
             )
         except PtError as exc:
-            record = VariationalRunRecord(
-                t=np.array(times), n=np.array(ns), j=np.array(js),
-                depths=np.array(depths), gamma=np.array(gammas),
-                delta=np.array(deltas),
-                breakdown_time=t, breakdown_reason=type(exc).__name__,
-            )
-            return record, state
+            return record(breakdown_time=t, breakdown_reason=type(exc).__name__), state
         state = result.state
+        jacobian = result.jacobian
         t += dt
         times.append(t)
         n_t, j_t = box_observables(state, partition)
@@ -581,8 +627,7 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
         depths.append(current_wells.depths.copy())
         gammas.append(g_end)
         deltas.append(state.q_z - wells.positions)
-    return VariationalRunRecord(
-        t=np.array(times), n=np.array(ns), j=np.array(js),
-        depths=np.array(depths), gamma=np.array(gammas),
-        delta=np.array(deltas),
-    ), state
+        iterations.append(result.iterations)
+        refreshes.append(result.jacobian_refreshes)
+        integrations.append(result.integrations)
+    return record(), state

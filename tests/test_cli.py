@@ -177,6 +177,19 @@ class TestMain:
         # collapses before the depletion floor or the condition limit is hit
         assert summary["breakdown_reason"] == "StepSizeUnderflow"
 
+    def test_variational_breakdown_exit_two(self, tmp_path, capsys):
+        # gamma reaches 100 J12 within one 1e-3 control interval: the wall
+        # current it asks for would need a repulsive outer well
+        cfg = self._write(tmp_path, (
+            "[scenario]\nname = adiabatic_variational\ngamma_f_rel = 100\n"
+            "t_f = 0.001\nt_end = 0.001\ncontrol_dt = 0.001\n"))
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "breakdown at t = 0 (ControlSearchFailed)" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["breakdown_reason"] == "ControlSearchFailed"
+        assert summary["control_root_iterations"] == 0
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[scenario]\nname = stationary\nbogus = 1\n")
         rc = main(["run", "--config", cfg])
@@ -218,3 +231,16 @@ class TestPhysicalSubcommands:
         rc = main(["params", "--config", str(cfg)])
         assert rc == 0
         assert "tunneling" in capsys.readouterr().out
+
+    def test_variational_summary_counts_control_work(self, tmp_path):
+        cfg = tmp_path / "var.cfg"
+        cfg.write_text("[scenario]\nname = adiabatic_variational\nt_end = 1.0\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # two control intervals of one root iteration each: only the first
+        # builds the depth-search Jacobian (two extra integrations), the
+        # second starts from the first's
+        assert summary["control_jacobian_refreshes"] == 1
+        assert summary["control_root_iterations"] == 2
+        assert summary["control_integrations"] == 6

@@ -3,6 +3,7 @@ import pytest
 
 from ptembed.errors import (
     NonFiniteDerivative,
+    NonFiniteFunction,
     RefinementLimit,
     SingularMatrix,
     StepLimitExceeded,
@@ -120,6 +121,50 @@ class TestRootFind:
         rep = root_find(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([1.0]),
                         max_iter=25)
         assert not rep.converged
+
+    def test_supplied_jacobian_skips_finite_differences(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, -2.0])
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return a @ x - b
+
+        cold = root_find(f, np.zeros(2))
+        assert cold.jacobian_refreshes == 1
+        # start, two forward differences, one evaluation per step
+        assert len(calls) == 3 + cold.iterations
+        calls.clear()
+        warm = root_find(f, np.zeros(2), jac=a)
+        assert warm.converged and warm.iterations == 1
+        assert warm.jacobian_refreshes == 0
+        assert len(calls) == 2
+        assert np.allclose(a @ warm.solution, b, atol=1e-12)
+
+    def test_returns_jacobian_updated_by_the_final_step(self):
+        # f = 2x - 2 from a model slope of 1.9: the first step lands within
+        # tol, and its secant slope is the exact one
+        start = np.array([[1.9]])
+        rep = root_find(lambda x: 2.0 * x - 2.0, np.array([0.0]), tol=0.2, jac=start)
+        assert rep.converged and rep.iterations == 1
+        assert rep.jacobian[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert start[0, 0] == 1.9  # the caller's model is not modified
+
+    def test_wrong_warm_jacobian_recovers(self):
+        def f(x):
+            return np.array([x[0] + x[1] - 3.0, x[0] * x[1] - 2.0])
+
+        # the true Jacobian at the start, negated: the Newton step points uphill
+        wrong = -np.array([[1.0, 1.0], [0.6, 0.4]])
+        rep = root_find(f, np.array([0.4, 0.6]), jac=wrong)
+        assert rep.converged
+        assert rep.jacobian_refreshes >= 1  # the stagnation refresh rebuilt it
+        assert np.allclose(sorted(rep.solution), [1.0, 2.0], atol=1e-8)
+
+    def test_nan_at_start_raises(self):
+        with pytest.raises(NonFiniteFunction):
+            root_find(lambda x: np.array([np.nan, x[1]]), np.array([0.4, 0.6]))
 
 
 class TestConstrainedMinimize:

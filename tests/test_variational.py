@@ -7,7 +7,7 @@ from ptembed.dnlse import (
     fit_ground_state,
     standard_four_well,
 )
-from ptembed.errors import NonNormalizable, SizeMismatch
+from ptembed.errors import ControlSearchFailed, NonNormalizable, SizeMismatch
 from ptembed.numerics import IntegratorSettings
 from ptembed.variational import (
     VariationalState,
@@ -20,6 +20,7 @@ from ptembed.variational import (
     norm_and_energy,
     propagate_state,
     relax_to_fixed_point,
+    run_variational_scenario,
 )
 
 FREE_UNITS = UnitSystem.rubidium87(N=0.0)  # g = 0
@@ -146,6 +147,43 @@ def test_controlled_step_meets_current_targets(trap_system):
     # only the outer depths move
     assert np.allclose(wells2.depths[1:3], wells.depths[1:3])
     assert not np.allclose(wells2.depths[[0, 3]], wells.depths[[0, 3]])
+
+
+def test_warm_started_step_skips_finite_differences(trap_system):
+    wells, units, state = trap_system
+    gs = relax_to_fixed_point(state, wells, units)
+    part = WallPartition.from_wells(wells)
+    settings = IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9)
+    n, _ = box_observables(gs, part)
+    first, wells1 = controlled_step(gs, wells, units, (2e-4 * n[1], 2e-4 * n[2]),
+                                    dt=0.5, settings=settings)
+    assert first.jacobian_refreshes == 1
+    n, _ = box_observables(first.state, part)
+    targets = (4e-4 * n[1], 4e-4 * n[2])
+    second, _ = controlled_step(first.state, wells1, units, targets, dt=0.5,
+                                settings=settings, jacobian=first.jacobian)
+    assert abs(second.currents[0] - targets[0]) < 1e-8
+    assert abs(second.currents[2] - targets[1]) < 1e-8
+    # the start point and one Newton step; a cold search adds two
+    # finite-difference integrations
+    assert second.jacobian_refreshes == 0
+    assert second.integrations == 2
+
+
+def test_unreachable_targets_fail_the_search(trap_system):
+    wells, units, state = trap_system
+    settings = IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9)
+    # j_01 = 1 within dt = 1e-3 would need a repulsive outer well
+    with pytest.raises(ControlSearchFailed):
+        controlled_step(state, wells, units, (1.0, 1.0), dt=1e-3, settings=settings)
+    record, final = run_variational_scenario(
+        wells, units, lambda t: (2.0, 0.0), t_end=1e-3, control_dt=1e-3,
+        state=state, settings=settings)
+    assert record.broke_down
+    assert record.breakdown_time == 0.0
+    assert record.breakdown_reason == "ControlSearchFailed"
+    assert len(record.t) == 1 and len(record.root_iterations) == 0
+    assert final is state
 
 
 def test_wall_partition_from_wells():
