@@ -199,10 +199,20 @@ def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
 
 def _condition_residuals(run):
     """Worst embedding-condition residual at the accepted integrator steps."""
+    traj = run.trajectory
     return max(
-        float(np.max(np.abs(embedding.check_conditions(psi, run.controls_at(t, psi)))))
-        for t, psi in zip(run.trajectory.t, run.trajectory.y)
+        max(map(abs, embedding.check_conditions(psi, run.controls_at(t, psi))))
+        for t, psi in zip(traj.t.tolist(), traj.y.tolist())
     )
+
+
+def _step_counts(traj):
+    """The integrator's work on a run, for summary.json."""
+    return {
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
+        "rhs_evals": traj.rhs_evals,
+    }
 
 
 def _run_abstract(cfg):
@@ -251,6 +261,7 @@ def _run_abstract(cfg):
             np.sum(np.abs(run.trajectory.y[-1]) ** 2)
             - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
         "max_condition_residual": _condition_residuals(run),
+        **_step_counts(run.trajectory),
     }
     if name == "stationary":
         summary["slope_n0"] = float(np.polyfit(ts, cols["n0"], 1)[0])
@@ -316,6 +327,7 @@ def _run_adiabatic_fewmode(cfg):
             np.sum(np.abs(run.trajectory.y[-1]) ** 2)
             - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
         "max_condition_residual": _condition_residuals(run),
+        **_step_counts(run.trajectory),
         "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
         if np.any(tail) else None,
         "middle_imbalance": float(abs(cols["n1"][-1] - cols["n2"][-1]) / cols["n1"][-1]),

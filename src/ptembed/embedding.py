@@ -206,18 +206,20 @@ def build_initial_state(psi1, psi2, psi0_r, psi3_r, gamma, d):
 
 def check_conditions(psi, controls: ControlState):
     """Residuals of the four replication conditions (the fourth is implied
-    by the first three and only monitored)."""
-    p0, p1, p2, p3 = np.asarray(psi, dtype=complex).tolist()
+    by the first three and only monitored), as a 4-tuple of floats.
+
+    ``psi`` is any sequence of four amplitudes."""
+    p0, p1, p2, p3 = map(complex, psi)
     c02, c13 = 2.0 * (p0 * p2.conjugate()).real, 2.0 * (p1 * p3.conjugate()).real
     j01c = controls.J01 if controls.J01 is not None else controls.d * c13
     j23c = controls.J23 if controls.J23 is not None else controls.d * c02
     g = controls.gamma
-    return np.array([
+    return (
         -2.0 * j01c * (p0 * p1.conjugate()).imag - 2.0 * g * abs(p1) ** 2,
         -2.0 * j23c * (p2 * p3.conjugate()).imag - 2.0 * g * abs(p2) ** 2,
         j01c * c02 - j23c * c13,
         -2.0 * (j01c * (p0 * p2.conjugate()).imag - j23c * (p1 * p3.conjugate()).imag),
-    ])
+    )
 
 
 @dataclass(frozen=True)
@@ -291,7 +293,8 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
     """Self-contained ODE right-hand side of the controlled four-mode model.
 
     Control synthesis happens inside the RHS, so the controlled system is
-    an autonomous ODE in the four amplitudes. Raises ControlSingular when a
+    an autonomous ODE in the four amplitudes. The derivative comes back as
+    a 4-tuple of Python complex numbers. Raises ControlSingular when a
     reservoir is depleted or the onsite system degenerates.
     """
     nl = np.asarray(nonlinear, dtype=float).tolist()
@@ -305,8 +308,7 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
                 f"reservoir depleted at t={t:.6g} (n0={n0:.3e}, n3={n3:.3e})"
             )
         g, gd = gamma_fn(t)
-        dpsi = _control_kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]
-        return np.array(dpsi)
+        return _control_kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]
 
     return rhs
 
@@ -330,9 +332,10 @@ class EmbeddingRun:
         return self.breakdown_time is not None
 
     def controls_at(self, t, psi):
+        """Controls at time ``t`` and amplitudes ``psi`` (any sequence of four)."""
         g, gd = self.gamma_fn(t)
         _, j01, j23, e0, e3, cond = _control_kernel(
-            np.asarray(psi, dtype=complex).tolist(), g, gd, self.d,
+            map(complex, psi), g, gd, self.d,
             self.nonlinear.tolist(), self.j12, self.e1, self.e2, 1e14,
         )
         return ControlState(gamma=g, gamma_dot=gd, d=self.d, J01=j01, J23=j23,
@@ -344,6 +347,9 @@ def run_controlled(psi0, t_end, gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
                    cond_limit=1e14, depletion_floor=1e-3):
     """Propagate the controlled four-mode model; breakdown is a result, not
     an error: the trajectory up to the failure time is returned flagged."""
+    # Python floats: a numpy scalar here would turn every product in the
+    # control kernel into numpy scalar arithmetic, several times slower
+    d, j12, e1, e2 = float(d), float(j12), float(e1), float(e2)
     rhs = make_controlled_rhs(
         gamma_fn, d, nonlinear, j12=j12, e1=e1, e2=e2,
         cond_limit=cond_limit, depletion_floor=depletion_floor,

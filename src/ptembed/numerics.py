@@ -8,6 +8,8 @@ state, so independent calls can run in parallel.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -66,11 +68,32 @@ class Trajectory:
 
     ``sample`` interpolates with a cubic Hermite polynomial on each step,
     which is accurate far beyond the step tolerances used here.
+
+    ``rejected_steps`` and ``rhs_evals`` count the integrator's work, the
+    initial evaluation included; ``accepted_steps``, ``h_min`` and ``h_max``
+    follow from ``t``. A partial trajectory attached to an exception counts
+    the work done up to the failure.
     """
 
     t: np.ndarray
     y: np.ndarray
     f: np.ndarray = field(repr=False)
+    rejected_steps: int
+    rhs_evals: int
+
+    @property
+    def accepted_steps(self):
+        return len(self.t) - 1
+
+    @property
+    def h_min(self):
+        """Shortest accepted step (nan without one)."""
+        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else math.nan
+
+    @property
+    def h_max(self):
+        """Longest accepted step (nan without one)."""
+        return float(np.max(np.diff(self.t))) if len(self.t) > 1 else math.nan
 
     def sample(self, tq):
         scalar = np.isscalar(tq) or np.ndim(tq) == 0
@@ -96,98 +119,134 @@ class Trajectory:
         return self.t[-1], self.y[-1]
 
 
-# Dormand-Prince 5(4) coefficients (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# Dormand-Prince 5(4) tableau. FSAL: the seventh stage is evaluated at the
+# new state (its weights are _B*), so it is the next step's first stage.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# error weights: fifth-order weights minus the embedded fourth-order ones
+# (the second stage has weight 0 in both)
+_E1 = _B1 - 5179 / 57600
+_E3 = _B3 - 7571 / 16695
+_E4 = _B4 - 393 / 640
+_E5 = _B5 - -92097 / 339200
+_E6 = _B6 - 187 / 2100
+_E7 = -1 / 40
 
 
 def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = IntegratorSettings()):
-    """Integrate ``dy/dt = rhs(t, y)`` with an embedded RK 4(5) pair.
+    """Integrate ``dy/dt = rhs(t, y)`` with the Dormand-Prince 5(4) pair.
 
     Uses PI step-size control. Works for real or complex state vectors.
+    ``rhs(t, y)`` receives ``y`` as a 1-D ndarray of the state's dtype and
+    may return any 1-D sequence of the state's length. Between those calls
+    the state and the stages are stepped as lists of Python scalars: on the
+    short states used here numpy's per-call overhead would cost more than
+    the arithmetic.
+
     Returns a :class:`Trajectory` containing every accepted step (both
-    endpoints included). If the right-hand side raises a :class:`PtError`
-    or produces non-finite values, the partial trajectory is attached to
-    the raised exception.
+    endpoints included) and the work counters. If the right-hand side
+    raises a :class:`PtError` or produces non-finite values, or a step
+    limit is hit, the partial trajectory is attached to the raised
+    exception together with ``t_fail``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing and non-degenerate")
-    y = np.atleast_1d(np.asarray(y0)).astype(
-        complex if np.iscomplexobj(y0) else float
-    ).copy()
+    y0 = np.atleast_1d(np.asarray(y0))
+    dtype = complex if np.iscomplexobj(y0) else float
+    y = y0.astype(dtype).tolist()
+    n = len(y)
 
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
+    fs = []
+    evals = 0
+    rejected = 0
 
     def _fail(exc, t_fail):
-        traj = Trajectory(np.array(ts), np.array(ys), np.array(fs))
-        exc.trajectory = traj
+        if not fs:
+            fs.append([0.0] * n)
+        exc.trajectory = Trajectory(np.array(ts), np.array(ys, dtype=dtype),
+                                    np.array(fs, dtype=dtype), rejected, evals)
         exc.t_fail = t_fail
         raise exc
 
+    def call(t, yl):
+        nonlocal evals
+        evals += 1
+        r = rhs(t, np.array(yl, dtype=dtype))
+        r = r.tolist() if isinstance(r, np.ndarray) else list(r)
+        if len(r) != n:
+            raise ValueError(f"rhs returned {len(r)} components for a state of {n}")
+        return r
+
     try:
-        f = np.atleast_1d(np.asarray(rhs(t0, y)))
+        f = call(t0, y)
     except PtError as exc:
-        exc.trajectory = Trajectory(np.array(ts), np.array(ys), np.zeros_like(np.array(ys)))
-        exc.t_fail = t0
-        raise
-    if not np.all(np.isfinite(f.view(float))):
-        fs = [np.zeros_like(y)]
+        _fail(exc, t0)
+    if not all(map(cmath.isfinite, f)):
         _fail(NonFiniteDerivative("rhs not finite at initial state"), t0)
-    fs = [f.copy()]
+    fs.append(f)
 
     rtol, atol = settings.rel_tol, settings.abs_tol
     # initial step guess from the scale of y and f
-    scale = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f / scale) ** 2))
+    d0 = d1 = 0.0
+    for yv, fv in zip(y, f):
+        sc = atol + rtol * abs(yv)
+        d0 += (abs(yv) / sc) ** 2
+        d1 += (abs(fv) / sc) ** 2
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     h = min(settings.max_step, t1 - t0, 0.01 * d0 / d1 if d1 > 1e-300 else 1e-6)
     h = max(h, 1e-14 * (t1 - t0))
 
     t = t0
     err_prev = 1.0
     nsteps = 0
-    k = np.empty((7,) + y.shape, dtype=y.dtype)
     while t < t1:
         if nsteps >= settings.max_steps:
             _fail(StepLimitExceeded(f"max_steps={settings.max_steps} reached at t={t}"), t)
         h = min(h, t1 - t)
-        k[0] = f
+        k1 = f
         try:
-            for i in range(1, 7):
-                yi = y + h * (k[:i].T @ _DP_A[i])
-                k[i] = rhs(t + _DP_C[i] * h, yi)
+            k2 = call(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = call(t + _C3 * h, [v + h * (_A31 * a + _A32 * b)
+                                    for v, a, b in zip(y, k1, k2)])
+            k4 = call(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
+                                    for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = call(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = call(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                              for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            k7 = call(t + h, y_new)
         except PtError as exc:
             _fail(exc, t)
-        if not np.all(np.isfinite(k.view(float))):
+        if not all(map(cmath.isfinite, itertools.chain(k2, k3, k4, k5, k6, k7))):
             _fail(NonFiniteDerivative(f"rhs not finite near t={t}"), t)
 
-        y_new = y + h * (k.T @ _DP_B)
-        err_vec = h * (k.T @ _DP_E)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        err = 0.0
+        for v, w, a, c, d, e, g, p in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            sc = atol + rtol * max(abs(v), abs(w))
+            err += (abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * p))
+                    / sc) ** 2
+        err = math.sqrt(err / n)
         nsteps += 1
         if err <= 1.0:
             t += h
             y = y_new
-            f = k[6].copy()  # FSAL
+            f = k7  # FSAL
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            ys.append(y)
+            fs.append(f)
             err_prev = max(err, 1e-10)
+        else:
+            rejected += 1
         # PI controller
         fac = 0.9 * (err + 1e-300) ** -0.2 * err_prev**0.04
         h *= min(5.0, max(0.2, fac))
@@ -195,7 +254,8 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
         if h <= 1e-15 * max(abs(t), 1.0):
             _fail(StepSizeUnderflow(f"step size underflow at t={t}"), t)
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs))
+    return Trajectory(np.array(ts), np.array(ys, dtype=dtype), np.array(fs, dtype=dtype),
+                      rejected, evals)
 
 
 def solve_linear(matrix, rhs, cond_limit=1e14):

@@ -460,13 +460,14 @@ def free_gaussian_width(a0, t):
 @dataclass
 class ControlledStepResult:
     """One control interval: the end state, the accepted outer depths, the
-    end currents, the root search's iterations and finite-difference
-    Jacobian builds, the end-of-interval integrations it made, and
-    ``jacobian``, the Broyden model of d(j_01, j_23) / d(V^0, V^3) at the
-    accepted depths (unscaled currents)."""
+    end populations and currents, the root search's iterations and
+    finite-difference Jacobian builds, the end-of-interval integrations it
+    made, and ``jacobian``, the Broyden model of d(j_01, j_23) / d(V^0, V^3)
+    at the accepted depths (unscaled currents)."""
 
     state: VariationalState
     depths: tuple
+    populations: np.ndarray
     currents: np.ndarray
     iterations: int
     jacobian_refreshes: int
@@ -500,7 +501,8 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
 
     cache = {}
 
-    def end_state(v):
+    def end_point(v):
+        """End state and its wall populations and currents at depths ``v``."""
         key = (float(v[0]), float(v[1]))
         if key not in cache:
             if max(key) >= 0.0:
@@ -512,12 +514,12 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
             depths[0], depths[-1] = v
             wtrial = replace(wells, depths=depths)
             traj = integrate_adaptive(eom_rhs(wtrial, units), x0, (0.0, dt), settings)
-            cache[key] = VariationalState.from_vector(traj.y[-1])
+            st = VariationalState.from_vector(traj.y[-1])
+            cache[key] = (st, *box_observables(st, partition))
         return cache[key]
 
     def residual(v):
-        st = end_state(v)
-        _, j = box_observables(st, partition)
+        _, _, j = end_point(v)
         return np.array([(j[0] - targets[0]) / scale, (j[2] - targets[1]) / scale])
 
     v0 = np.array([wells.depths[0], wells.depths[-1]])
@@ -529,13 +531,13 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
             f"depth search stalled (residual {report.residual_norm * scale:.3e})"
         )
     v = report.solution
-    st = end_state(v)
-    _, j = box_observables(st, partition)
+    st, n, j = end_point(v)
     depths = wells.depths.copy()
     depths[0], depths[-1] = v
     return ControlledStepResult(
-        state=st, depths=(v[0], v[1]), currents=j, iterations=report.iterations,
-        jacobian_refreshes=report.jacobian_refreshes, integrations=len(cache),
+        state=st, depths=(v[0], v[1]), populations=n, currents=j,
+        iterations=report.iterations, jacobian_refreshes=report.jacobian_refreshes,
+        integrations=len(cache),
         jacobian=None if report.jacobian is None else report.jacobian * scale,
     ), replace(wells, depths=depths)
 
@@ -592,6 +594,7 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     jacobian = None
     t = 0.0
     current_wells = wells
+    n_now = n0
 
     def record(**breakdown):
         return VariationalRunRecord(
@@ -607,7 +610,6 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     while t < t_end - 1e-12:
         dt = min(control_dt, t_end - t)
         g_end = gamma_fn(t + dt)[0]
-        n_now, _ = box_observables(state, partition)
         targets = (2.0 * g_end * n_now[1], 2.0 * g_end * n_now[2])
         try:
             result, current_wells = controlled_step(
@@ -621,9 +623,9 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
         jacobian = result.jacobian
         t += dt
         times.append(t)
-        n_t, j_t = box_observables(state, partition)
-        ns.append(n_t)
-        js.append(j_t)
+        n_now = result.populations
+        ns.append(n_now)
+        js.append(result.currents)
         depths.append(current_wells.depths.copy())
         gammas.append(g_end)
         deltas.append(state.q_z - wells.positions)

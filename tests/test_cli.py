@@ -128,6 +128,18 @@ class TestRunAndOutputs:
         for key in a[2]:
             assert np.array_equal(a[2][key], b[2][key])
 
+    def test_summary_counts_integrator_work(self, stationary_run, tmp_path):
+        status, ts, cols, summary = stationary_run
+        counts = [summary[k] for k in ("accepted_steps", "rejected_steps", "rhs_evals")]
+        assert all(type(c) is int for c in counts)
+        accepted, rejected, evals = counts
+        assert accepted > 0 and evals == 1 + 6 * (accepted + rejected)
+        # the counters are deterministic: a second run writes the same bytes
+        write_outputs(ts, cols, summary, str(tmp_path / "a"))
+        write_outputs(*run_scenario(parse_config(STATIONARY_CFG))[1:], str(tmp_path / "b"))
+        for name in ("timeseries.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestCompare:
     def test_identical_runs_give_zero(self, stationary_run):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptembed.errors import (
+    ControlSingular,
     NonFiniteDerivative,
     NonFiniteFunction,
     RefinementLimit,
@@ -17,6 +20,39 @@ from ptembed.numerics import (
     root_find,
     solve_linear,
 )
+
+
+# Dormand-Prince 5(4) tableau as numpy arrays: an independent reference for
+# the scalar stepper in integrate_adaptive
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+
+def dp5_reference_step(rhs, t, y, h):
+    k = np.empty((7, y.size), dtype=y.dtype)
+    k[0] = rhs(t, y)
+    for i in range(1, 7):
+        k[i] = rhs(t + DP_C[i] * h, y + h * (DP_A[i] @ k[:i]))
+    return y + h * (DP_B @ k)
+
+
+def forced_linear_rhs(seed, n, complex_state):
+    """rhs(t, y) = a y + cos(3 t) b with random a and b, and a random y0."""
+    rng = np.random.default_rng(seed)
+    a, b, y0 = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=n)
+    if complex_state:
+        a = a + 1j * rng.normal(size=(n, n))
+        y0 = y0 + 1j * rng.normal(size=n)
+    return (lambda t, y: a @ y + np.cos(3.0 * t) * b), y0
 
 
 class TestIntegrator:
@@ -65,6 +101,29 @@ class TestIntegrator:
         assert exc.value.t_fail is not None
         assert exc.value.t_fail <= 1.1
 
+    def test_nonfinite_rhs_at_initial_state(self):
+        with pytest.raises(NonFiniteDerivative) as exc:
+            integrate_adaptive(lambda t, y: np.array([np.inf]), np.array([1.0]),
+                               (0.5, 1.0), IntegratorSettings())
+        traj = exc.value.trajectory
+        assert exc.value.t_fail == 0.5
+        assert traj.t.tolist() == [0.5] and traj.y.tolist() == [[1.0]]
+        assert traj.accepted_steps == 0 and traj.rhs_evals == 1
+        assert np.isnan(traj.h_min) and np.isnan(traj.h_max)
+
+    def test_pt_error_at_initial_state_attaches_one_point(self):
+        def rhs(t, y):
+            raise ControlSingular("reservoir depleted")
+
+        with pytest.raises(ControlSingular) as exc:
+            integrate_adaptive(rhs, np.array([1.0 + 2.0j, 3.0]), (0.5, 1.0),
+                               IntegratorSettings())
+        traj = exc.value.trajectory
+        assert exc.value.t_fail == 0.5
+        assert traj.t.tolist() == [0.5]
+        assert traj.y.tolist() == [[1.0 + 2.0j, 3.0 + 0j]]
+        assert traj.f.shape == (1, 2) and traj.rhs_evals == 1
+
     def test_finite_time_blowup_underflows_step_size(self):
         # y' = y^2 with y(0) = 1 blows up at t = 1: the step size collapses
         # while y is still finite
@@ -76,11 +135,52 @@ class TestIntegrator:
         assert np.all(np.isfinite(exc.value.trajectory.y))
 
     def test_max_steps_enforced(self):
-        with pytest.raises(StepLimitExceeded):
+        with pytest.raises(StepLimitExceeded) as exc:
             integrate_adaptive(
                 lambda t, y: -y, np.array([1.0]), (0.0, 1e6),
                 IntegratorSettings(max_steps=50),
             )
+        traj = exc.value.trajectory
+        assert traj.rejected_steps == 0
+        assert len(traj.t) == 51 and traj.accepted_steps == 50
+        assert exc.value.t_fail == traj.t[-1]
+        assert traj.rhs_evals == 1 + 6 * 50
+
+    @pytest.mark.parametrize("complex_state", [True, False])
+    def test_steps_match_numpy_reference(self, complex_state):
+        rhs, y0 = forced_linear_rhs(3, 5, complex_state)
+        evals = []
+        counted = lambda t, y: evals.append(t) or rhs(t, y)
+        traj = integrate_adaptive(counted, y0, (0.0, 2.0),
+                                  IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10,
+                                                     max_step=0.2))
+        assert traj.y.dtype == (complex if complex_state else float)
+        assert traj.accepted_steps >= 10 and traj.h_max <= 0.2
+        assert traj.rhs_evals == len(evals)
+        assert traj.rhs_evals == 1 + 6 * (traj.accepted_steps + traj.rejected_steps)
+        for i in range(6):
+            ref = dp5_reference_step(rhs, traj.t[i], traj.y[i], traj.t[i + 1] - traj.t[i])
+            assert np.max(np.abs(traj.y[i + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # FSAL: the stored derivative is the rhs at the stored state
+            assert np.array_equal(traj.f[i + 1], rhs(traj.t[i + 1], traj.y[i + 1]))
+
+    def test_tuple_rhs_same_as_ndarray_rhs(self):
+        rhs, y0 = forced_linear_rhs(4, 3, True)
+        a = integrate_adaptive(rhs, y0, (0.0, 2.0), IntegratorSettings())
+        b = integrate_adaptive(lambda t, y: tuple(rhs(t, y).tolist()), y0, (0.0, 2.0),
+                               IntegratorSettings())
+        for field in ("t", "y", "f"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.rejected_steps, a.rhs_evals) == (b.rejected_steps, b.rhs_evals)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           complex_state=st.booleans(), t_end=st.floats(0.01, 5.0))
+    def test_sample_hits_step_endpoints_exactly(self, seed, n, complex_state, t_end):
+        rhs, y0 = forced_linear_rhs(seed, n, complex_state)
+        traj = integrate_adaptive(rhs, y0, (0.0, t_end),
+                                  IntegratorSettings(rel_tol=1e-6, abs_tol=1e-8))
+        assert np.array_equal(traj.sample(traj.t), traj.y)
 
     def test_determinism(self):
         run = lambda: integrate_adaptive(

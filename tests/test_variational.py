@@ -158,7 +158,9 @@ def test_warm_started_step_skips_finite_differences(trap_system):
     first, wells1 = controlled_step(gs, wells, units, (2e-4 * n[1], 2e-4 * n[2]),
                                     dt=0.5, settings=settings)
     assert first.jacobian_refreshes == 1
-    n, _ = box_observables(first.state, part)
+    n, j = box_observables(first.state, part)
+    # the step reports the end state's observables: the next targets use them
+    assert np.array_equal(first.populations, n) and np.array_equal(first.currents, j)
     targets = (4e-4 * n[1], 4e-4 * n[2])
     second, _ = controlled_step(first.state, wells1, units, targets, dt=0.5,
                                 settings=settings, jacobian=first.jacobian)
