@@ -297,6 +297,10 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
     a 4-tuple of Python complex numbers. Raises ControlSingular when a
     reservoir is depleted or the onsite system degenerates.
     """
+    # Python floats: a numpy scalar here would turn every product in the
+    # control kernel into numpy scalar arithmetic, several times slower
+    d, j12, e1, e2 = float(d), float(j12), float(e1), float(e2)
+    cond_limit, depletion_floor = float(cond_limit), float(depletion_floor)
     nl = np.asarray(nonlinear, dtype=float).tolist()
 
     def rhs(t, psi):
@@ -347,8 +351,7 @@ def run_controlled(psi0, t_end, gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
                    cond_limit=1e14, depletion_floor=1e-3):
     """Propagate the controlled four-mode model; breakdown is a result, not
     an error: the trajectory up to the failure time is returned flagged."""
-    # Python floats: a numpy scalar here would turn every product in the
-    # control kernel into numpy scalar arithmetic, several times slower
+    # the run record keeps Python floats too: controls_at runs the kernel
     d, j12, e1, e2 = float(d), float(j12), float(e1), float(e2)
     rhs = make_controlled_rhs(
         gamma_fn, d, nonlinear, j12=j12, e1=e1, e2=e2,

@@ -96,7 +96,8 @@ class OutOfRange(PtError):
 
 
 class SingularMetric(PtError):
-    """Variational metric is singular beyond repair."""
+    """Variational metric is not positive definite, or too ill-conditioned
+    to solve: the ansatz has (near-)redundant parameter directions."""
 
 
 class ControlSearchFailed(PtError):

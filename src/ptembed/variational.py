@@ -16,7 +16,12 @@ in units hbar = m = 1 (lengths in w_z, energies in E0, cf. the dnlse
 module). Every bracket reduces to moments of pair Gaussians: each
 parameter derivative acts on its Gaussian as a polynomial in the
 monomials {1, x^2, y^2, z, z^2}, so brackets are assembled from per-axis
-Gaussian moments (orders 0/2/4 transverse, 0..4 longitudinal).
+Gaussian moments (orders 0/2/4 transverse, 0..4 longitudinal). Only the
+kinetic ket carries a polynomial; the potential and interaction kets carry
+a constant, so they need one bra-monomial column each and are summed
+before the bra wells are expanded into parameter directions. The metric
+system is solved by Cholesky; a (near-)singular metric raises
+SingularMetric instead of being regularised.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a per-step root search on the
@@ -27,8 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 from scipy.special import erf
 
 from .dnlse import GaussianBasisSet, UnitSystem, WellPotentialSpec
@@ -54,6 +61,11 @@ _ZDEG = np.array([0, 0, 0, 1, 2])
 _IXTAB = _XDEG[:, None] + _XDEG[None, :]
 _IYTAB = _YDEG[:, None] + _YDEG[None, :]
 _IZTAB = _ZDEG[:, None] + _ZDEG[None, :]
+
+# smallest reciprocal condition estimate (1-norm) of the symmetrized metric
+# that the equations of motion accept; the default trap's metric sits near
+# 1e-4, and below this the velocities along its weakest directions are noise
+METRIC_RCOND_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,195 +160,212 @@ def _derivative_polys(state: VariationalState):
     Returns (coeffs (10 NG, 5), well index (10 NG,)).
     """
     n = state.size
-    b, _ = _z_shape(state)
-    D = np.zeros((PARAMS_PER_WELL * n, _N_MONO), dtype=complex)
-    wells_of = np.repeat(np.arange(n), PARAMS_PER_WELL)
-    for k in range(n):
-        o = PARAMS_PER_WELL * k
-        q, p, az = state.q_z[k], state.p_z[k], state.A_z[k]
-        D[o + 0, 1] = -1.0                 # AxR: -x^2
-        D[o + 1, 1] = -1j                  # AxI
-        D[o + 2, 2] = -1.0                 # AyR
-        D[o + 3, 2] = -1j                  # AyI
-        D[o + 4, [0, 3, 4]] = [-q * q, 2.0 * q, -1.0]        # AzR: -(z-q)^2
-        D[o + 5, [0, 3, 4]] = [-1j * q * q, 2j * q, -1j]     # AzI
-        D[o + 6, [0, 3]] = [-2.0 * az * q - 1j * p, 2.0 * az]  # q: 2A_z(z-q)-ip
-        D[o + 7, [0, 3]] = [-1j * q, 1j]   # p: i(z-q)
-        D[o + 8, 0] = -1.0                 # gamma_R
-        D[o + 9, 0] = -1j                  # gamma_I
-    return D, wells_of
+    q, p, az = state.q_z, state.p_z, state.A_z
+    D = np.zeros((n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
+    D[:, 0, 1] = -1.0                      # AxR: -x^2
+    D[:, 1, 1] = -1j                       # AxI
+    D[:, 2, 2] = -1.0                      # AyR
+    D[:, 3, 2] = -1j                       # AyI
+    D[:, 4, 0], D[:, 4, 3], D[:, 4, 4] = -q * q, 2.0 * q, -1.0       # AzR: -(z-q)^2
+    D[:, 5, 0], D[:, 5, 3], D[:, 5, 4] = -1j * q * q, 2j * q, -1j    # AzI
+    D[:, 6, 0], D[:, 6, 3] = -2.0 * az * q - 1j * p, 2.0 * az        # q: 2A_z(z-q)-ip
+    D[:, 7, 0], D[:, 7, 3] = -1j * q, 1j   # p: i(z-q)
+    D[:, 8, 0] = -1.0                      # gamma_R
+    D[:, 9, 0] = -1j                       # gamma_I
+    return D.reshape(PARAMS_PER_WELL * n, _N_MONO), np.repeat(np.arange(n), PARAMS_PER_WELL)
 
 
-def _pair_moments(state: VariationalState, ket_x, ket_y, ket_z, ket_b, ket_c):
-    """Per-axis moment tables between every bra well and every ket object.
+@lru_cache(maxsize=None)
+def _triples(n):
+    """Interaction kets G_a conj(G_b) G_c as index arrays (a, b, c) and
+    multiplicities: the ket is symmetric under a <-> c, so only a <= c is
+    kept and the pairs a < c count twice."""
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    keep = a <= c
+    mult = np.where(a == c, 1.0, 2.0)[keep]
+    out = (a[keep], b[keep], c[keep], mult)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
-    Returns (MX (3, NG, M), MY (3, NG, M), MZ (5, NG, M)); the scalar
-    prefactor exp(b^2/4S + C) is folded into MZ.
+
+def _gaussians(state: VariationalState):
+    """The state's Gaussians exp(-A_x x^2 - A_y y^2 - A_z z^2 + b z + C) as
+    rows (A_x, A_y, A_z, b, C) of a (5, NG) array."""
+    gauss = np.empty((5, state.size), dtype=complex)
+    gauss[0], gauss[1], gauss[2] = state.A_x, state.A_y, state.A_z
+    gauss[3], gauss[4] = _z_shape(state)
+    return gauss
+
+
+def _pair_moments(bra, kets):
+    """Per-axis moment tables between every bra Gaussian and every ket object.
+
+    ``bra`` (5, NG) and ``kets`` (5, M) hold (A_x, A_y, A_z, b, C) per
+    Gaussian. Returns (MX (3, NG, M), MY (3, NG, M), MZ (5, NG, M)): orders
+    x^0, x^2, x^4 and z^0..z^4; the scalar prefactor exp(b^2/4S + C) is
+    folded into MZ.
     """
-    ax = np.conj(state.A_x)[:, None] + ket_x[None, :]
-    ay = np.conj(state.A_y)[:, None] + ket_y[None, :]
-    az = np.conj(state.A_z)[:, None] + ket_z[None, :]
-    bra_b, bra_c = _z_shape(state)
-    b = np.conj(bra_b)[:, None] + ket_b[None, :]
-    c = np.conj(bra_c)[:, None] + ket_c[None, :]
-    if np.any(ax.real <= 0) or np.any(ay.real <= 0) or np.any(az.real <= 0):
+    pair = np.conj(bra)[:, :, None] + kets[:, None, :]
+    if (pair[:3].real <= 0).any():
         raise NonNormalizable("pair Gaussian with nonpositive real width")
+    axy, az, b, c = pair[:2], pair[2], pair[3], pair[4]
 
-    ix0 = np.sqrt(math.pi / ax)
-    MX = np.stack([ix0, ix0 / (2.0 * ax), 3.0 * ix0 / (4.0 * ax**2)])
-    iy0 = np.sqrt(math.pi / ay)
-    MY = np.stack([iy0, iy0 / (2.0 * ay), 3.0 * iy0 / (4.0 * ay**2)])
-    mu = b / (2.0 * az)
+    i0 = np.sqrt(math.pi / axy)
+    sxy = 1.0 / (2.0 * axy)
+    MXY = np.stack([i0, i0 * sxy, 3.0 * i0 * sxy**2], axis=1)   # (2, 3, NG, M)
     s2 = 1.0 / (2.0 * az)
-    iz0 = np.sqrt(math.pi / az) * np.exp(b**2 / (4.0 * az) + c)
+    mu = b * s2
+    iz0 = np.sqrt(math.pi / az) * np.exp(0.5 * b * mu + c)
+    mu2 = mu**2
     MZ = np.stack([
         iz0,
         iz0 * mu,
-        iz0 * (mu**2 + s2),
-        iz0 * (mu**3 + 3.0 * mu * s2),
-        iz0 * (mu**4 + 6.0 * mu**2 * s2 + 3.0 * s2**2),
+        iz0 * (mu2 + s2),
+        iz0 * mu * (mu2 + 3.0 * s2),
+        iz0 * (mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2),
     ])
-    return MX, MY, MZ
+    return MXY[0], MXY[1], MZ
 
 
-def _bracket(D_bra, wells_of, moments, Q_ket, ket_wells=None):
-    """val[d, m] = sum_ij conj(D_bra[d,i]) Q_ket[m,j] Mom[i,j,well(d),m].
-
-    When the moment table's ket axis runs over wells rather than objects
-    (several polynomial objects sharing one ket Gaussian), ``ket_wells``
-    maps each object to its well."""
-    MX, MY, MZ = moments
-    mom = MX[_IXTAB] * MY[_IYTAB] * MZ[_IZTAB]     # (5, 5, NG_bra, M_or_NG)
-    if ket_wells is not None:
-        mom = mom[..., ket_wells]                   # (5, 5, NG_bra, M)
-    # contract the ket polynomials before gathering bra wells into
-    # directions: the tensor summed over is NG_bra wide, not D
-    ket = np.einsum("mj,ijwm->iwm", Q_ket, mom)     # (5, NG_bra, M)
-    return np.einsum("di,idm->dm", np.conj(D_bra), ket[:, wells_of, :])
-
-
-def _identity_polys(n):
-    Q = np.zeros((n, _N_MONO), dtype=complex)
-    Q[:, 0] = 1.0
+def _kinetic_polys(gauss):
+    """-1/2 Delta acting on each ket Gaussian, as monomial coefficients
+    (5, NG) over {1, x^2, y^2, z, z^2}."""
+    widths, b = gauss[:3], gauss[3]
+    Q = np.empty_like(gauss)
+    Q[0] = widths.sum(axis=0) - 0.5 * b**2
+    Q[[1, 2, 4]] = -2.0 * widths**2
+    Q[3] = 2.0 * widths[2] * b
     return Q
 
 
-def _kinetic_polys(state: VariationalState):
-    """-1/2 Delta acting on each ket Gaussian, as monomial coefficients."""
-    b, _ = _z_shape(state)
-    n = state.size
-    Q = np.zeros((n, _N_MONO), dtype=complex)
-    Q[:, 0] = state.A_x + state.A_y + state.A_z - 0.5 * b**2
-    Q[:, 1] = -2.0 * state.A_x**2
-    Q[:, 2] = -2.0 * state.A_y**2
-    Q[:, 3] = 2.0 * state.A_z * b
-    Q[:, 4] = -2.0 * state.A_z**2
-    return Q
+def _scalar_kets(gauss, wells: WellPotentialSpec | None, units: UnitSystem):
+    """The ket objects of H psi that carry only a constant monomial.
+
+    Returns (kets (5, M), weights (M, 2)): the objects' Gaussians as in
+    ``_gaussians``, and their constants split into two columns: the well
+    depth V_m for the potential kets (the linear part), g times the
+    multiplicity for the interaction triples (the cubic part). Order:
+    potential (N_wells * NG, well-major), interaction (see ``_triples``).
+    """
+    n = gauss.shape[1]
+    kets, lin, cubic = [np.empty((5, 0), dtype=complex)], [], []
+    if wells is not None:
+        # V_m exp(-2x^2/w_x^2 - 2y^2/w_y^2 - 2(z - s_m)^2/w_z^2) psi
+        wz2 = 2.0 / wells.w_z**2
+        shift = np.empty((5, wells.size))
+        shift[0], shift[1], shift[2] = 2.0 / wells.w_x**2, 2.0 / wells.w_y**2, wz2
+        shift[3] = 2.0 * wz2 * wells.positions
+        shift[4] = -wz2 * wells.positions**2
+        kets.append((gauss[:, None, :] + shift[:, :, None]).reshape(5, -1))
+        lin = np.repeat(wells.depths, n)
+    if units.g != 0.0:
+        a_i, b_i, c_i, mult = _triples(n)
+        kets.append(gauss[:, a_i] + np.conj(gauss)[:, b_i] + gauss[:, c_i])
+        cubic = units.g * mult
+    kets = np.concatenate(kets, axis=1)
+    weights = np.zeros((kets.shape[1], 2), dtype=complex)
+    weights[:len(lin), 0] = lin
+    weights[len(lin):, 1] = cubic
+    return kets, weights
 
 
-def _ket_objects(state: VariationalState, wells: WellPotentialSpec | None,
-                 units: UnitSystem):
-    """All ket objects entering <.|H|psi>: per object (Bx, By, Bz, b, C, Q).
+def _hamiltonian_kets(state: VariationalState, wells: WellPotentialSpec | None,
+                      units: UnitSystem):
+    """The state's monomial table and H psi projected onto the bra monomials.
 
-    Order: kinetic (NG), potential (NG * N_wells), interaction (NG^3).
+    One moment evaluation covers the state's own Gaussians and every scalar
+    ket object. Returns (table, lin, nl). ``table`` (5, 5, NG, NG) is the
+    moment table of the state's Gaussians with themselves; the metric and
+    the kinetic ket share it. ``lin`` and ``nl`` (5, NG) hold
+    <m_i G_w| (T + V) psi> and <m_i G_w| g |psi|^2 psi> for bra monomial
+    m_i and bra Gaussian G_w, summed over the ket objects, so that for a
+    polynomial P, <P G_w | H | psi> = sum_i conj(P_i) (lin + nl)[i, w].
     """
     n = state.size
-    b, c = _z_shape(state)
-    kx = [state.A_x]
-    ky = [state.A_y]
-    kz = [state.A_z]
-    kb = [b]
-    kc = [c]
-    kq = [_kinetic_polys(state)]
-
-    if wells is not None:
-        wx2 = 2.0 / wells.w_x**2
-        wy2 = 2.0 / wells.w_y**2
-        wz2 = 2.0 / wells.w_z**2
-        for vm, sm in zip(wells.depths, wells.positions):
-            kx.append(state.A_x + wx2)
-            ky.append(state.A_y + wy2)
-            kz.append(state.A_z + wz2)
-            kb.append(b + 2.0 * wz2 * sm)
-            kc.append(c - wz2 * sm**2)
-            qv = _identity_polys(n)
-            qv[:, 0] = vm
-            kq.append(qv)
-
-    g = units.g
-    if g != 0.0:
-        idx = np.indices((n, n, n)).reshape(3, -1)
-        a_i, b_i, c_i = idx
-        kx.append(state.A_x[a_i] + np.conj(state.A_x)[b_i] + state.A_x[c_i])
-        ky.append(state.A_y[a_i] + np.conj(state.A_y)[b_i] + state.A_y[c_i])
-        kz.append(state.A_z[a_i] + np.conj(state.A_z)[b_i] + state.A_z[c_i])
-        kb.append(b[a_i] + np.conj(b)[b_i] + b[c_i])
-        kc.append(c[a_i] + np.conj(c)[b_i] + c[c_i])
-        qw = _identity_polys(n**3)
-        qw[:, 0] = g
-        kq.append(qw)
-
-    return (np.concatenate(kx), np.concatenate(ky), np.concatenate(kz),
-            np.concatenate(kb), np.concatenate(kc), np.concatenate(kq))
+    gauss = _gaussians(state)
+    kets, weights = _scalar_kets(gauss, wells, units)
+    moments = _pair_moments(gauss, np.concatenate([gauss, kets], axis=1))
+    mx, my, mz = (m[..., :n] for m in moments)
+    table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
+    lin = np.einsum("jm,ijwm->iw", _kinetic_polys(gauss), table)
+    # the scalar kets need only the bra-monomial column (5, NG, M), and are
+    # summed over objects before the bra wells are gathered into directions
+    mx, my, mz = (m[..., n:] for m in moments)
+    sums = (mx[_XDEG] * my[_YDEG] * mz[_ZDEG]) @ weights
+    return table, lin + sums[..., 0], sums[..., 1]
 
 
-def _hamiltonian_brackets(state, wells, units, D_bra, wells_of):
-    """(h, h_nl): linear and nonlinear parts of <D_bra | H | psi>."""
-    n = state.size
-    kx, ky, kz, kb, kc, kq = _ket_objects(state, wells, units)
-    moments = _pair_moments(state, kx, ky, kz, kb, kc)
-    vals = _bracket(D_bra, wells_of, moments, kq)
-    n_lin = n * (1 + (wells.size if wells is not None else 0))
-    return vals[:, :n_lin].sum(axis=1), vals[:, n_lin:].sum(axis=1)
+def _project(D, wells_of, ket):
+    """sum_i conj(D[d, i]) ket[i, well(d)]: each direction's polynomial at
+    its own well against a ket already summed per bra well."""
+    return np.einsum("di,id->d", np.conj(D), ket[:, wells_of])
 
 
-def _state_kets(state: VariationalState):
-    b, c = _z_shape(state)
-    return state.A_x, state.A_y, state.A_z, b, c
+def _metric(D, table):
+    """M[d, k] = <D_d G_well(d) | D_k G_well(k)> from the state's table,
+    one (10, 10) block per pair of wells."""
+    n = table.shape[-1]
+    Dw = D.reshape(n, PARAMS_PER_WELL, _N_MONO)
+    blocks = (np.conj(Dw)[:, None] @ table.transpose(2, 3, 0, 1)) @ Dw.transpose(0, 2, 1)
+    return blocks.transpose(0, 2, 1, 3).reshape(PARAMS_PER_WELL * n, PARAMS_PER_WELL * n)
 
 
 def norm_and_energy(state: VariationalState, wells: WellPotentialSpec | None,
                     units: UnitSystem):
     """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>)."""
-    n = state.size
-    val_bra = _identity_polys(n)
-    wells_of = np.arange(n)
-    moments = _pair_moments(state, *_state_kets(state))
-    nrm = float(_bracket(val_bra, wells_of, moments, _identity_polys(n)).sum().real)
-    h_lin, h_nl = _hamiltonian_brackets(state, wells, units, val_bra, wells_of)
-    return nrm, float((h_lin.sum() + 0.5 * h_nl.sum()).real)
+    table, lin, nl = _hamiltonian_kets(state, wells, units)
+    nrm = float(table[0, 0].sum().real)
+    return nrm, float((lin[0].sum() + 0.5 * nl[0].sum()).real)
 
 
 def assemble_eom(state: VariationalState, wells: WellPotentialSpec | None,
-                 units: UnitSystem, floor_ratio=1e-12):
+                 units: UnitSystem):
     """Variational system and parameter velocities xdot (real vector).
 
-    The metric eigenvalues below ``floor_ratio`` times the largest are
-    floored before solving (near-redundant parameter directions)."""
+    Solves (Re M + Re M^T) xdot = 2 Im h by Cholesky. A metric that is not
+    positive definite or is ill-conditioned (near-redundant parameter
+    directions) is a breakdown of the ansatz, raised as SingularMetric;
+    nothing is floored (see ``_solve_metric``)."""
     D, wells_of = _derivative_polys(state)
-    moments = _pair_moments(state, *_state_kets(state))
-    metric = _bracket(D, wells_of, moments, D, ket_wells=wells_of)
-    h_lin, h_nl = _hamiltonian_brackets(state, wells, units, D, wells_of)
-    h = h_lin + h_nl
-    xdot = _solve_metric(metric.real + metric.real.T, 2.0 * h.imag, floor_ratio)
+    table, lin, nl = _hamiltonian_kets(state, wells, units)
+    metric = _metric(D, table)
+    h = _project(D, wells_of, lin + nl)
+    xdot = _solve_metric(metric.real + metric.real.T, 2.0 * h.imag)
     return VariationalSystem(metric=metric, rhs_vector=h), xdot
 
 
-def _solve_metric(sym, rhs, floor_ratio):
-    evals, vec = np.linalg.eigh(sym)
-    lam = abs(evals[-1])
-    if lam == 0.0 or not np.all(np.isfinite(evals)):
-        raise SingularMetric("variational metric vanished")
-    floor = floor_ratio * lam
-    evals = np.where(np.abs(evals) < floor, floor, evals)
-    return vec @ ((vec.T @ rhs) / evals)
+def _solve_metric(sym, rhs):
+    """Solve ``sym @ xdot = rhs`` for the symmetrized metric by Cholesky.
+
+    Raises SingularMetric when the factorization fails (the metric is not
+    positive definite to working precision) or when LAPACK's reciprocal
+    condition estimate of the factor (1-norm) is below
+    ``METRIC_RCOND_MIN``: the velocities along near-redundant directions
+    would then be roundoff. The metric is never regularised."""
+    # LAPACK directly: scipy.linalg.cho_factor/cho_solve run the same
+    # ?potrf/?potrs but add about 20 us of argument checks per call
+    factor, info = dpotrf(sym, lower=1, clean=0)
+    if info != 0:
+        raise SingularMetric(
+            f"variational metric is not positive definite "
+            f"(Cholesky pivot {info} of {len(sym)} fails)"
+        )
+    rcond, _ = dpocon(factor, np.abs(sym).sum(axis=0).max(), uplo="L")
+    if not rcond >= METRIC_RCOND_MIN:
+        raise SingularMetric(
+            f"variational metric is singular to working precision "
+            f"(reciprocal condition estimate {rcond:.3e} < {METRIC_RCOND_MIN:g})"
+        )
+    xdot, _ = dpotrs(factor, rhs, lower=1)
+    return xdot
 
 
-def eom_rhs(wells, units, floor_ratio=1e-12):
+def eom_rhs(wells, units):
     """Time-derivative of the packed real parameter vector."""
     def rhs(t, x):
         state = VariationalState.from_vector(x)
-        _, xdot = assemble_eom(state, wells, units, floor_ratio)
+        _, xdot = assemble_eom(state, wells, units)
         return xdot
     return rhs
 
@@ -358,18 +387,16 @@ def normalized_energy(state: VariationalState, wells, units, directions=None):
     D, wells_of = _derivative_polys(state)
     if directions is not None:
         D, wells_of = D[directions], wells_of[directions]
-    moments = _pair_moments(state, *_state_kets(state))
-    val_bra = _identity_polys(state.size)
-    val_wells = np.arange(state.size)
-    nrm = float(_bracket(val_bra, val_wells, moments, val_bra).sum().real)
-    v_lin, v_nl = _hamiltonian_brackets(state, wells, units, val_bra, val_wells)
-    lin = v_lin.sum().real
-    nl = v_nl.sum().real
-    e_n = lin / nrm + 0.5 * nl / nrm**2
-    h_lin, h_nl = _hamiltonian_brackets(state, wells, units, D, wells_of)
-    overlap = _bracket(D, wells_of, moments, val_bra).sum(axis=1)
-    mu = lin / nrm + nl / nrm**2
-    grad = (2.0 / nrm) * (h_lin + h_nl / nrm - mu * overlap).real
+    table, lin, nl = _hamiltonian_kets(state, wells, units)
+    nrm = table[0, 0].sum().real
+    e_lin = lin[0].sum().real
+    e_nl = nl[0].sum().real
+    e_n = e_lin / nrm + 0.5 * e_nl / nrm**2
+    mu = e_lin / nrm + e_nl / nrm**2
+    # d/dx of E/N: <D|H_lin psi> + <D|H_nl psi>/N - mu <D|psi>, where the
+    # table's ket-constant column summed over kets is the bare psi
+    ket = lin + nl / nrm - mu * table[:, 0].sum(axis=-1)
+    grad = (2.0 / nrm) * _project(D, wells_of, ket).real
     return e_n, grad
 
 

@@ -173,7 +173,7 @@ class TestIntegrator:
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert (a.rejected_steps, a.rhs_evals) == (b.rejected_steps, b.rhs_evals)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
            complex_state=st.booleans(), t_end=st.floats(0.01, 5.0))
     def test_sample_hits_step_endpoints_exactly(self, seed, n, complex_state, t_end):

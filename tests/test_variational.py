@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptembed.dnlse import (
     UnitSystem,
@@ -7,7 +11,7 @@ from ptembed.dnlse import (
     fit_ground_state,
     standard_four_well,
 )
-from ptembed.errors import ControlSearchFailed, NonNormalizable, SizeMismatch
+from ptembed.errors import ControlSearchFailed, NonNormalizable, SingularMetric, SizeMismatch
 from ptembed.numerics import IntegratorSettings
 from ptembed.variational import (
     VariationalState,
@@ -18,6 +22,7 @@ from ptembed.variational import (
     density_profile,
     free_gaussian_width,
     norm_and_energy,
+    normalized_energy,
     propagate_state,
     relax_to_fixed_point,
     run_variational_scenario,
@@ -194,3 +199,148 @@ def test_wall_partition_from_wells():
     assert np.allclose(part.walls, [-1.8, 0.0, 1.8])
     with pytest.raises(ValueError):
         WallPartition(walls=[1.0, 0.0])
+
+
+# ------------------------------------------------- brackets, object by object
+
+def random_system(seed, n, n_wells):
+    """A state of ``n`` complex Gaussians about 1.8 apart (the default
+    trap's spacing, which keeps the metric well conditioned), a random
+    trap of ``n_wells`` wells and a random interaction strength."""
+    rng = np.random.default_rng(seed)
+    u = lambda lo, hi, size=n: rng.uniform(lo, hi, size)
+    state = VariationalState(
+        A_x=u(0.3, 1.0) + 1j * u(-0.3, 0.3), A_y=u(0.3, 1.0) + 1j * u(-0.3, 0.3),
+        A_z=u(0.8, 1.6) + 1j * u(-0.5, 0.5),
+        q_z=1.8 * (np.arange(n) - 0.5 * (n - 1)) + u(-0.2, 0.2), p_z=u(-0.5, 0.5),
+        gamma=u(-0.5, 0.5) + 1j * u(-math.pi, math.pi),
+    )
+    wells = WellPotentialSpec(
+        depths=u(-60.0, -10.0, n_wells), positions=np.sort(u(-3.0, 3.0, n_wells)),
+        w_x=u(2.0, 5.0, None), w_y=u(2.0, 5.0, None), w_z=u(0.7, 1.5, None),
+    )
+    return state, wells, UnitSystem.rubidium87(N=u(0.0, 2e5, None))
+
+
+def axis_moments(a, b, c, orders):
+    """int s^k exp(-a s^2 + b s + c) ds for k < orders, by the recurrence
+    m_k = mu m_(k-1) + (k - 1) m_(k-2) / (2a) of the Gaussian's moments."""
+    m = [np.sqrt(math.pi / a) * np.exp(b * b / (4.0 * a) + c)]
+    m.append(b / (2.0 * a) * m[0])
+    for k in range(2, orders):
+        m.append(b / (2.0 * a) * m[-1] + (k - 1) / (2.0 * a) * m[-2])
+    return m
+
+
+# monomials 1, x^2, y^2, z, z^2 as powers of (x, y, z)
+POWERS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
+
+
+def reference_brackets(state, wells, units):
+    """The metric <D|D> and h = <D|H|psi> summed ket object by ket object:
+    kinetic, every (well, Gaussian) potential term and all NG^3 interaction
+    triples, each through its full 5x5 table of monomial pair moments."""
+    n = state.size
+    gauss = [(state.A_x[k], state.A_y[k], state.A_z[k],
+              2.0 * state.A_z[k] * state.q_z[k] + 1j * state.p_z[k],
+              -state.A_z[k] * state.q_z[k] ** 2 - 1j * state.p_z[k] * state.q_z[k]
+              - state.gamma[k]) for k in range(n)]
+
+    def table(bra, ket):
+        ax, ay, az, b, c = (np.conj(u) + v for u, v in zip(bra, ket))
+        mx, my, mz = axis_moments(ax, 0, 0, 5), axis_moments(ay, 0, 0, 5), axis_moments(az, b, c, 5)
+        return np.array([[mx[pi[0] + pj[0]] * my[pi[1] + pj[1]] * mz[pi[2] + pj[2]]
+                          for pj in POWERS] for pi in POWERS])
+
+    # d psi / d x per packed direction (AxR, AxI, AyR, AyI, AzR, AzI, q, p, gR, gI)
+    D = np.zeros((10 * n, 5), dtype=complex)
+    for k in range(n):
+        q, p, az = state.q_z[k], state.p_z[k], state.A_z[k]
+        D[10 * k:10 * k + 10] = [
+            [0, -1, 0, 0, 0], [0, -1j, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, -1j, 0, 0],
+            [-q * q, 0, 0, 2 * q, -1], [-1j * q * q, 0, 0, 2j * q, -1j],
+            [-2 * az * q - 1j * p, 0, 0, 2 * az, 0], [-1j * q, 0, 0, 1j, 0],
+            [-1, 0, 0, 0, 0], [-1j, 0, 0, 0, 0],
+        ]
+
+    kets = []
+    for ax, ay, az, b, c in gauss:
+        kets.append(((ax, ay, az, b, c),
+                     [ax + ay + az - 0.5 * b * b, -2 * ax * ax, -2 * ay * ay, 2 * az * b, -2 * az * az]))
+    for vm, sm in zip(wells.depths, wells.positions):
+        for ax, ay, az, b, c in gauss:
+            kets.append(((ax + 2 / wells.w_x ** 2, ay + 2 / wells.w_y ** 2, az + 2 / wells.w_z ** 2,
+                          b + 4 * sm / wells.w_z ** 2, c - 2 * sm * sm / wells.w_z ** 2),
+                         [vm, 0, 0, 0, 0]))
+    for ga in gauss:
+        for gb in gauss:
+            for gc in gauss:
+                kets.append((tuple(x + np.conj(y) + z for x, y, z in zip(ga, gb, gc)),
+                             [units.g, 0, 0, 0, 0]))
+
+    metric = np.zeros((10 * n, 10 * n), dtype=complex)
+    h = np.zeros(10 * n, dtype=complex)
+    for w in range(n):
+        bra = np.conj(D[10 * w:10 * w + 10])
+        for v in range(n):
+            metric[10 * w:10 * w + 10, 10 * v:10 * v + 10] = (
+                bra @ table(gauss[w], gauss[v]) @ D[10 * v:10 * v + 10].T)
+        for ket, poly in kets:
+            h[10 * w:10 * w + 10] += bra @ table(gauss[w], ket) @ np.array(poly)
+    return metric, h
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
+def test_assembly_matches_object_by_object_reference(seed, n, n_wells):
+    state, wells, units = random_system(seed, n, n_wells)
+    system, xdot = assemble_eom(state, wells, units)
+    metric, h = reference_brackets(state, wells, units)
+    assert np.max(np.abs(system.metric - metric)) <= 1e-11 * np.max(np.abs(metric))
+    assert np.max(np.abs(system.rhs_vector - h)) <= 1e-11 * np.max(np.abs(h))
+    sym, rhs = system.metric.real + system.metric.real.T, 2.0 * system.rhs_vector.imag
+    assert np.linalg.norm(sym @ xdot - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_energy_gradient_matches_central_differences(seed, n):
+    state, wells, units = random_system(seed, n, 4)
+    x = state.to_vector()
+    energy = lambda y: normalized_energy(VariationalState.from_vector(y), wells, units)[0]
+    e, grad = normalized_energy(state, wells, units)
+    step = 1e-5
+    fd = np.empty_like(x)
+    for i in range(len(x)):
+        dx = np.zeros_like(x)
+        dx[i] = step
+        fd[i] = (energy(x + dx) - energy(x - dx)) / (2.0 * step)
+    # central differences: truncation ~ step^2 |E'''|, roundoff ~ eps |E| / step
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, abs(e))
+    picked = np.arange(3, len(x), 4)
+    _, sub = normalized_energy(state, wells, units, directions=picked)
+    assert np.allclose(sub, grad[picked], rtol=1e-13, atol=0.0)
+
+
+class TestSingularMetric:
+    """A dependent parameter set is a breakdown of the ansatz, not a
+    regularised solve: assemble_eom raises instead of returning velocities."""
+
+    @staticmethod
+    def pair(dq):
+        return VariationalState(A_x=[0.5, 0.5], A_y=[0.5, 0.5], A_z=[0.7 + 0.2j] * 2,
+                                q_z=[0.3, 0.3 + dq], p_z=[0.4, 0.4], gamma=[0.1, 0.1])
+
+    def test_identical_gaussians_raise(self):
+        for wells in (None, standard_four_well()):
+            with pytest.raises(SingularMetric):
+                assemble_eom(self.pair(0.0), wells, UnitSystem.rubidium87())
+
+    def test_near_dependent_metric_reports_its_condition_estimate(self):
+        # factorizable, but the two packets' centres differ by 1e-2
+        with pytest.raises(SingularMetric, match="reciprocal condition estimate"):
+            assemble_eom(self.pair(1e-2), standard_four_well(), UnitSystem.rubidium87())
+
+    def test_propagation_stops_at_the_singular_metric(self):
+        with pytest.raises(SingularMetric):
+            propagate_state(self.pair(0.0), None, FREE_UNITS, (0.0, 0.1))
