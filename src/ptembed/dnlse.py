@@ -11,9 +11,11 @@ The per-well basis functions are Gaussians
     g^k(r) = exp[-A_x^k x^2 - A_y^k y^2 - A_z^k (z - q_z^k)^2],
 
 generally with complex widths. The overlap matrix K, kinetic/potential
-matrices T, V and the two-body tensor W~ are closed-form Gaussian
-integrals; symmetric orthogonalization (exact or truncated to nearest
-neighbors) turns them into an effective tridiagonal model.
+matrices T, V and the two-body tensor W~ come from the Gaussian moment
+tables of :mod:`ptembed.variational` (the basis is its ansatz at rest),
+and so does the mean-field energy. The effective tridiagonal model uses
+nearest-neighbor closed forms; symmetric orthogonalization (exact or
+truncated to nearest neighbors) maps amplitudes onto it.
 """
 
 from __future__ import annotations
@@ -171,17 +173,6 @@ def _pair(a):
     return a[None, :] + np.conj(a)[:, None]
 
 
-def overlap_matrix(basis: GaussianBasisSet):
-    """K_lk = <g^l|g^k>, all pairs, closed Gaussian form."""
-    axy = _pair(basis.A_x)
-    ayy = _pair(basis.A_y)
-    azz = _pair(basis.A_z)
-    kappa_z = basis.A_z[None, :] * np.conj(basis.A_z)[:, None] / azz
-    dq = basis.q_z[None, :] - basis.q_z[:, None]
-    c = np.exp(-kappa_z * dq**2)
-    return np.sqrt(math.pi / axy) * np.sqrt(math.pi / ayy) * np.sqrt(math.pi / azz) * c
-
-
 def _kappa(a):
     return a[None, :] * np.conj(a)[:, None] / _pair(a)
 
@@ -202,67 +193,37 @@ def _potential_exponent(basis, s_m, w_z):
     return np.exp(-num / (akl * (akl * w_z**2 + 2.0)))
 
 
-def kinetic_matrix(basis: GaussianBasisSet, K=None):
-    """T_lk = <g^l| -hbar^2/2m Delta |g^k> (hbar = m = 1)."""
-    if K is None:
-        K = overlap_matrix(basis)
-    kx = _kappa(basis.A_x)
-    ky = _kappa(basis.A_y)
-    kz = _kappa(basis.A_z)
-    dq = basis.q_z[None, :] - basis.q_z[:, None]
-    # kappa already carries the 1/2m scale: for real A, kappa^{kk} = A/2,
-    # and <g|-(1/2)Delta|g> = K * sum_axis kappa (verified against quadrature)
-    return K * (kx + ky + kz - 2.0 * kz**2 * dq**2)
+def _gaussian_matrices(basis: GaussianBasisSet, wells: WellPotentialSpec | None):
+    """K, T, V and the interaction tensor without g between the basis
+    Gaussians g^k, from the variational engine's moment tables
+    (:func:`ptembed.variational.gaussian_matrices` on the basis at rest,
+    p = gamma = 0)."""
+    from .variational import VariationalState, gaussian_matrices
+
+    rest = np.zeros(basis.size)
+    state = VariationalState(A_x=basis.A_x, A_y=basis.A_y, A_z=basis.A_z,
+                             q_z=basis.q_z, p_z=rest, gamma=rest)
+    return gaussian_matrices(state, wells)
 
 
-def potential_matrix(basis: GaussianBasisSet, wells: WellPotentialSpec, K=None):
-    """V_lk = <g^l| V_trap |g^k>, summed over all trap wells."""
-    if K is None:
-        K = overlap_matrix(basis)
-    bx = _beta(basis.A_x, wells.w_x)
-    by = _beta(basis.A_y, wells.w_y)
-    bz = _beta(basis.A_z, wells.w_z)
-    acc = np.zeros_like(K)
-    for vm, sm in zip(wells.depths, wells.positions):
-        acc += vm * _potential_exponent(basis, sm, wells.w_z)
-    return K * bx * by * bz * acc
+def overlap_matrix(basis: GaussianBasisSet):
+    """K_lk = <g^l|g^k>, all pairs."""
+    return _gaussian_matrices(basis, None)[0]
 
 
 def interaction_tensor(basis: GaussianBasisSet, units: UnitSystem):
     """W~_lkji = g * int (g^l)* (g^j)* g^i g^k d^3r with g = 4 pi N a / w_z."""
-    n = basis.size
-    conj_x, conj_y, conj_z = np.conj(basis.A_x), np.conj(basis.A_y), np.conj(basis.A_z)
-    w = np.empty((n, n, n, n), dtype=complex)
-    q = basis.q_z
-    for l in range(n):
-        for k in range(n):
-            for j in range(n):
-                for i in range(n):
-                    sx = basis.A_x[i] + basis.A_x[k] + conj_x[j] + conj_x[l]
-                    sy = basis.A_y[i] + basis.A_y[k] + conj_y[j] + conj_y[l]
-                    sz = basis.A_z[i] + basis.A_z[k] + conj_z[j] + conj_z[l]
-                    p = 2.0 * (basis.A_z[i] * q[i] + basis.A_z[k] * q[k]
-                               + conj_z[j] * q[j] + conj_z[l] * q[l])
-                    c0 = (basis.A_z[i] * q[i]**2 + basis.A_z[k] * q[k]**2
-                          + conj_z[j] * q[j]**2 + conj_z[l] * q[l]**2)
-                    w[l, k, j, i] = (
-                        np.sqrt(math.pi / sx) * np.sqrt(math.pi / sy)
-                        * np.sqrt(math.pi / sz) * np.exp(p**2 / (4.0 * sz) - c0)
-                    )
-    return units.g * w
+    return units.g * _gaussian_matrices(basis, None)[3]
 
 
 def hamiltonian_matrices(basis: GaussianBasisSet, wells: WellPotentialSpec,
                          units: UnitSystem):
+    """K, T = <g^l| -Delta/2 |g^k>, V = <g^l| V_trap |g^k> and W~ from one
+    evaluation of the Gaussian moment tables."""
     if basis.size != wells.size:
         raise SizeMismatch("basis and trap must have equal well counts")
-    K = overlap_matrix(basis)
-    return MatrixBundle(
-        K=K,
-        T=kinetic_matrix(basis, K),
-        V=potential_matrix(basis, wells, K),
-        W_tensor=interaction_tensor(basis, units),
-    )
+    K, T, V, W = _gaussian_matrices(basis, wells)
+    return MatrixBundle(K=K, T=T, V=V, W_tensor=units.g * W)
 
 
 def lowdin_exact(K):
@@ -361,13 +322,11 @@ def effective_model(basis: GaussianBasisSet, wells: WellPotentialSpec,
     kz = _kappa(basis.A_z)
     dq = basis.q_z[None, :] - basis.q_z[:, None]
     t_lk = kx + ky + kz - 2.0 * kz**2 * dq**2
+    expo = [_potential_exponent(basis, s, wells.w_z) for s in wells.positions]
     v_lk = np.zeros((n, n), dtype=complex)
     for l in range(n):
         for k in range(n):
-            acc = (
-                wells.depths[k] * _potential_exponent(basis, wells.positions[k], wells.w_z)[l, k]
-                + wells.depths[l] * _potential_exponent(basis, wells.positions[l], wells.w_z)[l, k]
-            )
+            acc = wells.depths[k] * expo[k][l, k] + wells.depths[l] * expo[l][l, k]
             v_lk[l, k] = bx[l, k] * by[l, k] * bz[l, k] * acc
     h_lk = t_lk + v_lk
 
@@ -399,16 +358,14 @@ def effective_amplitudes(d, basis: GaussianBasisSet, exact=False):
 
 
 def mean_field_energy(d, basis: GaussianBasisSet, wells: WellPotentialSpec,
-                      units: UnitSystem, bundle: MatrixBundle | None = None):
-    """E_mf = d^dag (T + V) d + 1/2 sum W~ over the untruncated matrices."""
-    d = np.asarray(d, dtype=complex)
-    if bundle is None:
-        bundle = hamiltonian_matrices(basis, wells, units)
-    lin = np.vdot(d, (bundle.T + bundle.V) @ d)
-    nonlin = 0.5 * np.einsum(
-        "l,k,j,i,lkji->", np.conj(d), d, np.conj(d), d, bundle.W_tensor
-    )
-    return float((lin + nonlin).real)
+                      units: UnitSystem):
+    """E_mf = d^dag (T + V) d + 1/2 sum W~ d* d d* d over the untruncated
+    matrices: the energy of psi = sum_k d_k g^k by
+    :func:`ptembed.variational.norm_and_energy`. A zero amplitude raises
+    NonNormalizable (the amplitudes enter as exp(-gamma))."""
+    from .variational import VariationalState, norm_and_energy
+
+    return norm_and_energy(VariationalState.from_basis(basis, d), wells, units)[1]
 
 
 def _default_seed(wells: WellPotentialSpec):
@@ -470,9 +427,7 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
         return normalized_energy(state_of(x), wells, units, directions)
 
     bounds = ([(_MIN_WIDTH, None)] * 3 + [(None, None)] * 2) * n
-    x, _ = minimize_norm_constrained(
-        energy, x0, tol=tol, bounds=bounds, max_iter=max_iter, jac=True,
-    )
+    x, _ = minimize_norm_constrained(energy, x0, tol=tol, bounds=bounds, max_iter=max_iter)
     state = state_of(x)
     basis = GaussianBasisSet(A_x=state.A_x, A_y=state.A_y, A_z=state.A_z, q_z=state.q_z)
     d = np.exp(-state.gamma)

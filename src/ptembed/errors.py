@@ -28,20 +28,12 @@ class StepSizeUnderflow(PtError):
     """Adaptive step size fell below the resolution of the time variable."""
 
 
-class SingularMatrix(PtError):
-    """Linear system is singular or too ill-conditioned to trust."""
-
-
 class NoConvergence(PtError):
     """Iterative solver stopped without meeting its tolerance."""
 
 
 class NonFiniteFunction(PtError):
     """Root-search objective returned NaN/Inf."""
-
-
-class ConstraintProjectionFailure(PtError):
-    """Constrained minimizer produced an iterate that cannot be normalized."""
 
 
 class RefinementLimit(PtError):

@@ -1,6 +1,5 @@
-"""Numerical kernel: adaptive ODE integration, small dense solves, root
-finding, minimization (optionally norm-constrained) and an adaptive
-quadrature oracle.
+"""Numerical kernel: adaptive ODE integration, root finding, bounded
+minimization with an analytic gradient and an adaptive quadrature oracle.
 
 Everything here is deterministic for fixed inputs and free of module-level
 state, so independent calls can run in parallel.
@@ -19,14 +18,11 @@ import scipy.integrate
 import scipy.optimize
 
 from .errors import (
-    ConstraintProjectionFailure,
     ConvergenceWarning,
-    NoConvergence,
     NonFiniteDerivative,
     NonFiniteFunction,
     PtError,
     RefinementLimit,
-    SingularMatrix,
     StepLimitExceeded,
     StepSizeUnderflow,
 )
@@ -258,18 +254,6 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
                       rejected, evals)
 
 
-def solve_linear(matrix, rhs, cond_limit=1e14):
-    """Solve a small dense linear system, guarding against near-singularity."""
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise SingularMatrix("non-finite entries in linear system")
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrix(f"condition estimate {cond:.3e} exceeds {cond_limit:.1e}")
-    return np.linalg.solve(a, b)
-
-
 def _fd_jacobian(f, x, fx):
     n = len(x)
     jac = np.empty((len(fx), n))
@@ -354,83 +338,40 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
     return report(max_iter, False)
 
 
-def minimize_norm_constrained(energy, x0, constraint=None, tol=1e-6, project=None,
-                              bounds=None, max_iter=500, jac=False):
-    """Minimize ``energy(x)``, subject to ``constraint(x) == 1`` when given.
+def minimize_norm_constrained(energy, x0, tol=1e-6, bounds=None, max_iter=500):
+    """Minimize ``energy(x)``, which returns ``(value, analytic gradient)``,
+    within ``bounds``.
 
-    ``tol`` bounds the max norm of the gradient at exit: the gradient of
-    ``energy`` without a constraint, its part tangent to the constraint
-    surface with one; components pushing against an active bound do not
-    count. A minimization that stops above ``tol`` (by ``max_iter``, or by a
-    line search that lost precision) emits a :class:`ConvergenceWarning`
-    and returns its best iterate.
+    The name dates from an optional norm constraint that no caller used;
+    it is kept because the benchmark's tracer (``bench/tracing.py``) wraps
+    this function by name.
 
-    With ``jac=True``, ``energy`` returns ``(value, analytic gradient)``;
-    otherwise gradients come from forward differences.
+    ``tol`` bounds the max norm of the gradient at exit; components pushing
+    against an active bound do not count. A minimization that stops above
+    ``tol`` (by ``max_iter``, or by a line search that lost precision) emits
+    a :class:`ConvergenceWarning` and returns its best iterate.
 
-    Without a constraint, L-BFGS-B keeps every trial point within
-    ``bounds``. Near a minimum a step lowers the energy by less than the
-    energy's roundoff long before an analytic gradient reaches its own
-    noise floor, and the line search stops; with an analytic ``jac``, Newton
-    steps on a finite-difference Hessian of the gradient then carry it on
-    to ``tol`` (each step counts against ``max_iter``).
-
-    With a constraint, SLSQP runs until the energy changes by less than
-    1e-14 relative, and the result is projected so that
-    ``|constraint(x*) - 1| <= 1e-10``. ``project``, when given, maps an
-    iterate onto the constraint set exactly (for quadratic norm constraints
-    rescaling part of the vector suffices). The default ``tol`` leaves a
-    margin over what SLSQP reaches with forward-difference gradients (3e-8
-    for a quadratic form on the unit sphere).
+    L-BFGS-B keeps every trial point within ``bounds``. Near a minimum a
+    step lowers the energy by less than the energy's roundoff long before
+    an analytic gradient reaches its own noise floor, and the line search
+    stops; Newton steps on a finite-difference Hessian of the gradient then
+    carry it on to ``tol`` (each step counts against ``max_iter``).
 
     Returns ``(x*, energy*)``.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if jac:
-        value = lambda x: energy(x)[0]
-        gradient = lambda x: energy(x)[1]
-    else:
-        value = energy
-        gradient = lambda x: scipy.optimize.approx_fprime(x, energy)
     lo, hi = _bound_arrays(bounds, len(x0))
-
-    if constraint is None:
-        res = scipy.optimize.minimize(
-            energy, x0, jac=jac, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0, "maxcor": 20},
+    res = scipy.optimize.minimize(
+        energy, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+        options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0, "maxcor": 20},
+    )
+    x, grad, reason = res.x, _projected_gradient(res.jac, res.x, lo, hi), res.message
+    if res.status != 1 and np.max(np.abs(grad)) > tol:
+        x, grad = _newton_polish(
+            lambda v: _projected_gradient(energy(v)[1], v, lo, hi),
+            x, grad, lo, hi, tol, max_iter - res.nit,
         )
-        x, grad, reason = res.x, _projected_gradient(res.jac, res.x, lo, hi), res.message
-        if jac and res.status != 1 and np.max(np.abs(grad)) > tol:
-            x, grad = _newton_polish(
-                lambda v: _projected_gradient(gradient(v), v, lo, hi),
-                x, grad, lo, hi, tol, max_iter - res.nit,
-            )
-            reason += "; then Newton steps"
-    else:
-        if project is None:
-            def project(x):
-                c = constraint(x)
-                if not np.isfinite(c) or c <= 0:
-                    raise ConstraintProjectionFailure("cannot normalize zero-norm iterate")
-                return x / np.sqrt(c)
-
-        x0 = project(x0)
-        res = scipy.optimize.minimize(
-            energy, x0, jac=jac, method="SLSQP", bounds=bounds,
-            constraints=[{"type": "eq", "fun": lambda x: constraint(x) - 1.0}],
-            options={"maxiter": max_iter, "ftol": 1e-14},
-        )
-        x = project(res.x)
-        if abs(constraint(x) - 1.0) > 1e-10:
-            raise ConstraintProjectionFailure(
-                f"constraint residual {abs(constraint(x) - 1.0):.3e}"
-            )
-        if value(x) > value(x0) + 1e-12 * (1 + abs(value(x0))):
-            raise NoConvergence("minimizer did not improve on projected start")
-        g = gradient(x)
-        normal = scipy.optimize.approx_fprime(x, constraint)
-        grad = _projected_gradient(g - (g @ normal) / (normal @ normal) * normal, x, lo, hi)
-        reason = res.message
+        reason += "; then Newton steps"
 
     gmax = float(np.max(np.abs(grad)))
     if not gmax <= tol:
@@ -439,7 +380,7 @@ def minimize_norm_constrained(energy, x0, constraint=None, tol=1e-6, project=Non
             f"({reason}); returning the best iterate",
             ConvergenceWarning, stacklevel=2,
         )
-    return x, float(value(x))
+    return x, float(energy(x)[0])
 
 
 def _bound_arrays(bounds, n):

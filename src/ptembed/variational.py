@@ -21,7 +21,9 @@ kinetic ket carries a polynomial; the potential and interaction kets carry
 a constant, so they need one bra-monomial column each and are summed
 before the bra wells are expanded into parameter directions. The metric
 system is solved by Cholesky; a (near-)singular metric raises
-SingularMetric instead of being regularised.
+SingularMetric instead of being regularised. ``gaussian_matrices`` reads
+the Gaussian-basis matrices K, T, V and W~ of the dnlse module off the
+same moment tables.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a per-step root search on the
@@ -239,6 +241,18 @@ def _kinetic_polys(gauss):
     return Q
 
 
+def _potential_kets(gauss, wells: WellPotentialSpec):
+    """Each well's profile exp(-2x^2/w_x^2 - 2y^2/w_y^2 - 2(z - s_m)^2/w_z^2)
+    times each Gaussian, without the depth V_m: (5, N_wells * NG) in the
+    layout of ``_gaussians``, well-major."""
+    wz2 = 2.0 / wells.w_z**2
+    shift = np.empty((5, wells.size))
+    shift[0], shift[1], shift[2] = 2.0 / wells.w_x**2, 2.0 / wells.w_y**2, wz2
+    shift[3] = 2.0 * wz2 * wells.positions
+    shift[4] = -wz2 * wells.positions**2
+    return (gauss[:, None, :] + shift[:, :, None]).reshape(5, -1)
+
+
 def _scalar_kets(gauss, wells: WellPotentialSpec | None, units: UnitSystem):
     """The ket objects of H psi that carry only a constant monomial.
 
@@ -251,13 +265,7 @@ def _scalar_kets(gauss, wells: WellPotentialSpec | None, units: UnitSystem):
     n = gauss.shape[1]
     kets, lin, cubic = [np.empty((5, 0), dtype=complex)], [], []
     if wells is not None:
-        # V_m exp(-2x^2/w_x^2 - 2y^2/w_y^2 - 2(z - s_m)^2/w_z^2) psi
-        wz2 = 2.0 / wells.w_z**2
-        shift = np.empty((5, wells.size))
-        shift[0], shift[1], shift[2] = 2.0 / wells.w_x**2, 2.0 / wells.w_y**2, wz2
-        shift[3] = 2.0 * wz2 * wells.positions
-        shift[4] = -wz2 * wells.positions**2
-        kets.append((gauss[:, None, :] + shift[:, :, None]).reshape(5, -1))
+        kets.append(_potential_kets(gauss, wells))
         lin = np.repeat(wells.depths, n)
     if units.g != 0.0:
         a_i, b_i, c_i, mult = _triples(n)
@@ -294,6 +302,33 @@ def _hamiltonian_kets(state: VariationalState, wells: WellPotentialSpec | None,
     mx, my, mz = (m[..., n:] for m in moments)
     sums = (mx[_XDEG] * my[_YDEG] * mz[_ZDEG]) @ weights
     return table, lin + sums[..., 0], sums[..., 1]
+
+
+def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
+    """Matrix elements between the state's Gaussians G_k, from one moment
+    evaluation over the Gaussians, the potential kets and all NG^3
+    interaction triples.
+
+    Returns (K, T, V, W): K_lk = <G_l|G_k>, T_lk = <G_l| -Delta/2 |G_k> and
+    V_lk = <G_l| V_trap |G_k> (zero without ``wells``), each (NG, NG), and
+    W_lkji = int conj(G_l) G_k conj(G_j) G_i d^3r (NG, NG, NG, NG), the
+    interaction tensor without its strength g.
+    """
+    n = state.size
+    gauss = _gaussians(state)
+    if wells is None:
+        pot, depths = np.empty((5, 0)), np.empty(0)
+    else:
+        pot, depths = _potential_kets(gauss, wells), wells.depths
+    k, j, i = np.indices((n, n, n)).reshape(3, -1)
+    triples = gauss[:, k] + np.conj(gauss)[:, j] + gauss[:, i]
+    mx, my, mz = _pair_moments(gauss, np.concatenate([gauss, pot, triples], axis=1))
+    # <G_l| m G_k> for the ket monomials m; row 0 is <G_l|ket> for every object
+    column = mx[_XDEG] * my[_YDEG] * mz[_ZDEG]
+    T = np.einsum("jk,jlk->lk", _kinetic_polys(gauss), column[:, :, :n])
+    flat, m = column[0], len(depths)
+    V = np.einsum("lmk,m->lk", flat[:, n:n + m * n].reshape(n, m, n), depths)
+    return flat[:, :n], T, V, flat[:, n + m * n:].reshape(n, n, n, n)
 
 
 def _project(D, wells_of, ket):

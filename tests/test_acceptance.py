@@ -199,10 +199,8 @@ def test_criterion_7_quadrature_oracle():
             positions=np.sort(rng.uniform(-2.0, 2.0, n)) + [0.0, 0.3],
             w_x=rng.uniform(2.0, 5.0), w_y=rng.uniform(2.0, 5.0), w_z=1.0)
         units = dnlse.UnitSystem.rubidium87(N=10 ** rng.uniform(3.0, 5.0))
-        K = dnlse.overlap_matrix(basis)
-        T = dnlse.kinetic_matrix(basis)
-        V = dnlse.potential_matrix(basis, wells)
-        W = dnlse.interaction_tensor(basis, units)
+        bundle = dnlse.hamiltonian_matrices(basis, wells, units)
+        K, T, V, W = bundle.K, bundle.T, bundle.V, bundle.W_tensor
         ax, ay, az = np.conj(basis.A_x), np.conj(basis.A_y), np.conj(basis.A_z)
         for l in range(n):
             for k in range(n):

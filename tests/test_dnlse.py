@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptembed.dnlse import (
     EffectiveModel,
@@ -12,19 +14,18 @@ from ptembed.dnlse import (
     hamiltonian_matrices,
     interaction_tensor,
     invert_to_potential,
-    kinetic_matrix,
     lowdin_exact,
     lowdin_nn,
     lowdin_nn_inverse,
     mean_field_energy,
     overlap_matrix,
-    potential_matrix,
     standard_four_well,
 )
 from ptembed.errors import (
     ConvergenceWarning,
     NonNormalizable,
     NotPositiveDefinite,
+    OutOfRange,
     SizeMismatch,
 )
 
@@ -70,6 +71,19 @@ class TestUnits:
         assert abs(doubled.g / units.g - 2.0) < 1e-12
 
 
+def random_complex_basis(seed, n):
+    """``n`` Gaussians with random complex widths and centres at least 0.5
+    apart, and a trap of ``n`` random wells."""
+    rng = np.random.default_rng(seed)
+    rand_a = lambda: rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
+    q = np.cumsum(rng.uniform(0.5, 1.5, n))
+    basis = GaussianBasisSet(A_x=rand_a(), A_y=rand_a(), A_z=rand_a(), q_z=q - q.mean())
+    wells = WellPotentialSpec(
+        depths=rng.uniform(-60.0, -20.0, n), positions=q - q.mean() + rng.uniform(-0.2, 0.2),
+        w_x=rng.uniform(2.0, 5.0), w_y=rng.uniform(2.0, 5.0), w_z=rng.uniform(0.7, 1.5))
+    return basis, wells
+
+
 class TestMatrixElements:
     def test_single_gaussian_overlap(self):
         # int exp(-2 a r^2) = (pi / 2a)^{3/2} for a = 1/2
@@ -85,26 +99,32 @@ class TestMatrixElements:
     def test_kinetic_isotropic_ratio(self):
         # <g|-(1/2)Delta|g> / <g|g> = 3 a / 2 for isotropic width a
         basis = GaussianBasisSet(A_x=[0.5], A_y=[0.5], A_z=[0.5], q_z=[0.0])
-        K = overlap_matrix(basis)
-        T = kinetic_matrix(basis, K)
-        assert abs(T[0, 0] / K[0, 0] - 0.75) < 1e-13
+        wells = WellPotentialSpec(depths=[-45.0], positions=[0.0])
+        bundle = hamiltonian_matrices(basis, wells, UnitSystem.rubidium87())
+        assert abs(bundle.T[0, 0] / bundle.K[0, 0] - 0.75) < 1e-13
 
-    def test_hermiticity(self):
-        basis = GaussianBasisSet(
-            A_x=[0.4 + 0.1j, 0.8 - 0.2j], A_y=[0.5, 0.6 + 0.3j],
-            A_z=[1.5 + 0.4j, 2.0 - 0.1j], q_z=[-0.9, 0.9])
-        wells = WellPotentialSpec(depths=[-45.0, -45.0], positions=[-0.9, 0.9])
-        units = UnitSystem.rubidium87()
-        bundle = hamiltonian_matrices(basis, wells, units)
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+    def test_hermiticity(self, seed, n):
+        basis, wells = random_complex_basis(seed, n)
+        bundle = hamiltonian_matrices(basis, wells, UnitSystem.rubidium87())
         for m in (bundle.K, bundle.T, bundle.V):
-            assert np.allclose(m, m.conj().T, atol=1e-12)
+            assert np.allclose(m, m.conj().T, rtol=0.0, atol=1e-13 * np.max(np.abs(m)))
+        # K is a Gram matrix of linearly independent Gaussians
+        assert np.linalg.eigvalsh(bundle.K)[0] > 0.0
 
-    def test_interaction_tensor_symmetry(self):
-        basis = GaussianBasisSet(A_x=[0.4, 0.8], A_y=[0.5, 0.6],
-                                 A_z=[1.5, 2.0], q_z=[-0.9, 0.9])
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+    def test_interaction_tensor_symmetry(self, seed, n):
+        basis, _ = random_complex_basis(seed, n)
         w = interaction_tensor(basis, UnitSystem.rubidium87())
-        # swapping the two bra (or two ket) slots leaves W unchanged
-        assert np.allclose(w, np.transpose(w, (3, 2, 1, 0)).conj(), atol=1e-10)
+        tol = 1e-13 * np.max(np.abs(w))
+        # W~_lkji: bras l, j and kets k, i; swapping bras with kets conjugates
+        assert np.allclose(w, np.transpose(w, (1, 0, 3, 2)).conj(), rtol=0.0, atol=tol)
+        assert np.allclose(w, np.transpose(w, (3, 2, 1, 0)).conj(), rtol=0.0, atol=tol)
+        # swapping the two bra (or the two ket) slots leaves W~ unchanged
+        assert np.allclose(w, np.transpose(w, (2, 1, 0, 3)), rtol=0.0, atol=tol)
+        assert np.allclose(w, np.transpose(w, (0, 3, 2, 1)), rtol=0.0, atol=tol)
 
 
 class TestLowdin:
@@ -151,6 +171,11 @@ class TestGroundStateFit(object):
         wells, units, basis, d, energy = fitted
         assert abs(mean_field_energy(d, basis, wells, units) - energy) < 1e-8
 
+    def test_zero_amplitude_is_not_normalizable(self, fitted):
+        wells, units, basis, d, energy = fitted
+        with pytest.raises(NonNormalizable):
+            mean_field_energy(np.array([d[0], 0.0, d[2], d[3]]), basis, wells, units)
+
     def test_effective_model_structure(self, fitted):
         wells, units, basis, d, energy = fitted
         eff = effective_model(basis, wells, units)
@@ -189,3 +214,16 @@ def test_invert_to_potential_round_trip(fitted):
     eff2 = effective_model(basis2, wells2, units)
     assert abs(eff2.onsite[0] - target.onsite[0]) < 1e-4
     assert abs(eff2.onsite[-1] - target.onsite[-1]) < 1e-4
+
+
+def test_inversion_leaving_the_attractive_domain_raises(fitted):
+    # an outer onsite target 100 E0 up needs depths far above 0: the first
+    # Newton step tries a repulsive outer well, and root_find lets the
+    # error through
+    wells, units, basis, d, energy = fitted
+    eff = effective_model(basis, wells, units)
+    target = EffectiveModel(
+        onsite=eff.onsite + np.array([100.0, 0.0, 0.0, 100.0]),
+        tunneling=eff.tunneling, interaction=eff.interaction)
+    with pytest.raises(OutOfRange):
+        invert_to_potential(target, wells, units, seed_basis=basis, vary_positions=False)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptembed.embedding import (
+    ClosedFormSigns,
     ControlState,
     RampSchedule,
     build_initial_state,
@@ -19,7 +20,7 @@ from ptembed.embedding import (
     synth_onsite,
     synth_tunneling,
 )
-from ptembed.errors import ControlSingular, ZeroCoupling
+from ptembed.errors import BranchViolation, ControlSingular, DegenerateInput, ZeroCoupling
 from ptembed.fewmode import (
     TridiagonalComplexModel,
     cross_moments,
@@ -56,6 +57,19 @@ def test_ramp_endpoints_and_derivative():
 def test_zero_coupling_rejected():
     with pytest.raises(ZeroCoupling):
         ControlState(gamma=0.1, gamma_dot=0.0, d=0.0)
+
+
+def test_stationary_state_needs_gamma_below_coupling():
+    with pytest.raises(DegenerateInput):
+        pt_stationary_state(1.5, j12=1.0)
+
+
+def test_negative_discriminant_has_no_closed_form():
+    # j~12 = 0 leaves (1 - alpha)^2 - beta^2 = 1 - beta^2, and
+    # beta = gamma / (d sqrt(n0 n3)) = 2 here
+    signs = ClosedFormSigns(s1=1, s2=1, s3=1, s6=1)
+    with pytest.raises(BranchViolation, match="< 0"):
+        closed_form_observables(np.full(4, 0.25), 0.0, 0.5, 1.0, signs)
 
 
 def test_initial_state_satisfies_conditions():

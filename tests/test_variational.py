@@ -11,7 +11,13 @@ from ptembed.dnlse import (
     fit_ground_state,
     standard_four_well,
 )
-from ptembed.errors import ControlSearchFailed, NonNormalizable, SingularMetric, SizeMismatch
+from ptembed.errors import (
+    ControlSearchFailed,
+    NoConvergence,
+    NonNormalizable,
+    SingularMetric,
+    SizeMismatch,
+)
 from ptembed.numerics import IntegratorSettings
 from ptembed.variational import (
     VariationalState,
@@ -135,6 +141,15 @@ def test_relaxed_state_is_stationary(trap_system):
     _, e1 = norm_and_energy(stf, wells, units)
     assert np.max(np.abs(n1 - n0)) < 1e-6
     assert abs(e1 - e0) < 1e-8
+
+
+def test_relaxation_out_of_steps_raises(trap_system):
+    wells, units, state = trap_system
+    # the fitted state is already a minimum: start from wider packets
+    wider = VariationalState(A_x=state.A_x, A_y=state.A_y, A_z=0.8 * state.A_z,
+                             q_z=state.q_z, p_z=state.p_z, gamma=state.gamma)
+    with pytest.raises(NoConvergence, match="gradient"):
+        relax_to_fixed_point(wider, wells, units, max_steps=1)
 
 
 def test_controlled_step_meets_current_targets(trap_system):
