@@ -198,10 +198,15 @@ def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
 
 
 def _condition_residuals(run):
-    """Worst embedding-condition residual at the accepted integrator steps."""
+    """Worst embedding-condition residual at the accepted integrator steps.
+
+    The residuals need only gamma and the couplings J01 = d C13 and
+    J23 = d C02, which ``check_conditions`` derives from ``d`` with the
+    control kernel's arithmetic; the onsite solve is not repeated."""
     traj = run.trajectory
     return max(
-        max(map(abs, embedding.check_conditions(psi, run.controls_at(t, psi))))
+        max(map(abs, embedding.check_conditions(
+            psi, embedding.ControlState(*run.gamma_fn(t), run.d))))
         for t, psi in zip(traj.t.tolist(), traj.y.tolist())
     )
 

@@ -122,12 +122,15 @@ def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
     a21 = -d * jt02 * jt23
     a22 = -d * cc02 * cc23
     det = a11 * a22 - a12 * a21
-    # 2-norm condition number of the 2x2 matrix
+    # 2-norm condition number of the 2x2 matrix: the squared singular values
+    # are (sq +- root) / 2, whose product is det^2, so cond = (sq + root) /
+    # (2 |det|). root = sqrt(sq^2 - 4 det^2) is taken in its product form,
+    # which does not cancel when the singular values are close, and the
+    # difference sq - root, which cancels when they are far apart, is avoided.
     sq = a11**2 + a12**2 + a21**2 + a22**2
-    root = math.sqrt(max(sq**2 - 4.0 * det**2, 0.0))
-    smax = math.sqrt(max((sq + root) / 2.0, 0.0))
-    smin = math.sqrt(max((sq - root) / 2.0, 0.0))
-    cond = smax / smin if smin > 0 else math.inf
+    root = math.sqrt(((a11 - a22) ** 2 + (a12 + a21) ** 2)
+                     * ((a11 + a22) ** 2 + (a12 - a21) ** 2))
+    cond = (sq + root) / (2.0 * abs(det)) if det != 0.0 else math.inf
     if not math.isfinite(cond) or cond > cond_limit:
         raise ControlSingular(
             f"onsite control system singular (condition {cond:.3e}); "

@@ -106,15 +106,24 @@ class VariationalState:
         return out
 
     @classmethod
-    def from_vector(cls, x):
+    def from_vector(cls, x, check=True):
+        """The state packed by ``to_vector``. ``check=False`` skips the
+        validation of ``__post_init__``, for a vector known to have the
+        packed length: a width with Re A <= 0 still raises NonNormalizable
+        as soon as its moments are evaluated (``_pair_moments``)."""
         x = np.asarray(x, dtype=float)
-        return cls(
+        fields = dict(
             A_x=x[0::10] + 1j * x[1::10],
             A_y=x[2::10] + 1j * x[3::10],
             A_z=x[4::10] + 1j * x[5::10],
             q_z=x[6::10], p_z=x[7::10],
             gamma=x[8::10] + 1j * x[9::10],
         )
+        if check:
+            return cls(**fields)
+        state = object.__new__(cls)
+        state.__dict__.update(fields)
+        return state
 
     @classmethod
     def from_basis(cls, basis: GaussianBasisSet, d):
@@ -399,7 +408,8 @@ def _solve_metric(sym, rhs):
 def eom_rhs(wells, units):
     """Time-derivative of the packed real parameter vector."""
     def rhs(t, x):
-        state = VariationalState.from_vector(x)
+        # the integrator keeps the packed length; the moments check the widths
+        state = VariationalState.from_vector(x, check=False)
         _, xdot = assemble_eom(state, wells, units)
         return xdot
     return rhs
@@ -407,7 +417,8 @@ def eom_rhs(wells, units):
 
 def propagate_state(state: VariationalState, wells, units, t_span,
                     settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)):
-    traj = integrate_adaptive(eom_rhs(wells, units), state.to_vector(), t_span, settings)
+    traj = integrate_adaptive(eom_rhs(wells, units), state.to_vector(), t_span, settings,
+                              dense_output=False)
     return VariationalState.from_vector(traj.y[-1]), traj
 
 
@@ -575,7 +586,8 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
             depths = wells.depths.copy()
             depths[0], depths[-1] = v
             wtrial = replace(wells, depths=depths)
-            traj = integrate_adaptive(eom_rhs(wtrial, units), x0, (0.0, dt), settings)
+            traj = integrate_adaptive(eom_rhs(wtrial, units), x0, (0.0, dt), settings,
+                                      dense_output=False)
             st = VariationalState.from_vector(traj.y[-1])
             cache[key] = (st, *box_observables(st, partition))
         return cache[key]

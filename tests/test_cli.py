@@ -133,7 +133,9 @@ class TestRunAndOutputs:
         counts = [summary[k] for k in ("accepted_steps", "rejected_steps", "rhs_evals")]
         assert all(type(c) is int for c in counts)
         accepted, rejected, evals = counts
-        assert accepted > 0 and evals == 1 + 6 * (accepted + rejected)
+        # first evaluation, starting-step probe, 12 per attempted step and
+        # 3 dense-output stages per accepted step
+        assert accepted > 0 and evals == 2 + 12 * (accepted + rejected) + 3 * accepted
         # the counters are deterministic: a second run writes the same bytes
         write_outputs(ts, cols, summary, str(tmp_path / "a"))
         write_outputs(*run_scenario(parse_config(STATIONARY_CFG))[1:], str(tmp_path / "b"))

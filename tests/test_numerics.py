@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from ptembed.errors import (
     ControlSingular,
@@ -20,27 +21,20 @@ from ptembed.numerics import (
 )
 
 
-# Dormand-Prince 5(4) tableau as numpy arrays: an independent reference for
-# the scalar stepper in integrate_adaptive
-DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-
-
-def dp5_reference_step(rhs, t, y, h):
-    k = np.empty((7, y.size), dtype=y.dtype)
-    k[0] = rhs(t, y)
-    for i in range(1, 7):
-        k[i] = rhs(t + DP_C[i] * h, y + h * (DP_A[i] @ k[:i]))
-    return y + h * (DP_B @ k)
+def dop853_reference_step(rhs, t, y, h, s):
+    """End state of one DOP853 step and its continuous extension at t + s h,
+    built from scipy's table: an independent reference for the constants
+    and the stepper in integrate_adaptive."""
+    k = np.empty((dop853.N_STAGES_EXTENDED, y.size), dtype=y.dtype)
+    for i in range(dop853.N_STAGES_EXTENDED):
+        # stage 12 is the derivative at the end state, whose weights are B
+        k[i] = rhs(t + dop853.C[i] * h, y + h * (dop853.A[i, :i] @ k[:i]))
+    y_new = y + h * (dop853.B @ k[:dop853.N_STAGES])
+    dy = y_new - y
+    f = [dy, h * k[0] - dy, 2.0 * dy - h * (k[0] + k[dop853.N_STAGES]), *(h * (dop853.D @ k))]
+    r = 1.0 - s
+    mid = y + s * (f[0] + r * (f[1] + s * (f[2] + r * (f[3] + s * (f[4] + r * (f[5] + s * f[6]))))))
+    return y_new, mid
 
 
 def forced_linear_rhs(seed, n, complex_state):
@@ -63,13 +57,35 @@ class TestIntegrator:
         assert abs(traj.y[-1][0] - np.exp(-10j)) < 1e-10
 
     def test_dense_output_between_steps(self):
-        traj = integrate_adaptive(
-            lambda t, y: -1j * y, np.array([1.0 + 0j]), (0.0, 5.0),
-            IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
-        )
-        tq = np.linspace(0.3, 4.7, 57)
-        vals = traj.sample(tq)[:, 0]
-        assert np.max(np.abs(vals - np.exp(-1j * tq))) < 1e-7
+        # oscillator of frequency 2: y = exp(-2i t), and its real and
+        # imaginary parts as a real first-order system
+        cases = [
+            (lambda t, y: -2j * y, np.array([1.0 + 0j]),
+             lambda t: np.exp(-2j * t)[:, None]),
+            (lambda t, y: np.array([2.0 * y[1], -2.0 * y[0]]), np.array([1.0, 0.0]),
+             lambda t: np.stack([np.cos(2.0 * t), -np.sin(2.0 * t)], axis=1)),
+        ]
+        rel_tol = 1e-10
+        tq = np.linspace(0.0, 5.0, 1001)
+        for rhs, y0, exact in cases:
+            traj = integrate_adaptive(rhs, y0, (0.0, 5.0),
+                                      IntegratorSettings(rel_tol=rel_tol, abs_tol=1e-12))
+            assert len(tq) > 20 * traj.accepted_steps
+            assert np.max(np.abs(traj.sample(tq) - exact(tq))) < 10 * rel_tol
+
+    def test_sample_needs_dense_output(self):
+        rhs, y0 = forced_linear_rhs(5, 3, True)
+        settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10)
+        traj = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_, dense_output=False)
+        dense = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_)
+        assert traj.dense is None
+        with pytest.raises(ValueError, match="dense output"):
+            traj.sample(1.0)
+        # the same steps, without the three dense-output stages per step
+        for field in ("t", "y", "f"):
+            assert np.array_equal(getattr(traj, field), getattr(dense, field))
+        assert traj.rhs_evals == 2 + 12 * (traj.accepted_steps + traj.rejected_steps)
+        assert dense.rhs_evals == traj.rhs_evals + 3 * traj.accepted_steps
 
     def test_sample_scalar_time_returns_vector(self):
         traj = integrate_adaptive(
@@ -128,7 +144,9 @@ class TestIntegrator:
         with pytest.raises(StepSizeUnderflow) as exc:
             integrate_adaptive(lambda t, y: y**2, np.array([1.0]), (0.0, 2.0),
                                IntegratorSettings())
-        assert 0.999 < exc.value.t_fail < 1.0
+        # DOP853 stops within 1e-11 past the pole, as scipy's DOP853 does:
+        # the side of the pole is the sign of the global error
+        assert abs(exc.value.t_fail - 1.0) < 1e-9
         assert exc.value.trajectory.t[-1] == exc.value.t_fail
         assert np.all(np.isfinite(exc.value.trajectory.y))
 
@@ -139,10 +157,11 @@ class TestIntegrator:
                 IntegratorSettings(max_steps=50),
             )
         traj = exc.value.trajectory
-        assert traj.rejected_steps == 0
-        assert len(traj.t) == 51 and traj.accepted_steps == 50
+        # max_steps counts attempted steps
+        assert traj.rejected_steps == 2
+        assert len(traj.t) == 49 and traj.accepted_steps == 48
         assert exc.value.t_fail == traj.t[-1]
-        assert traj.rhs_evals == 1 + 6 * 50
+        assert traj.rhs_evals == 2 + 12 * 50 + 3 * 48
 
     @pytest.mark.parametrize("complex_state", [True, False])
     def test_steps_match_numpy_reference(self, complex_state):
@@ -155,10 +174,16 @@ class TestIntegrator:
         assert traj.y.dtype == (complex if complex_state else float)
         assert traj.accepted_steps >= 10 and traj.h_max <= 0.2
         assert traj.rhs_evals == len(evals)
-        assert traj.rhs_evals == 1 + 6 * (traj.accepted_steps + traj.rejected_steps)
+        # the first evaluation and the starting-step probe, 12 evaluations
+        # per attempted step and 3 dense-output stages per accepted step
+        assert traj.rhs_evals == (2 + 12 * (traj.accepted_steps + traj.rejected_steps)
+                                  + 3 * traj.accepted_steps)
         for i in range(6):
-            ref = dp5_reference_step(rhs, traj.t[i], traj.y[i], traj.t[i + 1] - traj.t[i])
+            h = traj.t[i + 1] - traj.t[i]
+            ref, mid = dop853_reference_step(rhs, traj.t[i], traj.y[i], h, 0.3)
             assert np.max(np.abs(traj.y[i + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            got = traj.sample(traj.t[i] + 0.3 * h)
+            assert np.max(np.abs(got - mid)) <= 1e-12 * np.max(np.abs(mid))
             # FSAL: the stored derivative is the rhs at the stored state
             assert np.array_equal(traj.f[i + 1], rhs(traj.t[i + 1], traj.y[i + 1]))
 

@@ -26,6 +26,7 @@ from ptembed.variational import (
     box_observables,
     controlled_step,
     density_profile,
+    eom_rhs,
     free_gaussian_width,
     norm_and_energy,
     normalized_energy,
@@ -62,6 +63,17 @@ class TestState:
         with pytest.raises(NonNormalizable):
             VariationalState(A_x=[-0.1], A_y=[1.0], A_z=[1.0],
                              q_z=[0.0], p_z=[0.0], gamma=[0.0])
+
+    def test_eom_rhs_rejects_nonpositive_width(self):
+        # the right-hand side skips the state's own checks: the moment
+        # tables raise instead, and the derivative is unchanged
+        st = single_packet()
+        rhs = eom_rhs(None, FREE_UNITS)
+        x = st.to_vector()
+        assert np.array_equal(rhs(0.0, x), assemble_eom(st, None, FREE_UNITS)[1])
+        x[4] = -0.1  # Re A_z
+        with pytest.raises(NonNormalizable):
+            rhs(0.0, x)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
