@@ -8,10 +8,12 @@ Subcommands::
     ptembed params --config cfg
 
 Configs are strict line-based ``key = value`` files with ``[section]``
-headers; unknown keys are rejected. Abstract scenarios (stationary,
-oscillatory, collapse) use internal units with the middle coupling as the
-energy scale; physical scenarios (adiabatic_fewmode, adiabatic_variational)
-measure energies in E0 = hbar^2 / (m w_z^2) and times in t0 = hbar / E0.
+headers; unknown keys and non-finite numbers are rejected, and so are
+non-positive times, tolerances, step limits and strides. Abstract
+scenarios (stationary, oscillatory, collapse) use internal units with the
+middle coupling as the energy scale; physical scenarios (adiabatic_fewmode,
+adiabatic_variational) measure energies in E0 = hbar^2 / (m w_z^2) and
+times in t0 = hbar / E0.
 
 Exit status: 0 = completed, 2 = controlled breakdown (a physical result),
 1 = error.
@@ -23,17 +25,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dnlse, embedding, fewmode, variational
+from . import dnlse, embedding, variational
 from .errors import IoError, MissingKey, NoOverlap, ParseError, PtError, UnitError
 from .numerics import IntegratorSettings
 
 SCENARIOS = (
     "stationary", "oscillatory", "collapse",
-    "adiabatic_fewmode", "adiabatic_variational", "compare",
+    "adiabatic_fewmode", "adiabatic_variational",
 )
 
 # section -> allowed keys
@@ -42,15 +44,14 @@ _SCHEMA = {
         "name", "t_end", "gamma", "gamma_f_rel", "t_f", "d", "c",
         "psi1_abs2", "reservoir_0", "reservoir_3", "perturbation",
         "cond_limit", "depletion_floor", "control_dt", "control_tol",
-        "file_a", "file_b",
     },
     "integrator": {"rel_tol", "abs_tol", "max_step", "max_steps"},
-    "trap": {"depth_outer", "depth_inner", "spacing", "w_x", "w_y"},
+    "trap": {"depth_outer", "depth_inner", "spacing"},
     "units": {"w_z", "n_atoms", "a_scat_bohr"},
     "output": {"dir", "stride"},
 }
 
-_STRING_KEYS = {"name", "dir", "file_a", "file_b"}
+_STRING_KEYS = {"name", "dir"}
 
 
 @dataclass
@@ -92,11 +93,14 @@ def parse_config(text):
             values[(section, key)] = value
         else:
             try:
-                values[(section, key)] = float(value)
+                number = float(value)
             except ValueError:
                 raise ParseError(
                     f"line {ln}: cannot parse numeric value '{value}' for '{key}'"
                 ) from None
+            if not math.isfinite(number):
+                raise ParseError(f"line {ln}: '{key}' must be finite, got '{value}'")
+            values[(section, key)] = number
     name = values.get(("scenario", "name"))
     if name is None:
         raise MissingKey("missing [scenario] name")
@@ -108,16 +112,13 @@ def parse_config(text):
 
 
 def _validate(cfg):
-    if cfg.scenario == "compare":
-        for key in ("file_a", "file_b"):
-            if cfg.get("scenario", key) is None:
-                raise MissingKey(f"compare scenario requires '{key}'")
-        return
-    t_end = cfg.get("scenario", "t_end", _DEFAULT_T_END[cfg.scenario])
-    if t_end is None:
-        raise MissingKey("t_end is required for this scenario")
-    if t_end <= 0:
-        raise ParseError("t_end must be positive")
+    for section, key in _POSITIVE_KEYS:
+        v = cfg.get(section, key)
+        if v is not None and v <= 0:
+            raise ParseError(f"[{section}] {key} must be positive")
+    steps = cfg.get("integrator", "max_steps")
+    if steps is not None and steps != int(steps):
+        raise ParseError("[integrator] max_steps must be a whole number")
     for key, lo in (("w_z", 0.0), ("n_atoms", -0.0), ("a_scat_bohr", -0.0)):
         v = cfg.get("units", key)
         if v is not None and v < lo:
@@ -131,10 +132,14 @@ _DEFAULT_T_END = {
     "stationary": 5.0,
     "oscillatory": 30.0,
     "collapse": 30.0,
-    "adiabatic_fewmode": 70.0,
-    "adiabatic_variational": 70.0,
-    "compare": None,
 }
+
+# numeric keys that only make sense above zero
+_POSITIVE_KEYS = (
+    ("scenario", "t_end"), ("integrator", "rel_tol"), ("integrator", "abs_tol"),
+    ("integrator", "max_step"), ("integrator", "max_steps"),
+    ("output", "stride"),
+)
 
 
 def _integrator(cfg, rel_default):
@@ -407,7 +412,7 @@ def run_scenario(cfg: ScenarioConfig):
         return _run_adiabatic_fewmode(cfg)
     if cfg.scenario == "adiabatic_variational":
         return _run_adiabatic_variational(cfg)
-    raise ParseError(f"scenario '{cfg.scenario}' is not runnable directly")
+    raise ParseError(f"unknown scenario '{cfg.scenario}'")
 
 
 def write_outputs(ts, cols, summary, out_dir, emit_plots=False):
@@ -513,11 +518,6 @@ def _read_config(path):
 
 def _cmd_run(args):
     cfg = _read_config(args.config)
-    if cfg.scenario == "compare":
-        a = read_timeseries(cfg.get("scenario", "file_a"))
-        b = read_timeseries(cfg.get("scenario", "file_b"))
-        print(json.dumps(compare_runs(a, b), indent=2, sort_keys=True))
-        return 0
     status, ts, cols, summary = run_scenario(cfg)
     summary["exit_status"] = status
     out_dir = args.out or cfg.get("output", "dir", "out")

@@ -10,18 +10,20 @@ The per-well basis functions are Gaussians
 
     g^k(r) = exp[-A_x^k x^2 - A_y^k y^2 - A_z^k (z - q_z^k)^2],
 
-generally with complex widths. The overlap matrix K, kinetic/potential
-matrices T, V and the two-body tensor W~ come from the Gaussian moment
-tables of :mod:`ptembed.variational` (the basis is its ansatz at rest),
-and so does the mean-field energy. The effective tridiagonal model uses
-nearest-neighbor closed forms; symmetric orthogonalization (exact or
-truncated to nearest neighbors) maps amplitudes onto it.
+generally with complex widths. A basis is the time-dependent ansatz of
+:mod:`ptembed.variational` at rest: a :class:`VariationalState` with
+p = gamma = 0, the amplitudes d held apart. The overlap matrix K,
+kinetic/potential matrices T, V, the two-body tensor W~ and the
+mean-field energy come from that module's Gaussian moment tables. The
+effective tridiagonal model uses nearest-neighbor closed forms; symmetric
+orthogonalization (exact or truncated to nearest neighbors) maps amplitudes
+onto it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.constants as const
@@ -33,8 +35,15 @@ from .errors import (
     OutOfRange,
     SizeMismatch,
 )
-from .fewmode import TridiagonalComplexModel
 from .numerics import minimize_norm_constrained, root_find
+from .variational import (
+    PARAM_NAMES,
+    PARAMS_PER_WELL,
+    VariationalState,
+    gaussian_matrices,
+    norm_and_energy,
+    normalized_energy,
+)
 
 
 @dataclass(frozen=True)
@@ -72,38 +81,6 @@ def standard_four_well(depth_outer=-60.0, depth_inner=-45.0, spacing=1.8):
         depths=np.array([depth_outer, depth_inner, depth_inner, depth_outer]),
         positions=pos,
     )
-
-
-@dataclass(frozen=True)
-class GaussianBasisSet:
-    """One Gaussian per well; complex widths allowed, Re(A) > 0 required.
-    p_z and gamma are used only by the time-dependent ansatz."""
-
-    A_x: np.ndarray
-    A_y: np.ndarray
-    A_z: np.ndarray
-    q_z: np.ndarray
-    p_z: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("A_x", "A_y", "A_z"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
-        object.__setattr__(self, "q_z", np.asarray(self.q_z, dtype=float))
-        n = len(self.q_z)
-        if not (len(self.A_x) == len(self.A_y) == len(self.A_z) == n):
-            raise SizeMismatch("all basis parameter vectors must share one length")
-        pz = np.zeros(n) if self.p_z is None else np.asarray(self.p_z, dtype=float)
-        gm = np.zeros(n, dtype=complex) if self.gamma is None else np.asarray(self.gamma, dtype=complex)
-        object.__setattr__(self, "p_z", pz)
-        object.__setattr__(self, "gamma", gm)
-        for a in (self.A_x, self.A_y, self.A_z):
-            if np.any(a.real <= 0):
-                raise NonNormalizable("Re(A) must be positive on every axis")
-
-    @property
-    def size(self):
-        return len(self.q_z)
 
 
 @dataclass(frozen=True)
@@ -159,14 +136,6 @@ class EffectiveModel:
         if len(self.tunneling) != len(self.onsite) - 1:
             raise SizeMismatch("tunneling must have length size-1")
 
-    def as_model(self, extra_onsite=None):
-        onsite = self.onsite.astype(complex)
-        if extra_onsite is not None:
-            onsite = onsite + np.asarray(extra_onsite, dtype=complex)
-        return TridiagonalComplexModel(
-            onsite=onsite, coupling=self.tunneling, nonlinear=self.interaction
-        )
-
 
 def _pair(a):
     """A^{kl} = A^k + (A^l)* as an (l, k)-indexed matrix."""
@@ -193,36 +162,23 @@ def _potential_exponent(basis, s_m, w_z):
     return np.exp(-num / (akl * (akl * w_z**2 + 2.0)))
 
 
-def _gaussian_matrices(basis: GaussianBasisSet, wells: WellPotentialSpec | None):
-    """K, T, V and the interaction tensor without g between the basis
-    Gaussians g^k, from the variational engine's moment tables
-    (:func:`ptembed.variational.gaussian_matrices` on the basis at rest,
-    p = gamma = 0)."""
-    from .variational import VariationalState, gaussian_matrices
-
-    rest = np.zeros(basis.size)
-    state = VariationalState(A_x=basis.A_x, A_y=basis.A_y, A_z=basis.A_z,
-                             q_z=basis.q_z, p_z=rest, gamma=rest)
-    return gaussian_matrices(state, wells)
+def overlap_matrix(basis: VariationalState):
+    """K_lk = <g^l|g^k>, all pairs, for a basis at rest."""
+    return gaussian_matrices(basis, None)[0]
 
 
-def overlap_matrix(basis: GaussianBasisSet):
-    """K_lk = <g^l|g^k>, all pairs."""
-    return _gaussian_matrices(basis, None)[0]
-
-
-def interaction_tensor(basis: GaussianBasisSet, units: UnitSystem):
+def interaction_tensor(basis: VariationalState, units: UnitSystem):
     """W~_lkji = g * int (g^l)* (g^j)* g^i g^k d^3r with g = 4 pi N a / w_z."""
-    return units.g * _gaussian_matrices(basis, None)[3]
+    return units.g * gaussian_matrices(basis, None)[3]
 
 
-def hamiltonian_matrices(basis: GaussianBasisSet, wells: WellPotentialSpec,
+def hamiltonian_matrices(basis: VariationalState, wells: WellPotentialSpec,
                          units: UnitSystem):
     """K, T = <g^l| -Delta/2 |g^k>, V = <g^l| V_trap |g^k> and W~ from one
     evaluation of the Gaussian moment tables."""
     if basis.size != wells.size:
         raise SizeMismatch("basis and trap must have equal well counts")
-    K, T, V, W = _gaussian_matrices(basis, wells)
+    K, T, V, W = gaussian_matrices(basis, wells)
     return MatrixBundle(K=K, T=T, V=V, W_tensor=units.g * W)
 
 
@@ -263,7 +219,7 @@ def _nn_mask(n):
     return m
 
 
-def lowdin_nn(basis: GaussianBasisSet):
+def lowdin_nn(basis: VariationalState):
     """Nearest-neighbor orthogonalizer X^(0) + X^(1) in closed form."""
     n = basis.size
     r4 = _geo_root4(basis)
@@ -278,7 +234,7 @@ def lowdin_nn(basis: GaussianBasisSet):
     return x0 + x1
 
 
-def lowdin_nn_inverse(basis: GaussianBasisSet):
+def lowdin_nn_inverse(basis: VariationalState):
     """Closed-form (X^(0) + X^(1))^{-1} through first order in the overlap."""
     n = basis.size
     r4 = _geo_root4(basis)
@@ -293,7 +249,7 @@ def lowdin_nn_inverse(basis: GaussianBasisSet):
     return y0 + y1
 
 
-def effective_model(basis: GaussianBasisSet, wells: WellPotentialSpec,
+def effective_model(basis: VariationalState, wells: WellPotentialSpec,
                     units: UnitSystem):
     """Tridiagonal few-mode parameters in the nearest-neighbor approximation."""
     if basis.size != wells.size:
@@ -344,7 +300,7 @@ def effective_model(basis: GaussianBasisSet, wells: WellPotentialSpec,
     return EffectiveModel(onsite=e, tunneling=j, interaction=c)
 
 
-def effective_amplitudes(d, basis: GaussianBasisSet, exact=False):
+def effective_amplitudes(d, basis: VariationalState, exact=False):
     """Orthogonalized amplitudes d_eff = X^{-1} d and occupations |d_eff|^2."""
     d = np.asarray(d, dtype=complex)
     if len(d) != basis.size:
@@ -357,20 +313,18 @@ def effective_amplitudes(d, basis: GaussianBasisSet, exact=False):
     return d_eff, np.abs(d_eff) ** 2
 
 
-def mean_field_energy(d, basis: GaussianBasisSet, wells: WellPotentialSpec,
+def mean_field_energy(d, basis: VariationalState, wells: WellPotentialSpec,
                       units: UnitSystem):
     """E_mf = d^dag (T + V) d + 1/2 sum W~ d* d d* d over the untruncated
     matrices: the energy of psi = sum_k d_k g^k by
     :func:`ptembed.variational.norm_and_energy`. A zero amplitude raises
     NonNormalizable (the amplitudes enter as exp(-gamma))."""
-    from .variational import VariationalState, norm_and_energy
-
     return norm_and_energy(VariationalState.from_basis(basis, d), wells, units)[1]
 
 
 def _default_seed(wells: WellPotentialSpec):
     n = wells.size
-    return GaussianBasisSet(
+    return VariationalState(
         A_x=np.full(n, 0.3), A_y=np.full(n, 0.3), A_z=np.full(n, 2.0),
         q_z=wells.positions.copy(),
     )
@@ -382,7 +336,7 @@ _MIN_WIDTH = 1e-3
 
 
 def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
-                     seed_basis: GaussianBasisSet | None = None, seed_d=None,
+                     seed_basis: VariationalState | None = None, seed_d=None,
                      tol=1e-9, max_iter=800):
     """Ground state of one real Gaussian per well.
 
@@ -400,11 +354,10 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     (:class:`ptembed.errors.ConvergenceWarning`) and returns its best
     iterate.
 
-    Returns ``(basis, d, energy)`` with d renormalized to d^dag K d = 1 and
+    Returns ``(basis, d, energy)``: the fitted state with gamma = 0, d
+    renormalized to d^dag K d = 1, and
     ``energy = mean_field_energy(d, basis, wells, units)``.
     """
-    from .variational import PARAM_NAMES, PARAMS_PER_WELL, VariationalState, normalized_energy
-
     if seed_basis is None:
         seed_basis = _default_seed(wells)
     n = wells.size
@@ -429,14 +382,14 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     bounds = ([(_MIN_WIDTH, None)] * 3 + [(None, None)] * 2) * n
     x, _ = minimize_norm_constrained(energy, x0, tol=tol, bounds=bounds, max_iter=max_iter)
     state = state_of(x)
-    basis = GaussianBasisSet(A_x=state.A_x, A_y=state.A_y, A_z=state.A_z, q_z=state.q_z)
+    basis = replace(state, gamma=np.zeros(n))
     d = np.exp(-state.gamma)
     d = d / math.sqrt(np.vdot(d, overlap_matrix(basis) @ d).real)
     return basis, d, mean_field_energy(d, basis, wells, units)
 
 
 def invert_to_potential(target: EffectiveModel, current_wells: WellPotentialSpec,
-                        units: UnitSystem, seed_basis: GaussianBasisSet | None = None,
+                        units: UnitSystem, seed_basis: VariationalState | None = None,
                         tol=1e-8, vary_positions=True):
     """Find outer-well depths (and optionally positions) whose ground-state
     effective model reproduces the targeted outer elements E_0, E_3

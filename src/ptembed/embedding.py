@@ -55,13 +55,10 @@ class RampSchedule:
 
     gamma_f: float
     t_f: float
-    shape: str = "cosine"
 
     def __post_init__(self):
         if self.t_f <= 0:
             raise ValueError("t_f must be positive")
-        if self.shape != "cosine":
-            raise ValueError(f"unknown ramp shape {self.shape!r}")
 
 
 def gamma_ramp(t, schedule: RampSchedule):

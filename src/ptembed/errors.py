@@ -93,7 +93,8 @@ class SingularMetric(PtError):
 
 
 class ControlSearchFailed(PtError):
-    """Per-step root search on the outer well depths did not converge."""
+    """The root search on the outer well depths, run once per control
+    interval, stalled or tried a depth >= 0."""
 
 
 # --- CLI ---

@@ -59,7 +59,7 @@ class RootFindReport:
 
 @dataclass
 class Trajectory:
-    """Accepted steps of an adaptive integration: times, states, derivatives.
+    """Accepted steps of an adaptive integration: times and states.
 
     ``sample`` evaluates the integrator's 7th-order continuous extension on
     each step; ``dense`` holds its seven coefficient rows per accepted step
@@ -75,7 +75,6 @@ class Trajectory:
 
     t: np.ndarray
     y: np.ndarray
-    f: np.ndarray = field(repr=False)
     rejected_steps: int
     rhs_evals: int
     dense: np.ndarray | None = field(default=None, repr=False)
@@ -274,14 +273,14 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     n = len(y)
     K = np.empty((16, n), dtype=dtype)
 
-    ts, ys, fs, dense = [t0], [y], [], []
+    ts, ys, dense = [t0], [y], []
     evals = 0
     rejected = 0
 
     def _fail(exc, t_fail):
         exc.trajectory = Trajectory(
-            np.array(ts), np.array(ys), np.array(fs or [np.zeros(n, dtype)]), rejected,
-            evals, np.array(dense, dtype=dtype).reshape(-1, 7, n) if dense_output else None)
+            np.array(ts), np.array(ys), rejected, evals,
+            np.array(dense, dtype=dtype).reshape(-1, 7, n) if dense_output else None)
         exc.t_fail = t_fail
         raise exc
 
@@ -298,7 +297,6 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     rtol, atol = settings.rel_tol, settings.abs_tol
     try:
         stage(0, t0, y)
-        fs.append(K[0].copy())
         # starting step: an explicit Euler probe estimates the second
         # derivative, and the step is sized for order 8 on it
         sc = atol + rtol * np.abs(y)
@@ -363,7 +361,6 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
             K[0] = K[12]  # FSAL
             ts.append(t)
             ys.append(y)
-            fs.append(K[0].copy())
             fac = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
             if after_rejection:
                 fac = min(1.0, fac)
@@ -374,7 +371,7 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
             after_rejection = True
         h = min(h * fac, settings.max_step)
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), rejected, evals,
+    return Trajectory(np.array(ts), np.array(ys), rejected, evals,
                       np.array(dense) if dense_output else None)
 
 

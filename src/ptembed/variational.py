@@ -22,12 +22,13 @@ a constant, so they need one bra-monomial column each and are summed
 before the bra wells are expanded into parameter directions. The metric
 system is solved by Cholesky; a (near-)singular metric raises
 SingularMetric instead of being regularised. ``gaussian_matrices`` reads
-the Gaussian-basis matrices K, T, V and W~ of the dnlse module off the
-same moment tables.
+the Gaussian-basis matrices K, T, V and W~ off the same moment tables; the
+dnlse module builds on them, with its basis a state at rest (p = gamma = 0).
 
 Box-integrated particle numbers and wall currents discretize the
-condensate into the four-well picture; a per-step root search on the
-outer well depths turns the trap into the balanced gain/loss machine.
+condensate into the four-well picture; a root search on the outer well
+depths, once per control interval, turns the trap into the balanced
+gain/loss machine.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 from scipy.special import erf
 
-from .dnlse import GaussianBasisSet, UnitSystem, WellPotentialSpec
 from .errors import (
     ControlSearchFailed,
     NonNormalizable,
@@ -50,6 +51,9 @@ from .errors import (
     SizeMismatch,
 )
 from .numerics import IntegratorSettings, integrate_adaptive, root_find
+
+if TYPE_CHECKING:
+    from .dnlse import UnitSystem, WellPotentialSpec
 
 # real-parameter layout per well; complex parameters are split (R, I)
 PARAMS_PER_WELL = 10
@@ -72,19 +76,26 @@ METRIC_RCOND_MIN = 1e-12
 
 @dataclass(frozen=True)
 class VariationalState:
+    """One Gaussian per well; complex widths with Re(A) > 0. ``p_z`` and
+    ``gamma`` default to zero: a state at rest is a basis of the simplified
+    (DNLSE) ansatz, whose amplitudes are kept apart from it."""
+
     A_x: np.ndarray
     A_y: np.ndarray
     A_z: np.ndarray
     q_z: np.ndarray
-    p_z: np.ndarray
-    gamma: np.ndarray
+    p_z: np.ndarray | None = None
+    gamma: np.ndarray | None = None
 
     def __post_init__(self):
+        n = len(self.q_z)
+        for name in ("p_z", "gamma"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.zeros(n))
         for name in ("A_x", "A_y", "A_z", "gamma"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         for name in ("q_z", "p_z"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.q_z)
         if not all(len(getattr(self, f)) == n for f in ("A_x", "A_y", "A_z", "p_z", "gamma")):
             raise SizeMismatch("all parameter vectors must share one length")
         for a in (self.A_x, self.A_y, self.A_z):
@@ -126,15 +137,13 @@ class VariationalState:
         return state
 
     @classmethod
-    def from_basis(cls, basis: GaussianBasisSet, d):
-        """Simplified-ansatz configuration with amplitudes folded into gamma."""
+    def from_basis(cls, basis: VariationalState, d):
+        """Simplified-ansatz configuration: the basis (a state at rest) with
+        the amplitudes folded into gamma = -log d."""
         d = np.asarray(d, dtype=complex)
         if np.any(d == 0):
             raise NonNormalizable("zero amplitude cannot be represented as exp(-gamma)")
-        return cls(
-            A_x=basis.A_x, A_y=basis.A_y, A_z=basis.A_z,
-            q_z=basis.q_z, p_z=basis.p_z, gamma=-np.log(d),
-        )
+        return replace(basis, gamma=-np.log(d))
 
 
 @dataclass(frozen=True)

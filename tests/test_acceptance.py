@@ -191,7 +191,7 @@ def test_criterion_7_quadrature_oracle():
     for _ in range(200):
         n = 2
         rand_a = lambda: rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        basis = dnlse.GaussianBasisSet(
+        basis = variational.VariationalState(
             A_x=rand_a(), A_y=rand_a(), A_z=rand_a(),
             q_z=np.sort(rng.uniform(-1.5, 1.5, n)))
         wells = dnlse.WellPotentialSpec(
@@ -260,7 +260,7 @@ def test_criterion_7_quadrature_oracle():
 
 def test_criterion_8_lowdin():
     def basis_at(sep):
-        return dnlse.GaussianBasisSet(
+        return variational.VariationalState(
             A_x=[0.5] * 4, A_y=[0.5] * 4, A_z=[2.0] * 4,
             q_z=sep * (np.arange(4) - 1.5))
 

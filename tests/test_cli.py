@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptembed.cli import (
     compare_runs,
@@ -62,6 +64,9 @@ class TestParseConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ParseError, match="unknown scenario"):
             parse_config("[scenario]\nname = warp\n")
+        # recorded runs are compared by the compare subcommand only
+        with pytest.raises(ParseError, match="unknown scenario"):
+            parse_config("[scenario]\nname = compare\n")
 
     def test_negative_t_end(self):
         with pytest.raises(ParseError, match="positive"):
@@ -72,9 +77,30 @@ class TestParseConfig:
             parse_config(
                 "[scenario]\nname = stationary\n[units]\nw_z = -1e-6\n")
 
-    def test_compare_requires_files(self):
-        with pytest.raises(MissingKey):
-            parse_config("[scenario]\nname = compare\nfile_a = a.csv\n")
+    def test_transverse_trap_widths_rejected(self):
+        # the trap's transverse widths are fixed at 4 w_z, not settable
+        for key in ("w_x", "w_y"):
+            with pytest.raises(ParseError, match=f"line 4.*unknown key '{key}'"):
+                parse_config(f"[scenario]\nname = stationary\n[trap]\n{key} = 4\n")
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_malformed_line_named_by_number(self, data):
+        lines = ["[scenario]", "name = stationary", "t_end = 1.0",
+                 "[integrator]", "rel_tol = 1e-8", "[output]", "stride = 0.1"]
+        bad = data.draw(st.one_of(
+            st.from_regex(r"[a-z][a-z0-9_ ]{0,12}", fullmatch=True),          # no '='
+            st.from_regex(r"\[[a-z_]{0,10}", fullmatch=True),                 # unterminated
+            st.from_regex(r"\[unknown_[a-z]{0,6}\]", fullmatch=True),         # unknown section
+            st.from_regex(r"unknown_[a-z]{0,6} = 1", fullmatch=True),         # unknown key
+            st.builds("{} = {}".format,                                       # bad number
+                      st.sampled_from(["t_end", "gamma", "rel_tol", "stride", "w_z"]),
+                      st.sampled_from(["nan", "inf", "-Infinity", "soon", "1.0.0"])),
+        ))
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, bad)
+        with pytest.raises(ParseError, match=rf"^line {at + 1}: "):
+            parse_config("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +235,26 @@ class TestMain:
         rc = main(["run", "--config", cfg])
         assert rc == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line", [
+        ("scenario", "t_end = nan"),
+        ("scenario", "t_end = inf"),
+        ("scenario", "t_end = 0"),
+        ("integrator", "rel_tol = -1"),
+        ("integrator", "abs_tol = 0"),
+        ("integrator", "max_step = -0.5"),
+        ("integrator", "max_steps = 0"),
+        ("integrator", "max_steps = 2.5"),
+        ("output", "stride = 0"),
+        ("output", "stride = -inf"),
+    ])
+    def test_bad_numeric_value_exit_one(self, tmp_path, capsys, section, line):
+        header = "" if section == "scenario" else f"[{section}]\n"
+        cfg = self._write(tmp_path, f"[scenario]\nname = stationary\n{header}{line}\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ParseError: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ptembed.dnlse import (
     EffectiveModel,
-    GaussianBasisSet,
     UnitSystem,
     WellPotentialSpec,
     effective_amplitudes,
@@ -28,6 +27,7 @@ from ptembed.errors import (
     OutOfRange,
     SizeMismatch,
 )
+from ptembed.variational import VariationalState
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def test_trap_invariants():
 
 def test_basis_width_positivity():
     with pytest.raises(NonNormalizable):
-        GaussianBasisSet(A_x=[-0.1], A_y=[1.0], A_z=[1.0], q_z=[0.0])
+        VariationalState(A_x=[-0.1], A_y=[1.0], A_z=[1.0], q_z=[0.0])
 
 
 class TestUnits:
@@ -77,7 +77,7 @@ def random_complex_basis(seed, n):
     rng = np.random.default_rng(seed)
     rand_a = lambda: rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
     q = np.cumsum(rng.uniform(0.5, 1.5, n))
-    basis = GaussianBasisSet(A_x=rand_a(), A_y=rand_a(), A_z=rand_a(), q_z=q - q.mean())
+    basis = VariationalState(A_x=rand_a(), A_y=rand_a(), A_z=rand_a(), q_z=q - q.mean())
     wells = WellPotentialSpec(
         depths=rng.uniform(-60.0, -20.0, n), positions=q - q.mean() + rng.uniform(-0.2, 0.2),
         w_x=rng.uniform(2.0, 5.0), w_y=rng.uniform(2.0, 5.0), w_z=rng.uniform(0.7, 1.5))
@@ -87,18 +87,18 @@ def random_complex_basis(seed, n):
 class TestMatrixElements:
     def test_single_gaussian_overlap(self):
         # int exp(-2 a r^2) = (pi / 2a)^{3/2} for a = 1/2
-        basis = GaussianBasisSet(A_x=[0.5], A_y=[0.5], A_z=[0.5], q_z=[0.0])
+        basis = VariationalState(A_x=[0.5], A_y=[0.5], A_z=[0.5], q_z=[0.0])
         assert abs(overlap_matrix(basis)[0, 0] - np.pi**1.5) < 1e-13
 
     def test_displaced_pair_overlap(self):
-        basis = GaussianBasisSet(A_x=[0.5, 0.5], A_y=[0.5, 0.5],
+        basis = VariationalState(A_x=[0.5, 0.5], A_y=[0.5, 0.5],
                                  A_z=[0.5, 0.5], q_z=[0.0, 2.0])
         expected = (np.pi / 1.0) ** 1.5 * np.exp(-0.5 * 0.5 / 1.0 * 4.0)
         assert abs(overlap_matrix(basis)[0, 1] - expected) < 1e-13
 
     def test_kinetic_isotropic_ratio(self):
         # <g|-(1/2)Delta|g> / <g|g> = 3 a / 2 for isotropic width a
-        basis = GaussianBasisSet(A_x=[0.5], A_y=[0.5], A_z=[0.5], q_z=[0.0])
+        basis = VariationalState(A_x=[0.5], A_y=[0.5], A_z=[0.5], q_z=[0.0])
         wells = WellPotentialSpec(depths=[-45.0], positions=[0.0])
         bundle = hamiltonian_matrices(basis, wells, UnitSystem.rubidium87())
         assert abs(bundle.T[0, 0] / bundle.K[0, 0] - 0.75) < 1e-13
@@ -129,7 +129,7 @@ class TestMatrixElements:
 
 class TestLowdin:
     def _basis(self, sep):
-        return GaussianBasisSet(A_x=[0.5] * 4, A_y=[0.5] * 4, A_z=[2.0] * 4,
+        return VariationalState(A_x=[0.5] * 4, A_y=[0.5] * 4, A_z=[2.0] * 4,
                                 q_z=sep * (np.arange(4) - 1.5))
 
     def test_exact_orthogonalization(self):

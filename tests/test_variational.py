@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptembed
 from ptembed.dnlse import (
     UnitSystem,
     WellPotentialSpec,
@@ -371,3 +375,12 @@ class TestSingularMetric:
     def test_propagation_stops_at_the_singular_metric(self):
         with pytest.raises(SingularMetric):
             propagate_state(self.pair(0.0), None, FREE_UNITS, (0.0, 0.1))
+
+
+def test_variational_does_not_import_dnlse():
+    # dnlse builds on the variational engine, not the other way round
+    src = os.path.dirname(os.path.dirname(ptembed.__file__))
+    code = "import sys, ptembed.variational; print('ptembed.dnlse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
