@@ -165,12 +165,10 @@ def _trap(cfg):
 
 
 def _units(cfg):
-    from scipy.constants import physical_constants
-    a_b = physical_constants["Bohr radius"][0]
     return dnlse.UnitSystem.rubidium87(
         w_z=cfg.get("units", "w_z", 1e-6),
         N=cfg.get("units", "n_atoms", 1e5),
-        a_scat=cfg.get("units", "a_scat_bohr", 2.83) * a_b,
+        a_scat=cfg.get("units", "a_scat_bohr", 2.83) * dnlse.BOHR_RADIUS,
     )
 
 
@@ -267,6 +265,7 @@ def _run_abstract(cfg):
         "t_final": float(t_grid_end),
         "breakdown_time": run.breakdown_time,
         "breakdown_reason": run.breakdown_reason,
+        "breakdown_message": run.breakdown_message,
         "total_norm_drift": float(abs(
             np.sum(np.abs(run.trajectory.y[-1]) ** 2)
             - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
@@ -333,6 +332,7 @@ def _run_adiabatic_fewmode(cfg):
         "t_final": float(t_grid_end),
         "breakdown_time": run.breakdown_time,
         "breakdown_reason": run.breakdown_reason,
+        "breakdown_message": run.breakdown_message,
         "total_norm_drift": float(abs(
             np.sum(np.abs(run.trajectory.y[-1]) ** 2)
             - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
@@ -385,6 +385,7 @@ def _run_adiabatic_variational(cfg):
         "t_final": float(ts[-1]),
         "breakdown_time": record.breakdown_time,
         "breakdown_reason": record.breakdown_reason,
+        "breakdown_message": record.breakdown_message,
         "total_norm_drift": float(abs(record.n[-1].sum() - record.n[0].sum())),
         "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
         if np.any(tail) else None,
@@ -468,17 +469,33 @@ def _emit_plot_scripts(out_dir, order):
 
 
 def read_timeseries(path):
-    """Load a timeseries.csv back into (times, column dict)."""
+    """Load a timeseries.csv back into (times, column dict).
+
+    A file without a ``t`` column or without records, with a cell that is
+    not a number, a row of the wrong length or times that do not increase,
+    is a ParseError that names the file."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = fh.read().splitlines()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    if "t" not in header:
+        raise ParseError(f"{path}: no 't' column in the header")
+    if not any(row.strip() for row in rows):
+        raise ParseError(f"{path}: no records")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if data.shape[1] != len(header):
         raise ParseError(f"{path}: column count mismatch")
     cols = {name: data[:, i] for i, name in enumerate(header)}
-    return cols.pop("t"), cols
+    t = cols.pop("t")
+    # compare_runs interpolates in t, which needs increasing sample times
+    if not (np.isfinite(t).all() and np.all(np.diff(t) > 0.0)):
+        raise ParseError(f"{path}: the times in column 't' do not increase")
+    return t, cols
 
 
 def compare_runs(a, b):
@@ -525,7 +542,7 @@ def _cmd_run(args):
     print(f"{cfg.scenario}: status {status}, {len(ts)} records -> {csv_path}")
     if summary.get("breakdown_time") is not None:
         print(f"breakdown at t = {summary['breakdown_time']:.6g}"
-              f" ({summary['breakdown_reason']})")
+              f" ({summary['breakdown_reason']}): {summary['breakdown_message']}")
     return status
 
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.constants as const
 
 from .errors import (
     NonNormalizable,
@@ -83,6 +82,14 @@ def standard_four_well(depth_outer=-60.0, depth_inner=-45.0, spacing=1.8):
     )
 
 
+# CODATA 2022 (SI, in J s, J s, kg and m); fixed here so that results do not
+# depend on the CODATA edition of an installed library
+HBAR = 1.0545718176461565e-34
+PLANCK = 6.62607015e-34
+ATOMIC_MASS = 1.66053906892e-27
+BOHR_RADIUS = 5.29177210544e-11
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Trap units anchored to SI: length w_z, energy E0 = hbar^2/(m w_z^2),
@@ -95,15 +102,15 @@ class UnitSystem:
 
     @property
     def E0(self):
-        return const.hbar**2 / (self.mass * self.w_z**2)
+        return HBAR**2 / (self.mass * self.w_z**2)
 
     @property
     def t0(self):
-        return self.mass * self.w_z**2 / const.hbar
+        return self.mass * self.w_z**2 / HBAR
 
     @property
     def E0_hz(self):
-        return self.E0 / const.h
+        return self.E0 / PLANCK
 
     @property
     def g(self):
@@ -111,8 +118,8 @@ class UnitSystem:
         return 4.0 * math.pi * self.N * self.a_scat / self.w_z
 
     @classmethod
-    def rubidium87(cls, w_z=1e-6, N=1e5, a_scat=2.83 * const.physical_constants["Bohr radius"][0]):
-        return cls(w_z=w_z, mass=86.909180527 * const.u, N=N, a_scat=a_scat)
+    def rubidium87(cls, w_z=1e-6, N=1e5, a_scat=2.83 * BOHR_RADIUS):
+        return cls(w_z=w_z, mass=86.909180527 * ATOMIC_MASS, N=N, a_scat=a_scat)
 
 
 @dataclass(frozen=True)

@@ -319,7 +319,9 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
 
 @dataclass
 class EmbeddingRun:
-    """Controlled four-mode run, possibly truncated at a breakdown event."""
+    """Controlled four-mode run, possibly truncated at a breakdown event:
+    ``breakdown_reason`` names it, ``breakdown_message`` is the text of the
+    exception that ended the integration."""
 
     trajectory: Trajectory
     gamma_fn: object
@@ -330,6 +332,7 @@ class EmbeddingRun:
     e2: float
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
+    breakdown_message: str | None = None
 
     @property
     def broke_down(self):
@@ -372,4 +375,5 @@ def run_controlled(psi0, t_end, gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
         run.breakdown_reason = (
             "control_singular" if isinstance(exc, ControlSingular) else type(exc).__name__
         )
+        run.breakdown_message = str(exc)
     return run

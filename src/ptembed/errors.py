@@ -36,10 +36,6 @@ class NonFiniteFunction(PtError):
     """Root-search objective returned NaN/Inf."""
 
 
-class RefinementLimit(PtError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class ConvergenceWarning(RuntimeWarning):
     """Minimizer stopped above its gradient tolerance; the best iterate is
     returned (warning, not error)."""
@@ -100,7 +96,7 @@ class ControlSearchFailed(PtError):
 # --- CLI ---
 
 class ParseError(PtError):
-    """Configuration file could not be parsed."""
+    """A configuration or time-series file could not be parsed."""
 
 
 class MissingKey(PtError):

@@ -1,9 +1,10 @@
 """Numerical kernel: adaptive ODE integration (the Dormand-Prince 8(5,3)
-pair, DOP853, with its 7th-order dense output), root finding, bounded
-minimization with an analytic gradient and an adaptive quadrature oracle.
+pair, DOP853, with its 7th-order dense output), root finding and bounded
+minimization with an analytic gradient.
 
 Everything here is deterministic for fixed inputs and free of module-level
-state, so independent calls can run in parallel.
+state, so independent calls can run in parallel. The module needs numpy
+alone; the minimizer imports ``scipy.optimize`` when it is called.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from .errors import (
     ConvergenceWarning,
     NonFiniteDerivative,
     NonFiniteFunction,
     PtError,
-    RefinementLimit,
     StepLimitExceeded,
     StepSizeUnderflow,
 )
@@ -480,9 +478,11 @@ def minimize_norm_constrained(energy, x0, tol=1e-6, bounds=None, max_iter=500):
 
     Returns ``(x*, energy*)``.
     """
+    from scipy.optimize import minimize
+
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     lo, hi = _bound_arrays(bounds, len(x0))
-    res = scipy.optimize.minimize(
+    res = minimize(
         energy, x0, jac=True, method="L-BFGS-B", bounds=bounds,
         options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0, "maxcor": 20},
     )
@@ -549,57 +549,3 @@ def _newton_polish(gradient, x, grad, lo, hi, tol, max_steps):
             break
         x, grad = x_new, g_new
     return x, grad
-
-
-def _quad_1d(fun, a, b, tol):
-    # request tighter accuracy than we verify: quad's error estimate is
-    # conservative and routinely lands slightly above the requested eps
-    eps = tol / 50.0
-    re, err_re = scipy.integrate.quad(lambda x: np.real(fun(x)), a, b,
-                                      epsabs=eps, epsrel=eps, limit=200)
-    probe = fun(0.5 * (a + b) if np.isfinite(a) and np.isfinite(b) else 0.0)
-    if np.iscomplexobj(np.asarray(probe)):
-        im, err_im = scipy.integrate.quad(lambda x: np.imag(fun(x)), a, b,
-                                          epsabs=eps, epsrel=eps, limit=200)
-        val = re + 1j * im
-        err = err_re + err_im
-    else:
-        val, err = re, err_re
-    return val, err
-
-
-def quadrature_oracle(integrand, region, tol=1e-10):
-    """Adaptive quadrature over 1-3 dimensions (test oracle, not production).
-
-    ``region`` is a pair ``(a, b)`` or a sequence of such pairs, with
-    ``+-inf`` allowed. Complex integrands are handled componentwise. Raises
-    :class:`RefinementLimit` if the error estimate exceeds ``tol`` relative
-    to ``max(1, |value|)``.
-    """
-    region = np.asarray(region, dtype=float)
-    if region.ndim == 1:
-        dims = [region]
-    else:
-        dims = list(region)
-    ndim = len(dims)
-    if ndim == 1:
-        val, err = _quad_1d(lambda x: integrand(x), dims[0][0], dims[0][1], tol)
-    elif ndim == 2:
-        def outer(y):
-            v, _ = _quad_1d(lambda x: integrand(x, y), dims[0][0], dims[0][1], tol / 10)
-            return v
-        val, err = _quad_1d(outer, dims[1][0], dims[1][1], tol)
-    elif ndim == 3:
-        def outer2(z):
-            def outer1(y):
-                v, _ = _quad_1d(lambda x: integrand(x, y, z),
-                                dims[0][0], dims[0][1], tol / 100)
-                return v
-            v, _ = _quad_1d(outer1, dims[1][0], dims[1][1], tol / 10)
-            return v
-        val, err = _quad_1d(outer2, dims[2][0], dims[2][1], tol)
-    else:
-        raise ValueError("only 1-3 dimensions supported")
-    if err > tol * max(1.0, abs(val)):
-        raise RefinementLimit(f"quadrature error {err:.3e} above tol {tol:.1e}")
-    return val

@@ -39,8 +39,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
-from scipy.special import erf
 
 from .errors import (
     ControlSearchFailed,
@@ -398,6 +396,8 @@ def _solve_metric(sym, rhs):
     would then be roundoff. The metric is never regularised."""
     # LAPACK directly: scipy.linalg.cho_factor/cho_solve run the same
     # ?potrf/?potrs but add about 20 us of argument checks per call
+    from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+
     factor, info = dpotrf(sym, lower=1, clean=0)
     if info != 0:
         raise SingularMetric(
@@ -492,6 +492,8 @@ def box_observables(state: VariationalState, partition: WallPartition):
     infinity); j_{k,k+1} integrates the z-current density over the wall
     plane. Closed forms via the (complex) error function.
     """
+    from scipy.special import erf
+
     n_g = state.size
     b, c = _z_shape(state)
     sx = np.conj(state.A_x)[:, None] + state.A_x[None, :]
@@ -629,7 +631,9 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
 class VariationalRunRecord:
     """Sampled observables at the control-interval ends (``t[0] = 0``), and
     per completed interval the depth search's root iterations,
-    finite-difference Jacobian builds and end-of-interval integrations."""
+    finite-difference Jacobian builds and end-of-interval integrations. A
+    run ended by an error records its time, type name
+    (``breakdown_reason``) and text (``breakdown_message``)."""
 
     t: np.ndarray
     n: np.ndarray
@@ -642,6 +646,7 @@ class VariationalRunRecord:
     integrations: np.ndarray
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
+    breakdown_message: str | None = None
 
     @property
     def broke_down(self):
@@ -701,7 +706,8 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
                 jacobian=jacobian,
             )
         except PtError as exc:
-            return record(breakdown_time=t, breakdown_reason=type(exc).__name__), state
+            return record(breakdown_time=t, breakdown_reason=type(exc).__name__,
+                          breakdown_message=str(exc)), state
         state = result.state
         jacobian = result.jacobian
         t += dt

@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from oracle import quadrature_oracle
 from ptembed import cli, dnlse, embedding, fewmode, variational
-from ptembed.numerics import IntegratorSettings, quadrature_oracle
+from ptembed.numerics import IntegratorSettings
 
 
 def _report(num, ok):

@@ -114,6 +114,7 @@ class TestRunAndOutputs:
         status, ts, cols, summary = stationary_run
         assert status == 0
         assert summary["breakdown_time"] is None
+        assert summary["breakdown_message"] is None
         assert abs(summary["slope_n0"] + 0.5) < 1e-3
         assert abs(summary["slope_n3"] - 0.5) < 1e-3
         assert summary["total_norm_drift"] < 1e-9
@@ -209,13 +210,15 @@ class TestMain:
             "[output]\nstride = 0.1\n"))
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
-        out = capsys.readouterr().out
-        assert "breakdown at t" in out
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["breakdown_time"] is not None
         # E0 diverges as the source reservoir empties, and the step size
         # collapses before the depletion floor or the condition limit is hit
         assert summary["breakdown_reason"] == "StepSizeUnderflow"
+        message = summary["breakdown_message"]
+        assert message.startswith("step size underflow at t=")
+        out = capsys.readouterr().out
+        assert f"breakdown at t = {summary['breakdown_time']:.6g} (StepSizeUnderflow): {message}" in out
 
     def test_variational_breakdown_exit_two(self, tmp_path, capsys):
         # gamma reaches 100 J12 within one 1e-3 control interval: the wall
@@ -225,9 +228,11 @@ class TestMain:
             "t_f = 0.001\nt_end = 0.001\ncontrol_dt = 0.001\n"))
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "breakdown at t = 0 (ControlSearchFailed)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "breakdown at t = 0 (ControlSearchFailed): depth search" in out
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["breakdown_reason"] == "ControlSearchFailed"
+        assert summary["breakdown_message"].startswith("depth search ")
         assert summary["control_root_iterations"] == 0
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
@@ -276,6 +281,16 @@ class TestMain:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n1"]["max_abs_deviation"] == 0.0
+
+    @pytest.mark.parametrize("text", [
+        "t,n0\n0.0,abc\n", "", "t,n0\n", "n0,n1\n0.5,0.5\n", "t,n0\n0,1\n2,1\n1,1\n",
+    ], ids=["non_numeric", "empty", "header_only", "no_t_column", "unsorted_t"])
+    def test_compare_bad_csv_exit_one(self, tmp_path, capsys, stationary_run, text):
+        write_outputs(*stationary_run[1:], str(tmp_path / "a"))
+        bad = self._write(tmp_path, text, name="bad.csv")
+        rc = main(["compare", "--a", str(tmp_path / "a" / "timeseries.csv"), "--b", bad])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {bad}: ")
 
 
 @pytest.mark.slow

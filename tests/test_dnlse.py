@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptembed import dnlse
 from ptembed.dnlse import (
     EffectiveModel,
     UnitSystem,
@@ -69,6 +70,19 @@ class TestUnits:
         units = UnitSystem.rubidium87()
         doubled = UnitSystem.rubidium87(N=2e5)
         assert abs(doubled.g / units.g - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("name, codata_key", [
+        ("HBAR", "reduced Planck constant"),
+        ("PLANCK", "Planck constant"),
+        ("ATOMIC_MASS", "atomic mass constant"),
+        ("BOHR_RADIUS", "Bohr radius"),
+    ])
+    def test_constants_are_codata_2022(self, name, codata_key):
+        # scipy 1.15 and later tabulate CODATA 2022; the bits must match so
+        # that the trap units are those computed from scipy's table
+        from scipy.constants import physical_constants
+
+        assert getattr(dnlse, name) == physical_constants[codata_key][0]
 
 
 def random_complex_basis(seed, n):
