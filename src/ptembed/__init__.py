@@ -9,8 +9,8 @@ model), :mod:`ptembed.variational` (fully time-dependent Gaussian ansatz),
 and :mod:`ptembed.cli` (scenario orchestration and file outputs).
 
 Only numpy is imported at module level. scipy is imported inside the
-functions that call it (the minimizers, the variational metric solve and
-the wall observables), so a few-mode run never loads it.
+functions that call it (the variational metric solve and the wall
+observables), so few-mode runs and ground-state fits never load it.
 """
 
 from .errors import PtError

@@ -472,8 +472,8 @@ def read_timeseries(path):
     """Load a timeseries.csv back into (times, column dict).
 
     A file without a ``t`` column or without records, with a cell that is
-    not a number, a row of the wrong length or times that do not increase,
-    is a ParseError that names the file."""
+    not a finite number, a row of the wrong length or times that do not
+    increase, is a ParseError that names the file."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -495,6 +495,9 @@ def read_timeseries(path):
     # compare_runs interpolates in t, which needs increasing sample times
     if not (np.isfinite(t).all() and np.all(np.diff(t) > 0.0)):
         raise ParseError(f"{path}: the times in column 't' do not increase")
+    for name, col in cols.items():
+        if not np.isfinite(col).all():
+            raise ParseError(f"{path}: column '{name}' has a non-finite cell")
     return t, cols
 
 

@@ -23,11 +23,13 @@ onto it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
+    ConvergenceWarning,
     NonNormalizable,
     NotPositiveDefinite,
     NoConvergence,
@@ -339,7 +341,6 @@ def _default_seed(wells: WellPotentialSpec):
 
 # packed variational parameters a fit varies per well (the real subspace)
 _FIT_PARAMS = ("AxR", "AyR", "AzR", "q", "gR")
-_MIN_WIDTH = 1e-3
 
 
 def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
@@ -349,8 +350,11 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
 
     Minimizes the normalized mean-field energy E[psi]/<psi|psi> over the
     widths A_x, A_y, A_z, the centers q_z and gamma = -log d, with the
-    analytic gradient of :func:`ptembed.variational.normalized_energy`.
-    Widths stay at or above 1e-3, so no trial point is an invalid basis.
+    analytic gradient of :func:`ptembed.variational.normalized_energy`, by
+    the damped Newton steps of
+    :func:`ptembed.numerics.minimize_norm_constrained` (at most
+    ``max_iter`` of them). A trial width with Re A <= 0 raises
+    NonNormalizable inside the minimizer, which damps the step instead.
     ``seed_d`` must be positive: the ground state has no nodes.
 
     ``tol`` bounds the max norm of that gradient at exit. On the standard
@@ -386,8 +390,12 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     def energy(x):
         return normalized_energy(state_of(x), wells, units, directions)
 
-    bounds = ([(_MIN_WIDTH, None)] * 3 + [(None, None)] * 2) * n
-    x, _ = minimize_norm_constrained(energy, x0, tol=tol, bounds=bounds, max_iter=max_iter)
+    x, _, grad = minimize_norm_constrained(energy, x0, tol=tol, max_iter=max_iter)
+    gmax = np.max(np.abs(grad))
+    if not gmax <= tol:
+        warnings.warn(f"ground-state fit stopped at gradient {gmax:.3e} above tol "
+                      f"{tol:.1e}; returning the best iterate",
+                      ConvergenceWarning, stacklevel=2)
     state = state_of(x)
     basis = replace(state, gamma=np.zeros(n))
     d = np.exp(-state.gamma)

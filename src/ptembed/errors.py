@@ -37,8 +37,8 @@ class NonFiniteFunction(PtError):
 
 
 class ConvergenceWarning(RuntimeWarning):
-    """Minimizer stopped above its gradient tolerance; the best iterate is
-    returned (warning, not error)."""
+    """A ground-state fit stopped above its gradient tolerance; the best
+    iterate is returned (warning, not error)."""
 
 
 # --- few-mode models ---

@@ -1,22 +1,20 @@
 """Numerical kernel: adaptive ODE integration (the Dormand-Prince 8(5,3)
-pair, DOP853, with its 7th-order dense output), root finding and bounded
-minimization with an analytic gradient.
+pair, DOP853, with its 7th-order dense output), root finding and
+unconstrained minimization with an analytic gradient.
 
 Everything here is deterministic for fixed inputs and free of module-level
 state, so independent calls can run in parallel. The module needs numpy
-alone; the minimizer imports ``scipy.optimize`` when it is called.
+alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    ConvergenceWarning,
     NonFiniteDerivative,
     NonFiniteFunction,
     PtError,
@@ -457,95 +455,66 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
     return report(max_iter, False)
 
 
-def minimize_norm_constrained(energy, x0, tol=1e-6, bounds=None, max_iter=500):
+def minimize_norm_constrained(energy, x0, tol=1e-6, max_iter=500):
     """Minimize ``energy(x)``, which returns ``(value, analytic gradient)``,
-    within ``bounds``.
+    by damped, saddle-free Newton steps.
 
     The name dates from an optional norm constraint that no caller used;
     it is kept because the benchmark's tracer (``bench/tracing.py``) wraps
     this function by name.
 
-    ``tol`` bounds the max norm of the gradient at exit; components pushing
-    against an active bound do not count. A minimization that stops above
-    ``tol`` (by ``max_iter``, or by a line search that lost precision) emits
-    a :class:`ConvergenceWarning` and returns its best iterate.
+    Each step builds a forward-difference Hessian of the gradient and
+    eigendecomposes it. Directions of curvature |lambda| at or below 1e-8
+    of the largest (flat directions such as the scale of a Rayleigh
+    quotient) are left out; along the others the step is
+    -(v.g) v / (|lambda| + mu max|lambda|), so it points downhill at a
+    saddle too (Dauphin et al., NeurIPS 2014). mu starts at 1e-6. A trial
+    point is accepted when the energy drops by more than its roundoff
+    (taken as 1e-12 of |value|), or, near the minimum, when it changes by
+    no more than that while the gradient's max norm shrinks; then mu is
+    divided by 10. Otherwise, and when ``energy`` raises a
+    :class:`PtError` (for example at a trial point outside its domain), mu
+    is multiplied by 10 and the step retried, so no bounds are needed.
 
-    L-BFGS-B keeps every trial point within ``bounds``. Near a minimum a
-    step lowers the energy by less than the energy's roundoff long before
-    an analytic gradient reaches its own noise floor, and the line search
-    stops; Newton steps on a finite-difference Hessian of the gradient then
-    carry it on to ``tol`` (each step counts against ``max_iter``).
+    Stops when the gradient's max norm is at most ``tol``, after
+    ``max_iter`` steps, or when the damped step no longer moves ``x``.
+    Does not warn: the caller decides what a gradient above ``tol`` means.
 
-    Returns ``(x*, energy*)``.
+    Returns ``(x, value, gradient)`` at the last accepted iterate.
     """
-    from scipy.optimize import minimize
-
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    lo, hi = _bound_arrays(bounds, len(x0))
-    res = minimize(
-        energy, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0, "maxcor": 20},
-    )
-    x, grad, reason = res.x, _projected_gradient(res.jac, res.x, lo, hi), res.message
-    if res.status != 1 and np.max(np.abs(grad)) > tol:
-        x, grad = _newton_polish(
-            lambda v: _projected_gradient(energy(v)[1], v, lo, hi),
-            x, grad, lo, hi, tol, max_iter - res.nit,
-        )
-        reason += "; then Newton steps"
-
-    gmax = float(np.max(np.abs(grad)))
-    if not gmax <= tol:
-        warnings.warn(
-            f"minimization stopped at gradient {gmax:.3e} above tol {tol:.1e} "
-            f"({reason}); returning the best iterate",
-            ConvergenceWarning, stacklevel=2,
-        )
-    return x, float(energy(x)[0])
-
-
-def _bound_arrays(bounds, n):
-    """Lower and upper bound vectors (+-inf where unbounded)."""
-    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    for i, (a, b) in enumerate(bounds or ()):
-        lo[i] = -np.inf if a is None else a
-        hi[i] = np.inf if b is None else b
-    return lo, hi
-
-
-def _projected_gradient(grad, x, lo, hi):
-    """The gradient without components that push against an active bound."""
-    grad = np.array(grad, dtype=float)
-    grad[((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))] = 0.0
-    return grad
-
-
-def _newton_polish(gradient, x, grad, lo, hi, tol, max_steps):
-    """Newton steps on a forward-difference Hessian of an analytic gradient.
-
-    Directions of curvature below 1e-8 of the largest (flat directions
-    such as the scale of a Rayleigh quotient) are left out of the step.
-    Stops at ``tol``, after ``max_steps`` steps, or at the first step that
-    would leave the bounds or does not shrink the gradient; returns the
-    best iterate and its gradient.
-    """
-    n = len(x)
-    for _ in range(max_steps):
-        if np.max(np.abs(grad)) <= tol:
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    value, grad = energy(x)
+    mu = 1e-6
+    for _ in range(max_iter):
+        gmax = np.max(np.abs(grad))
+        if gmax <= tol:
             break
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        h = np.where(x + h > hi, -h, h)
-        hess = np.empty((n, n))
-        for i in range(n):
+        hess = np.empty((len(x), len(x)))
+        for i in range(len(x)):
             xp = x.copy()
             xp[i] += h[i]
-            hess[:, i] = (gradient(xp) - grad) / h[i]
-        step = np.linalg.lstsq(0.5 * (hess + hess.T), -grad, rcond=1e-8)[0]
-        x_new = x + step
-        if np.any(x_new < lo) or np.any(x_new > hi):
-            break
-        g_new = gradient(x_new)
-        if not np.max(np.abs(g_new)) < np.max(np.abs(grad)):
-            break
-        x, grad = x_new, g_new
-    return x, grad
+            hess[:, i] = (energy(xp)[1] - grad) / h[i]
+        lam, vec = np.linalg.eigh(0.5 * (hess + hess.T))
+        scale = np.max(np.abs(lam))
+        keep = np.abs(lam) > 1e-8 * scale
+        lam, vec = np.abs(lam[keep]), vec[:, keep]
+        coef = vec.T @ grad
+        slack = 1e-12 * abs(value)
+        while True:
+            x_new = x - vec @ (coef / (lam + mu * scale))
+            if np.array_equal(x_new, x):
+                return x, float(value), grad
+            try:
+                v_new, g_new = energy(x_new)
+            except PtError:
+                mu *= 10.0
+                continue
+            g_new_max = np.max(np.abs(g_new))
+            if np.isfinite(g_new_max) and (
+                    v_new < value - slack or (v_new <= value + slack and g_new_max < gmax)):
+                break
+            mu *= 10.0
+        x, value, grad = x_new, v_new, g_new
+        mu /= 10.0
+    return x, float(value), grad

@@ -48,7 +48,12 @@ from .errors import (
     SingularMetric,
     SizeMismatch,
 )
-from .numerics import IntegratorSettings, integrate_adaptive, root_find
+from .numerics import (
+    IntegratorSettings,
+    integrate_adaptive,
+    minimize_norm_constrained,
+    root_find,
+)
 
 if TYPE_CHECKING:
     from .dnlse import UnitSystem, WellPotentialSpec
@@ -459,25 +464,24 @@ def relax_to_fixed_point(state: VariationalState, wells, units, tol=1e-5,
                          max_steps=2000):
     """Minimize the normalized mean-field energy over all ansatz parameters.
 
-    BFGS on E[psi]/<psi|psi> (with the analytic gradient) starting from
-    ``state``; the result is renormalized exactly through the real parts of
-    gamma and is a fixed point of the real-time equations of motion up to a
-    global phase. Raises NoConvergence if the gradient does not drop below
-    ``tol``.
+    Damped Newton steps (:func:`ptembed.numerics.minimize_norm_constrained`,
+    at most ``max_steps``) on E[psi]/<psi|psi> with the analytic gradient,
+    starting from ``state``; a state whose gradient is already at most
+    ``tol`` is kept as it is. The result is renormalized exactly through
+    the real parts of gamma and is a fixed point of the real-time equations
+    of motion up to a global phase. Raises NoConvergence if the gradient
+    does not drop below ``tol``.
     """
-    from scipy.optimize import minimize
-
     def energy_and_grad(x):
         return normalized_energy(VariationalState.from_vector(x), wells, units)
 
-    res = minimize(energy_and_grad, state.to_vector(), jac=True, method="BFGS",
-                   options={"gtol": tol, "maxiter": max_steps})
-    grad_norm = float(np.max(np.abs(res.jac)))
-    if grad_norm > tol:
+    x, _, grad = minimize_norm_constrained(energy_and_grad, state.to_vector(),
+                                           tol=tol, max_iter=max_steps)
+    grad_norm = float(np.max(np.abs(grad)))
+    if not grad_norm <= tol:
         raise NoConvergence(
             f"energy minimization stalled (gradient {grad_norm:.3e})"
         )
-    x = res.x
     st = VariationalState.from_vector(x)
     nrm, _ = norm_and_energy(st, wells, units)
     # exact renormalization through a uniform shift of the gamma real parts

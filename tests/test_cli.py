@@ -282,15 +282,18 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["n1"]["max_abs_deviation"] == 0.0
 
-    @pytest.mark.parametrize("text", [
-        "t,n0\n0.0,abc\n", "", "t,n0\n", "n0,n1\n0.5,0.5\n", "t,n0\n0,1\n2,1\n1,1\n",
-    ], ids=["non_numeric", "empty", "header_only", "no_t_column", "unsorted_t"])
-    def test_compare_bad_csv_exit_one(self, tmp_path, capsys, stationary_run, text):
+    @pytest.mark.parametrize("text, detail", [
+        ("t,n0\n0.0,abc\n", ""), ("", ""), ("t,n0\n", ""), ("n0,n1\n0.5,0.5\n", ""),
+        ("t,n0\n0,1\n2,1\n1,1\n", ""),
+        # a nan cell would otherwise print "NaN", which is not JSON, and exit 0
+        ("t,n1\n0,nan\n1,0.6\n2,0.7\n", "column 'n1'"),
+    ], ids=["non_numeric", "empty", "header_only", "no_t_column", "unsorted_t", "nan_cell"])
+    def test_compare_bad_csv_exit_one(self, tmp_path, capsys, stationary_run, text, detail):
         write_outputs(*stationary_run[1:], str(tmp_path / "a"))
         bad = self._write(tmp_path, text, name="bad.csv")
         rc = main(["compare", "--a", str(tmp_path / "a" / "timeseries.csv"), "--b", bad])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: ParseError: {bad}: ")
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {bad}: {detail}")
 
 
 @pytest.mark.slow

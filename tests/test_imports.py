@@ -1,6 +1,6 @@
-"""What a fresh interpreter loads: the layering between the modules, and a
-few-mode run that starts on numpy alone (scipy is imported only by the
-functions that call it)."""
+"""What a fresh interpreter loads: the layering between the modules, and
+runs that start on numpy alone (scipy is imported only by the functions
+that call it: the variational equations of motion and wall observables)."""
 
 import os
 import subprocess
@@ -10,20 +10,34 @@ import pytest
 
 import ptembed
 
-STATIONARY_RUN = (
-    "from ptembed import cli\n"
-    "assert cli.main(['run', '--config', 'run.cfg', '--out', 'out']) == 0\n"
-)
+CONFIGS = {
+    "run.cfg": "[scenario]\nname = stationary\n",
+    "fewmode.cfg": "[scenario]\nname = adiabatic_fewmode\nt_end = 2.0\n",
+    "variational.cfg": "[scenario]\nname = adiabatic_variational\nt_end = 0.5\n",
+}
+
+
+def _main(*argv):
+    return f"from ptembed import cli\nassert cli.main({list(argv)!r}) == 0\n"
 
 
 @pytest.mark.parametrize("code, prefix", [
     # dnlse builds on the variational engine, not the other way round
     ("import ptembed.variational", "ptembed.dnlse"),
     # cli imports every layer, dnlse included
-    (STATIONARY_RUN, "scipy"),
-], ids=["variational_without_dnlse", "stationary_run_without_scipy"])
+    (_main("run", "--config", "run.cfg", "--out", "out"), "scipy"),
+    # the ground-state fit is numpy alone
+    (_main("fit", "--config", "fewmode.cfg"), "scipy"),
+    (_main("params", "--config", "fewmode.cfg"), "scipy"),
+    (_main("run", "--config", "fewmode.cfg", "--out", "out"), "scipy"),
+    # the variational run loads scipy for LAPACK and erf, not for a minimizer
+    (_main("run", "--config", "variational.cfg", "--out", "out"), "scipy.optimize"),
+], ids=["variational_without_dnlse", "stationary_run_without_scipy", "fit_without_scipy",
+        "params_without_scipy", "adiabatic_fewmode_without_scipy",
+        "adiabatic_variational_without_scipy_optimize"])
 def test_fresh_interpreter_leaves_modules_unloaded(tmp_path, code, prefix):
-    (tmp_path / "run.cfg").write_text("[scenario]\nname = stationary\n")
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
     src = os.path.dirname(os.path.dirname(ptembed.__file__))
     probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

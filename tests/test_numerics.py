@@ -8,6 +8,7 @@ from ptembed.errors import (
     ControlSingular,
     NonFiniteDerivative,
     NonFiniteFunction,
+    NonNormalizable,
     StepLimitExceeded,
     StepSizeUnderflow,
 )
@@ -285,6 +286,53 @@ class TestConstrainedMinimize:
             e = x @ (a * x) / nrm
             return e, 2.0 * (a * x - e * x) / nrm
 
-        x, val = minimize_norm_constrained(quotient, np.array([0.5, 0.5, 0.7]), tol=1e-12)
-        assert np.max(np.abs(quotient(x)[1])) <= 1e-12
+        x, val, grad = minimize_norm_constrained(quotient, np.array([0.5, 0.5, 0.7]),
+                                                 tol=1e-12)
+        assert np.array_equal(grad, quotient(x)[1])
+        assert np.max(np.abs(grad)) <= 1e-12
         assert abs(val - 1.0) < 1e-14
+
+    def test_start_next_to_a_saddle_reaches_the_minimum(self):
+        # x^2 - y^2 + y^4/2: saddle at the origin, minima -1/2 at (0, +-1)
+        def f(v):
+            x, y = v
+            return x * x - y * y + 0.5 * y**4, np.array([2.0 * x, -2.0 * y + 2.0 * y**3])
+
+        start = np.array([0.3, 1e-3])
+        # the undamped Newton step from the start lands next to the saddle
+        hess = np.diag([2.0, -2.0 + 6.0 * start[1] ** 2])
+        assert np.max(np.abs(start - np.linalg.solve(hess, f(start)[1]))) < 1e-8
+        x, val, grad = minimize_norm_constrained(f, start, tol=1e-10)
+        assert np.max(np.abs(grad)) <= 1e-10
+        assert np.allclose(x, [0.0, 1.0], atol=1e-10)
+        assert abs(val + 0.5) < 1e-15
+
+    def test_trial_point_outside_the_domain_is_stepped_around(self):
+        # x - log x has its minimum at x = 1; the full Newton step from 3
+        # goes to -3, where the energy raises, as a width with Re A <= 0 does
+        raised = []
+
+        def f(v):
+            if v[0] <= 0.0:
+                raised.append(v[0])
+                raise NonNormalizable("x must stay positive")
+            return v[0] - np.log(v[0]), np.array([1.0 - 1.0 / v[0]])
+
+        x, val, grad = minimize_norm_constrained(f, np.array([3.0]), tol=1e-12)
+        assert raised
+        assert abs(grad[0]) <= 1e-12
+        assert abs(x[0] - 1.0) < 1e-11
+
+    def test_max_iter_exhausted_returns_best_iterate(self):
+        def rosenbrock(v):
+            x, y = v
+            return ((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2,
+                    np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
+                              200.0 * (y - x * x)]))
+
+        start = np.array([-1.2, 1.0])
+        x, val, grad = minimize_norm_constrained(rosenbrock, start, tol=1e-10, max_iter=2)
+        value_at_x, grad_at_x = rosenbrock(x)
+        assert val == value_at_x and np.array_equal(grad, grad_at_x)
+        assert np.max(np.abs(grad)) > 1e-10
+        assert val < rosenbrock(start)[0]
