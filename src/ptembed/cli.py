@@ -393,6 +393,12 @@ def _run_adiabatic_variational(cfg):
         "control_root_iterations": int(record.root_iterations.sum()),
         "control_jacobian_refreshes": int(record.jacobian_refreshes.sum()),
         "control_integrations": int(record.integrations.sum()),
+        # the integrator's work over every control integration, trials included
+        "rhs_evals": int(record.rhs_evals.sum()),
+        "accepted_steps": int(record.accepted_steps.sum()),
+        "rejected_steps": int(record.rejected_steps.sum()),
+        "metric_rcond_min": float(record.metric_rcond_min.min())
+        if len(record.metric_rcond_min) else None,
     }
     status = 2 if record.broke_down else 0
     return status, ts, cols, summary

@@ -40,6 +40,7 @@ from .numerics import minimize_norm_constrained, root_find
 from .variational import (
     PARAM_NAMES,
     PARAMS_PER_WELL,
+    TrapKernel,
     VariationalState,
     gaussian_matrices,
     norm_and_energy,
@@ -365,8 +366,9 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     (:class:`ptembed.errors.ConvergenceWarning`) and returns its best
     iterate.
 
-    Returns ``(basis, d, energy)``: the fitted state with gamma = 0, d
-    renormalized to d^dag K d = 1, and
+    Returns ``(basis, d, energy)``: the fitted state with gamma = 0, the
+    real amplitudes d renormalized to d^dag K d = 1 (a valid ``seed_d`` for
+    a warm refit), and
     ``energy = mean_field_energy(d, basis, wells, units)``.
     """
     if seed_basis is None:
@@ -382,13 +384,15 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
         seed_basis.q_z, -np.log(seed_d),
     ]).ravel()
 
-    def state_of(x):
-        packed = np.zeros(PARAMS_PER_WELL * n)
-        packed[directions] = x
-        return VariationalState.from_vector(packed)
+    def packed(x):
+        out = np.zeros(PARAMS_PER_WELL * n)
+        out[directions] = x
+        return out
+
+    kernel = TrapKernel(wells, units)
 
     def energy(x):
-        return normalized_energy(state_of(x), wells, units, directions)
+        return normalized_energy(packed(x), wells, units, directions, kernel=kernel)
 
     x, _, grad = minimize_norm_constrained(energy, x0, tol=tol, max_iter=max_iter)
     gmax = np.max(np.abs(grad))
@@ -396,10 +400,11 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
         warnings.warn(f"ground-state fit stopped at gradient {gmax:.3e} above tol "
                       f"{tol:.1e}; returning the best iterate",
                       ConvergenceWarning, stacklevel=2)
-    state = state_of(x)
+    state = VariationalState.from_vector(packed(x))
     basis = replace(state, gamma=np.zeros(n))
-    d = np.exp(-state.gamma)
-    d = d / math.sqrt(np.vdot(d, overlap_matrix(basis) @ d).real)
+    # gamma is real here: the amplitudes are real
+    d = np.exp(-state.gamma).real
+    d *= 1.0 / math.sqrt(np.vdot(d, overlap_matrix(basis) @ d).real)
     return basis, d, mean_field_energy(d, basis, wells, units)
 
 
@@ -434,7 +439,7 @@ def invert_to_potential(target: EffectiveModel, current_wells: WellPotentialSpec
         basis, d, _ = fit_ground_state(
             wells, units, seed_basis=state["basis"], seed_d=state["d"]
         )
-        state["basis"], state["d"] = basis, d.real
+        state["basis"], state["d"] = basis, d
         em = effective_model(basis, wells, units)
         res = [
             em.onsite[0] - target.onsite[0],

@@ -25,6 +25,17 @@ SingularMetric instead of being regularised. ``gaussian_matrices`` reads
 the Gaussian-basis matrices K, T, V and W~ off the same moment tables; the
 dnlse module builds on them, with its basis a state at rest (p = gamma = 0).
 
+The brackets run on a per-trap kernel, :class:`TrapKernel`. It builds once
+what depends on the trap alone: the potential kets' shift columns, the
+indices that gather every ket object (the state's Gaussians, the potential
+kets and the interaction triples) with one indexed sum from one array,
+their weights and the constant entries of the derivative polynomials.
+Each call then reads the state straight from the packed parameter vector
+and fills in only what depends on it. :func:`eom_rhs` builds one kernel
+per trap and calls :func:`assemble_eom` with it on every evaluation; the
+ground-state fit and :func:`relax_to_fixed_point` share one kernel over
+their energy evaluations.
+
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
 depths, once per control interval, turns the trap into the balanced
@@ -120,24 +131,16 @@ class VariationalState:
         return out
 
     @classmethod
-    def from_vector(cls, x, check=True):
-        """The state packed by ``to_vector``. ``check=False`` skips the
-        validation of ``__post_init__``, for a vector known to have the
-        packed length: a width with Re A <= 0 still raises NonNormalizable
-        as soon as its moments are evaluated (``_pair_moments``)."""
+    def from_vector(cls, x):
+        """The state packed by ``to_vector``."""
         x = np.asarray(x, dtype=float)
-        fields = dict(
+        return cls(
             A_x=x[0::10] + 1j * x[1::10],
             A_y=x[2::10] + 1j * x[3::10],
             A_z=x[4::10] + 1j * x[5::10],
             q_z=x[6::10], p_z=x[7::10],
             gamma=x[8::10] + 1j * x[9::10],
         )
-        if check:
-            return cls(**fields)
-        state = object.__new__(cls)
-        state.__dict__.update(fields)
-        return state
 
     @classmethod
     def from_basis(cls, basis: VariationalState, d):
@@ -177,27 +180,6 @@ def _z_shape(state: VariationalState):
     return b, c
 
 
-def _derivative_polys(state: VariationalState):
-    """Coefficients of d psi / d x over {1, x^2, y^2, z, z^2} per direction.
-
-    Returns (coeffs (10 NG, 5), well index (10 NG,)).
-    """
-    n = state.size
-    q, p, az = state.q_z, state.p_z, state.A_z
-    D = np.zeros((n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
-    D[:, 0, 1] = -1.0                      # AxR: -x^2
-    D[:, 1, 1] = -1j                       # AxI
-    D[:, 2, 2] = -1.0                      # AyR
-    D[:, 3, 2] = -1j                       # AyI
-    D[:, 4, 0], D[:, 4, 3], D[:, 4, 4] = -q * q, 2.0 * q, -1.0       # AzR: -(z-q)^2
-    D[:, 5, 0], D[:, 5, 3], D[:, 5, 4] = -1j * q * q, 2j * q, -1j    # AzI
-    D[:, 6, 0], D[:, 6, 3] = -2.0 * az * q - 1j * p, 2.0 * az        # q: 2A_z(z-q)-ip
-    D[:, 7, 0], D[:, 7, 3] = -1j * q, 1j   # p: i(z-q)
-    D[:, 8, 0] = -1.0                      # gamma_R
-    D[:, 9, 0] = -1j                       # gamma_I
-    return D.reshape(PARAMS_PER_WELL * n, _N_MONO), np.repeat(np.arange(n), PARAMS_PER_WELL)
-
-
 @lru_cache(maxsize=None)
 def _triples(n):
     """Interaction kets G_a conj(G_b) G_c as index arrays (a, b, c) and
@@ -221,34 +203,60 @@ def _gaussians(state: VariationalState):
     return gauss
 
 
-def _pair_moments(bra, kets):
+def _well_shifts(wells: WellPotentialSpec):
+    """Each well's profile exp(-2x^2/w_x^2 - 2y^2/w_y^2 - 2(z - s_m)^2/w_z^2)
+    as a (5, N_wells) array in the layout of ``_gaussians``: added to a
+    Gaussian, a column gives that Gaussian times the well's profile."""
+    wz2 = 2.0 / wells.w_z**2
+    shift = np.empty((5, wells.size))
+    shift[0], shift[1], shift[2] = 2.0 / wells.w_x**2, 2.0 / wells.w_y**2, wz2
+    shift[3] = 2.0 * wz2 * wells.positions
+    shift[4] = -wz2 * wells.positions**2
+    return shift
+
+
+def _moment_buffers(n, m):
+    """Output arrays of ``_pair_moments`` for NG bra Gaussians and m kets:
+    the pair Gaussians (5, NG, m), the x and y moments by order
+    (3, 3, NG, m) and the z moments (5, NG, m)."""
+    return (np.empty((5, n, m), dtype=complex), np.empty((3, 3, n, m), dtype=complex),
+            np.empty((5, n, m), dtype=complex))
+
+
+def _pair_moments(conj_bra, kets, out, n_table):
     """Per-axis moment tables between every bra Gaussian and every ket object.
 
-    ``bra`` (5, NG) and ``kets`` (5, M) hold (A_x, A_y, A_z, b, C) per
-    Gaussian. Returns (MX (3, NG, M), MY (3, NG, M), MZ (5, NG, M)): orders
-    x^0, x^2, x^4 and z^0..z^4; the scalar prefactor exp(b^2/4S + C) is
-    folded into MZ.
+    ``conj_bra`` (5, NG), the conjugated bra Gaussians, and ``kets`` (5, M)
+    hold (A_x, A_y, A_z, b, C) per Gaussian; ``out`` is
+    ``_moment_buffers(NG, M)``, written in place. Returns (MX (3, NG, M),
+    MY (3, NG, M), MZ (5, NG, M)): orders x^0, x^2, x^4 and z^0..z^4; the
+    scalar prefactor exp(b^2/4S + C) is folded into MZ. The orders x^4,
+    z^3 and z^4 are filled in for the first ``n_table`` kets only; the
+    others carry a constant monomial and need only orders up to 2.
     """
-    pair = np.conj(bra)[:, :, None] + kets[:, None, :]
-    if (pair[:3].real <= 0).any():
-        raise NonNormalizable("pair Gaussian with nonpositive real width")
-    axy, az, b, c = pair[:2], pair[2], pair[3], pair[4]
+    pair, M, MZ = out
+    np.add(conj_bra[:, :, None], kets[:, None, :], out=pair)
+    b, c = pair[3], pair[4]
 
-    i0 = np.sqrt(math.pi / axy)
-    sxy = 1.0 / (2.0 * axy)
-    MXY = np.stack([i0, i0 * sxy, 3.0 * i0 * sxy**2], axis=1)   # (2, 3, NG, M)
-    s2 = 1.0 / (2.0 * az)
+    # sqrt(pi / S) and 1 / (2 S) for the three widths S at once: for x and
+    # y the order-0 moment and the variance, for z the same two factors
+    i0 = np.sqrt(math.pi / pair[:3], out=M[0])
+    s = 1.0 / (2.0 * pair[:3])
+    sxy, s2 = s[:2], s[2]
+    np.multiply(i0[:2], sxy, out=M[1, :2])
     mu = b * s2
-    iz0 = np.sqrt(math.pi / az) * np.exp(0.5 * b * mu + c)
+    iz0 = np.multiply(i0[2], np.exp(0.5 * b * mu + c), out=MZ[0])
     mu2 = mu**2
-    MZ = np.stack([
-        iz0,
-        iz0 * mu,
-        iz0 * (mu2 + s2),
-        iz0 * mu * (mu2 + 3.0 * s2),
-        iz0 * (mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2),
-    ])
-    return MXY[0], MXY[1], MZ
+    np.multiply(iz0, mu, out=MZ[1])
+    np.multiply(iz0, mu2 + s2, out=MZ[2])
+    k = n_table
+    if k:
+        i0, sxy = i0[:2, :, :k], sxy[..., :k]
+        np.multiply(3.0 * i0, sxy**2, out=M[2, :2, :, :k])
+        iz0, mu, mu2, s2 = iz0[:, :k], mu[:, :k], mu2[:, :k], s2[:, :k]
+        np.multiply(iz0 * mu, mu2 + 3.0 * s2, out=MZ[3, :, :k])
+        np.multiply(iz0, mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2, out=MZ[4, :, :k])
+    return M[:, 0], M[:, 1], MZ
 
 
 def _kinetic_polys(gauss):
@@ -262,67 +270,137 @@ def _kinetic_polys(gauss):
     return Q
 
 
-def _potential_kets(gauss, wells: WellPotentialSpec):
-    """Each well's profile exp(-2x^2/w_x^2 - 2y^2/w_y^2 - 2(z - s_m)^2/w_z^2)
-    times each Gaussian, without the depth V_m: (5, N_wells * NG) in the
-    layout of ``_gaussians``, well-major."""
-    wz2 = 2.0 / wells.w_z**2
-    shift = np.empty((5, wells.size))
-    shift[0], shift[1], shift[2] = 2.0 / wells.w_x**2, 2.0 / wells.w_y**2, wz2
-    shift[3] = 2.0 * wz2 * wells.positions
-    shift[4] = -wz2 * wells.positions**2
-    return (gauss[:, None, :] + shift[:, :, None]).reshape(5, -1)
+class TrapKernel:
+    """The variational brackets on one trap, with its constants built once.
 
+    Built from the trap alone: the potential kets' shift columns. At the
+    first call for a Gaussian count NG it lays out what depends on NG and
+    the trap only, and keeps it until NG changes:
 
-def _scalar_kets(gauss, wells: WellPotentialSpec | None, units: UnitSystem):
-    """The ket objects of H psi that carry only a constant monomial.
+    - ``_ext`` (5, 2 NG + N_wells + 1): columns for the state's Gaussians,
+      their conjugates, the shift columns and a zero column;
+    - the gather indices (3, NG + M) that form every ket object of H psi as
+      one indexed sum of three ``_ext`` columns: the state's own Gaussians,
+      the N_wells * NG potential kets (well-major) and the a <= c
+      interaction triples (see ``_triples``);
+    - the weights (M, 2) of the M scalar kets: the well depth V_m for the
+      potential kets (the linear part), g times the multiplicity for the
+      triples (the cubic part);
+    - the derivative polynomials (NG, 10, 5) with their constant entries
+      filled in, and each direction's well index;
+    - the buffers of ``_pair_moments``.
 
-    Returns (kets (5, M), weights (M, 2)): the objects' Gaussians as in
-    ``_gaussians``, and their constants split into two columns: the well
-    depth V_m for the potential kets (the linear part), g times the
-    multiplicity for the interaction triples (the cubic part). Order:
-    potential (N_wells * NG, well-major), interaction (see ``_triples``).
+    :meth:`brackets` then reads the state straight from the packed vector
+    and does only the work that depends on it. ``metric_rcond_min`` is the
+    smallest reciprocal condition estimate of the metric that
+    :func:`assemble_eom` met with this kernel.
     """
-    n = gauss.shape[1]
-    kets, lin, cubic = [np.empty((5, 0), dtype=complex)], [], []
-    if wells is not None:
-        kets.append(_potential_kets(gauss, wells))
-        lin = np.repeat(wells.depths, n)
-    if units.g != 0.0:
-        a_i, b_i, c_i, mult = _triples(n)
-        kets.append(gauss[:, a_i] + np.conj(gauss)[:, b_i] + gauss[:, c_i])
-        cubic = units.g * mult
-    kets = np.concatenate(kets, axis=1)
-    weights = np.zeros((kets.shape[1], 2), dtype=complex)
-    weights[:len(lin), 0] = lin
-    weights[len(lin):, 1] = cubic
-    return kets, weights
+
+    def __init__(self, wells: WellPotentialSpec | None, units: UnitSystem):
+        self.wells, self.units = wells, units
+        self._shifts = np.empty((5, 0)) if wells is None else _well_shifts(wells)
+        self.metric_rcond_min = math.inf
+        self._packed_len = None
+
+    def _lay_out(self, n):
+        n_wells = self._shifts.shape[1]
+        zero = 2 * n + n_wells
+        self._ext = np.zeros((5, zero + 1), dtype=complex)
+        self._ext[:, 2 * n:zero] = self._shifts
+        own = np.arange(n)
+        gather = [(own, np.full(n, zero), np.full(n, zero))]
+        lin, cubic = [], []
+        if self.wells is not None:
+            gather.append((np.tile(own, n_wells), 2 * n + np.repeat(np.arange(n_wells), n),
+                           np.full(n_wells * n, zero)))
+            lin = np.repeat(self.wells.depths, n)
+        if self.units.g != 0.0:
+            a_i, b_i, c_i, mult = _triples(n)
+            gather.append((a_i, n + b_i, c_i))
+            cubic = self.units.g * mult
+        self._gather = np.concatenate(gather, axis=1)
+        m = self._gather.shape[1] - n
+        self._weights = np.zeros((m, 2), dtype=complex)
+        self._weights[:len(lin), 0] = lin
+        self._weights[len(lin):, 1] = cubic
+        self._kets = np.empty((5, n + m), dtype=complex)
+        self._moments = _moment_buffers(n, n + m)
+
+        D = np.zeros((n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
+        D[:, 0, 1] = -1.0                      # AxR: -x^2
+        D[:, 1, 1] = -1j                       # AxI
+        D[:, 2, 2] = -1.0                      # AyR
+        D[:, 3, 2] = -1j                       # AyI
+        D[:, 4, 4], D[:, 5, 4] = -1.0, -1j     # AzR, AzI: -(z-q)^2
+        D[:, 7, 3] = 1j                        # p: i(z-q)
+        D[:, 8, 0] = -1.0                      # gamma_R
+        D[:, 9, 0] = -1j                       # gamma_I
+        self._D, self._D_parts = D, (D.real, D.imag)
+        self.wells_of = np.repeat(own, PARAMS_PER_WELL)
+        self._n, self._packed_len = n, PARAMS_PER_WELL * n
+
+    def brackets(self, x):
+        """The derivative polynomials and H psi for the packed vector ``x``
+        (see ``VariationalState.to_vector``).
+
+        Returns (D, table, lin, nl). D (10 NG, 5) holds the coefficients of
+        d psi / d x over {1, x^2, y^2, z, z^2} per direction, the well of
+        direction d being ``wells_of[d]``; it is the kernel's buffer, which
+        the next call overwrites. ``table`` (5, 5, NG, NG) is the moment
+        table of the state's Gaussians with themselves; the metric and the
+        kinetic ket share it. ``lin`` and ``nl`` (5, NG) hold
+        <m_i G_w| (T + V) psi> and <m_i G_w| g |psi|^2 psi> for bra
+        monomial m_i and bra Gaussian G_w, summed over the ket objects, so
+        that for a polynomial P, <P G_w | H | psi> = sum_i conj(P_i)
+        (lin + nl)[i, w]. A width with Re A <= 0 raises NonNormalizable.
+        """
+        x = np.ascontiguousarray(x, dtype=float)
+        if len(x) != self._packed_len:
+            self._lay_out(len(x) // PARAMS_PER_WELL)
+        n, ext, D = self._n, self._ext, self._D
+        packed = x.view(complex).reshape(n, PARAMS_PER_WELL // 2)  # A_x, A_y, A_z, q + ip, gamma
+        if (packed[:, :3].real <= 0).any():
+            # as the pair of that Gaussian with itself has: checked once here
+            raise NonNormalizable("pair Gaussian with nonpositive real width")
+        q, p, az = x[6::10], x[7::10], packed[:, 2]
+        two_az, ip, qq = 2.0 * az, 1j * p, q * q
+        ext[:3, :n] = packed[:, :3].T
+        b = np.add(two_az * q, ip, out=ext[3, :n])
+        ext[4, :n] = -az * qq - ip * q - packed[:, 4]
+        gauss = ext[:, :n]
+        np.conjugate(gauss, out=ext[:, n:2 * n])
+
+        # the q-, p- and A_z-dependent entries; the rest stay as laid out
+        D_re, D_im = self._D_parts
+        D_re[:, 4, 0] = D_im[:, 5, 0] = -qq       # AzR, AzI: -(z-q)^2
+        D_re[:, 4, 3] = D_im[:, 5, 3] = 2.0 * q
+        np.negative(b, out=D[:, 6, 0])            # q: 2A_z(z-q)-ip = 2A_z z - b
+        D[:, 6, 3] = two_az
+        D_im[:, 7, 0] = -q                        # p: i(z-q)
+
+        # every ket object as one indexed sum over the columns of ext
+        g = ext[:, self._gather]
+        kets = np.add(g[:, 0], g[:, 1], out=self._kets)
+        kets += g[:, 2]
+        moments = _pair_moments(ext[:, n:2 * n], kets, self._moments, n)
+        mx, my, mz = (m[..., :n] for m in moments)
+        table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
+        lin = np.einsum("jm,ijwm->iw", _kinetic_polys(gauss), table)
+        # the scalar kets need only the bra-monomial column (5, NG, M), and are
+        # summed over objects before the bra wells are gathered into directions
+        mx, my, mz = (m[..., n:] for m in moments)
+        sums = (mx[_XDEG] * my[_YDEG] * mz[_ZDEG]) @ self._weights
+        return D.reshape(PARAMS_PER_WELL * n, _N_MONO), table, lin + sums[..., 0], sums[..., 1]
+
+    def rhs(self, t, x):
+        """Time-derivative of the packed vector ``x``, through
+        :func:`assemble_eom` with this kernel: the ODE right-hand side."""
+        return assemble_eom(x, self.wells, self.units, self)[1]
 
 
-def _hamiltonian_kets(state: VariationalState, wells: WellPotentialSpec | None,
-                      units: UnitSystem):
-    """The state's monomial table and H psi projected onto the bra monomials.
-
-    One moment evaluation covers the state's own Gaussians and every scalar
-    ket object. Returns (table, lin, nl). ``table`` (5, 5, NG, NG) is the
-    moment table of the state's Gaussians with themselves; the metric and
-    the kinetic ket share it. ``lin`` and ``nl`` (5, NG) hold
-    <m_i G_w| (T + V) psi> and <m_i G_w| g |psi|^2 psi> for bra monomial
-    m_i and bra Gaussian G_w, summed over the ket objects, so that for a
-    polynomial P, <P G_w | H | psi> = sum_i conj(P_i) (lin + nl)[i, w].
-    """
-    n = state.size
-    gauss = _gaussians(state)
-    kets, weights = _scalar_kets(gauss, wells, units)
-    moments = _pair_moments(gauss, np.concatenate([gauss, kets], axis=1))
-    mx, my, mz = (m[..., :n] for m in moments)
-    table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
-    lin = np.einsum("jm,ijwm->iw", _kinetic_polys(gauss), table)
-    # the scalar kets need only the bra-monomial column (5, NG, M), and are
-    # summed over objects before the bra wells are gathered into directions
-    mx, my, mz = (m[..., n:] for m in moments)
-    sums = (mx[_XDEG] * my[_YDEG] * mz[_ZDEG]) @ weights
-    return table, lin + sums[..., 0], sums[..., 1]
+def _packed(state):
+    """The packed real vector of a VariationalState; a vector as it is."""
+    return state.to_vector() if isinstance(state, VariationalState) else state
 
 
 def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
@@ -340,10 +418,12 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     if wells is None:
         pot, depths = np.empty((5, 0)), np.empty(0)
     else:
-        pot, depths = _potential_kets(gauss, wells), wells.depths
+        pot = (gauss[:, None, :] + _well_shifts(wells)[:, :, None]).reshape(5, -1)
+        depths = wells.depths
     k, j, i = np.indices((n, n, n)).reshape(3, -1)
     triples = gauss[:, k] + np.conj(gauss)[:, j] + gauss[:, i]
-    mx, my, mz = _pair_moments(gauss, np.concatenate([gauss, pot, triples], axis=1))
+    kets = np.concatenate([gauss, pot, triples], axis=1)
+    mx, my, mz = _pair_moments(np.conj(gauss), kets, _moment_buffers(n, kets.shape[1]), 0)
     # <G_l| m G_k> for the ket monomials m; row 0 is <G_l|ket> for every object
     column = mx[_XDEG] * my[_YDEG] * mz[_ZDEG]
     T = np.einsum("jk,jlk->lk", _kinetic_polys(gauss), column[:, :, :n])
@@ -370,40 +450,57 @@ def _metric(D, table):
 def norm_and_energy(state: VariationalState, wells: WellPotentialSpec | None,
                     units: UnitSystem):
     """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>)."""
-    table, lin, nl = _hamiltonian_kets(state, wells, units)
+    _, table, lin, nl = TrapKernel(wells, units).brackets(state.to_vector())
     nrm = float(table[0, 0].sum().real)
     return nrm, float((lin[0].sum() + 0.5 * nl[0].sum()).real)
 
 
-def assemble_eom(state: VariationalState, wells: WellPotentialSpec | None,
-                 units: UnitSystem):
+def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
+                 kernel: TrapKernel | None = None):
     """Variational system and parameter velocities xdot (real vector).
+
+    ``state`` is a VariationalState or its packed vector. ``kernel`` is the
+    trap's ``TrapKernel(wells, units)``: :func:`eom_rhs` builds it once and
+    passes it on every call; without it one is built for this call.
 
     Solves (Re M + Re M^T) xdot = 2 Im h by Cholesky. A metric that is not
     positive definite or is ill-conditioned (near-redundant parameter
     directions) is a breakdown of the ansatz, raised as SingularMetric;
     nothing is floored (see ``_solve_metric``)."""
-    D, wells_of = _derivative_polys(state)
-    table, lin, nl = _hamiltonian_kets(state, wells, units)
+    if kernel is None:
+        kernel = TrapKernel(wells, units)
+    D, table, lin, nl = kernel.brackets(_packed(state))
     metric = _metric(D, table)
-    h = _project(D, wells_of, lin + nl)
-    xdot = _solve_metric(metric.real + metric.real.T, 2.0 * h.imag)
+    h = _project(D, kernel.wells_of, lin + nl)
+    xdot, rcond = _solve_metric(metric.real + metric.real.T, 2.0 * h.imag)
+    kernel.metric_rcond_min = min(kernel.metric_rcond_min, rcond)
     return VariationalSystem(metric=metric, rhs_vector=h), xdot
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK's Cholesky solve and condition estimate, imported at the
+    first solve.
+
+    Called directly: scipy.linalg.cho_factor/cho_solve run the same
+    ?potrf/?potrs (which ?posv runs in one call) but add about 20 us of
+    argument checks per call."""
+    from scipy.linalg.lapack import dpocon, dposv
+    return dpocon, dposv
 
 
 def _solve_metric(sym, rhs):
     """Solve ``sym @ xdot = rhs`` for the symmetrized metric by Cholesky.
 
-    Raises SingularMetric when the factorization fails (the metric is not
-    positive definite to working precision) or when LAPACK's reciprocal
-    condition estimate of the factor (1-norm) is below
-    ``METRIC_RCOND_MIN``: the velocities along near-redundant directions
-    would then be roundoff. The metric is never regularised."""
-    # LAPACK directly: scipy.linalg.cho_factor/cho_solve run the same
-    # ?potrf/?potrs but add about 20 us of argument checks per call
-    from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
-
-    factor, info = dpotrf(sym, lower=1, clean=0)
+    Returns xdot and LAPACK's reciprocal condition estimate of the factor
+    (1-norm). Raises SingularMetric when the factorization fails (the
+    metric is not positive definite to working precision) or when that
+    estimate is below ``METRIC_RCOND_MIN``: the velocities along
+    near-redundant directions would then be roundoff. The metric is never
+    regularised."""
+    dpocon, dposv = _lapack()
+    # factor and solve in one call; the solution is dropped if a check fails
+    factor, xdot, info = dposv(sym, rhs, lower=1)
     if info != 0:
         raise SingularMetric(
             f"variational metric is not positive definite "
@@ -415,18 +512,13 @@ def _solve_metric(sym, rhs):
             f"variational metric is singular to working precision "
             f"(reciprocal condition estimate {rcond:.3e} < {METRIC_RCOND_MIN:g})"
         )
-    xdot, _ = dpotrs(factor, rhs, lower=1)
-    return xdot
+    return xdot, rcond
 
 
 def eom_rhs(wells, units):
-    """Time-derivative of the packed real parameter vector."""
-    def rhs(t, x):
-        # the integrator keeps the packed length; the moments check the widths
-        state = VariationalState.from_vector(x, check=False)
-        _, xdot = assemble_eom(state, wells, units)
-        return xdot
-    return rhs
+    """Time-derivative of the packed real parameter vector, ``rhs(t, x)``:
+    the ``rhs`` method of one ``TrapKernel(wells, units)``."""
+    return TrapKernel(wells, units).rhs
 
 
 def propagate_state(state: VariationalState, wells, units, t_span,
@@ -436,18 +528,23 @@ def propagate_state(state: VariationalState, wells, units, t_span,
     return VariationalState.from_vector(traj.y[-1]), traj
 
 
-def normalized_energy(state: VariationalState, wells, units, directions=None):
+def normalized_energy(state, wells, units, directions=None,
+                      kernel: TrapKernel | None = None):
     """Mean-field energy of the normalized state, E[psi]/<psi|psi>, and its
     analytic gradient with respect to the packed real parameters.
 
+    ``state`` is a VariationalState or its packed vector; ``kernel`` is the
+    trap's ``TrapKernel(wells, units)``, built here when not given.
     ``directions``, when given, selects the entries of the packed vector
     (see ``to_vector``) whose derivatives are returned, in that order.
     Returns ``(energy, gradient)``.
     """
-    D, wells_of = _derivative_polys(state)
+    if kernel is None:
+        kernel = TrapKernel(wells, units)
+    D, table, lin, nl = kernel.brackets(_packed(state))
+    wells_of = kernel.wells_of
     if directions is not None:
         D, wells_of = D[directions], wells_of[directions]
-    table, lin, nl = _hamiltonian_kets(state, wells, units)
     nrm = table[0, 0].sum().real
     e_lin = lin[0].sum().real
     e_nl = nl[0].sum().real
@@ -472,8 +569,10 @@ def relax_to_fixed_point(state: VariationalState, wells, units, tol=1e-5,
     of motion up to a global phase. Raises NoConvergence if the gradient
     does not drop below ``tol``.
     """
+    kernel = TrapKernel(wells, units)
+
     def energy_and_grad(x):
-        return normalized_energy(VariationalState.from_vector(x), wells, units)
+        return normalized_energy(x, wells, units, kernel=kernel)
 
     x, _, grad = minimize_norm_constrained(energy_and_grad, state.to_vector(),
                                            tol=tol, max_iter=max_steps)
@@ -551,7 +650,11 @@ class ControlledStepResult:
     end populations and currents, the root search's iterations and
     finite-difference Jacobian builds, the end-of-interval integrations it
     made, and ``jacobian``, the Broyden model of d(j_01, j_23) / d(V^0, V^3)
-    at the accepted depths (unscaled currents)."""
+    at the accepted depths (unscaled currents). ``rhs_evals``,
+    ``accepted_steps`` and ``rejected_steps`` sum the integrator's work over
+    all those integrations, the search's trials included, and
+    ``metric_rcond_min`` is the smallest reciprocal condition estimate of
+    the metric that they met."""
 
     state: VariationalState
     depths: tuple
@@ -561,6 +664,10 @@ class ControlledStepResult:
     jacobian_refreshes: int
     integrations: int
     jacobian: np.ndarray | None
+    rhs_evals: int
+    accepted_steps: int
+    rejected_steps: int
+    metric_rcond_min: float
 
 
 def controlled_step(state: VariationalState, wells: WellPotentialSpec,
@@ -587,7 +694,7 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     x0 = state.to_vector()
     scale = max(abs(t) for t in targets) + 1e-4
 
-    cache = {}
+    cache, runs = {}, []
 
     def end_point(v):
         """End state and its wall populations and currents at depths ``v``."""
@@ -601,8 +708,10 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
             depths = wells.depths.copy()
             depths[0], depths[-1] = v
             wtrial = replace(wells, depths=depths)
-            traj = integrate_adaptive(eom_rhs(wtrial, units), x0, (0.0, dt), settings,
+            kernel = TrapKernel(wtrial, units)
+            traj = integrate_adaptive(kernel.rhs, x0, (0.0, dt), settings,
                                       dense_output=False)
+            runs.append((traj, kernel.metric_rcond_min))
             st = VariationalState.from_vector(traj.y[-1])
             cache[key] = (st, *box_observables(st, partition))
         return cache[key]
@@ -628,6 +737,10 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
         iterations=report.iterations, jacobian_refreshes=report.jacobian_refreshes,
         integrations=len(cache),
         jacobian=None if report.jacobian is None else report.jacobian * scale,
+        rhs_evals=sum(traj.rhs_evals for traj, _ in runs),
+        accepted_steps=sum(traj.accepted_steps for traj, _ in runs),
+        rejected_steps=sum(traj.rejected_steps for traj, _ in runs),
+        metric_rcond_min=min(rcond for _, rcond in runs),
     ), replace(wells, depths=depths)
 
 
@@ -635,9 +748,11 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
 class VariationalRunRecord:
     """Sampled observables at the control-interval ends (``t[0] = 0``), and
     per completed interval the depth search's root iterations,
-    finite-difference Jacobian builds and end-of-interval integrations. A
-    run ended by an error records its time, type name
-    (``breakdown_reason``) and text (``breakdown_message``)."""
+    finite-difference Jacobian builds, end-of-interval integrations, the
+    integrator's work on them and the smallest reciprocal condition
+    estimate of the metric (see :class:`ControlledStepResult`). A run ended
+    by an error records its time, type name (``breakdown_reason``) and text
+    (``breakdown_message``)."""
 
     t: np.ndarray
     n: np.ndarray
@@ -648,6 +763,10 @@ class VariationalRunRecord:
     root_iterations: np.ndarray
     jacobian_refreshes: np.ndarray
     integrations: np.ndarray
+    rhs_evals: np.ndarray
+    accepted_steps: np.ndarray
+    rejected_steps: np.ndarray
+    metric_rcond_min: np.ndarray
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
     breakdown_message: str | None = None
@@ -683,6 +802,7 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     gammas = [gamma_fn(0.0)[0]]
     deltas = [state.q_z - wells.positions]
     iterations, refreshes, integrations = [], [], []
+    rhs_evals, accepted, rejected, rconds = [], [], [], []
     jacobian = None
     t = 0.0
     current_wells = wells
@@ -696,6 +816,10 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
             root_iterations=np.array(iterations, dtype=int),
             jacobian_refreshes=np.array(refreshes, dtype=int),
             integrations=np.array(integrations, dtype=int),
+            rhs_evals=np.array(rhs_evals, dtype=int),
+            accepted_steps=np.array(accepted, dtype=int),
+            rejected_steps=np.array(rejected, dtype=int),
+            metric_rcond_min=np.array(rconds),
             **breakdown,
         )
 
@@ -725,4 +849,8 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
         iterations.append(result.iterations)
         refreshes.append(result.jacobian_refreshes)
         integrations.append(result.integrations)
+        rhs_evals.append(result.rhs_evals)
+        accepted.append(result.accepted_steps)
+        rejected.append(result.rejected_steps)
+        rconds.append(result.metric_rcond_min)
     return record(), state

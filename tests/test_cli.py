@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptembed import variational
 from ptembed.cli import (
     compare_runs,
     main,
@@ -322,3 +323,26 @@ class TestPhysicalSubcommands:
         assert summary["control_jacobian_refreshes"] == 1
         assert summary["control_root_iterations"] == 2
         assert summary["control_integrations"] == 6
+
+    def test_variational_summary_reports_integrator_work(self, tmp_path, monkeypatch):
+        # every right-hand side call goes through variational.assemble_eom
+        calls = []
+        assemble = variational.assemble_eom
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "assemble_eom", counting)
+        cfg = tmp_path / "var.cfg"
+        cfg.write_text("[scenario]\nname = adiabatic_variational\nt_end = 0.5\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # one interval: the start point and the two finite-difference
+        # trials of the depth search are counted with the accepted one
+        assert summary["control_integrations"] >= 3
+        assert summary["rhs_evals"] == len(calls) > 0
+        assert summary["accepted_steps"] >= summary["control_integrations"]
+        assert summary["rejected_steps"] >= 0
+        assert 1e-12 <= summary["metric_rcond_min"] < 1.0

@@ -198,6 +198,23 @@ class TestGroundStateFit(object):
         assert abs(eff.onsite[0] - eff.onsite[3]) < 1e-3
         assert eff.onsite[0] < eff.onsite[1] < 0
 
+    def test_warm_refit_from_the_returned_amplitudes(self, fitted, monkeypatch):
+        # the amplitudes are real, so they seed a refit without a
+        # ComplexWarning (an error under the suite's warning filter)
+        wells, units, basis, d, energy = fitted
+        assert d.dtype == float
+        evals = []
+        minimize = dnlse.minimize_norm_constrained
+
+        def counting(energy_fn, x0, **kwargs):
+            return minimize(lambda x: evals.append(1) or energy_fn(x), x0, **kwargs)
+
+        monkeypatch.setattr(dnlse, "minimize_norm_constrained", counting)
+        basis2, d2, energy2 = fit_ground_state(wells, units, seed_basis=basis, seed_d=d)
+        assert len(evals) <= 2
+        assert abs(energy2 - energy) < 1e-12
+        assert np.max(np.abs(d2 - d)) < 1e-9
+
     def test_effective_amplitudes_close_to_box_numbers(self, fitted):
         wells, units, basis, d, energy = fitted
         d_nn, occ_nn = effective_amplitudes(d, basis)

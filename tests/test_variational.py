@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptembed import variational
 from ptembed.dnlse import (
     UnitSystem,
     WellPotentialSpec,
@@ -20,6 +21,7 @@ from ptembed.errors import (
 )
 from ptembed.numerics import IntegratorSettings
 from ptembed.variational import (
+    TrapKernel,
     VariationalState,
     WallPartition,
     assemble_eom,
@@ -65,8 +67,9 @@ class TestState:
                              q_z=[0.0], p_z=[0.0], gamma=[0.0])
 
     def test_eom_rhs_rejects_nonpositive_width(self):
-        # the right-hand side skips the state's own checks: the moment
-        # tables raise instead, and the derivative is unchanged
+        # the right-hand side reads the packed vector without building a
+        # state: its kernel checks the widths instead, and the derivative
+        # is unchanged
         st = single_packet()
         rhs = eom_rhs(None, FREE_UNITS)
         x = st.to_vector()
@@ -204,6 +207,35 @@ def test_warm_started_step_skips_finite_differences(trap_system):
     assert second.integrations == 2
 
 
+def test_run_record_counts_every_integration(trap_system, monkeypatch):
+    wells, units, state = trap_system
+    trajectories, rconds = [], []
+    integrate, solve = variational.integrate_adaptive, variational._solve_metric
+
+    def counting_integrate(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    def recording_solve(*args):
+        xdot, rcond = solve(*args)
+        rconds.append(rcond)
+        return xdot, rcond
+
+    monkeypatch.setattr(variational, "integrate_adaptive", counting_integrate)
+    monkeypatch.setattr(variational, "_solve_metric", recording_solve)
+    record, _ = run_variational_scenario(
+        wells, units, lambda t: (2e-3 * t, 2e-3), t_end=1.0, control_dt=0.5,
+        state=state, settings=IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9))
+    assert not record.broke_down
+    # the root search's trial integrations count with the accepted ones
+    assert len(trajectories) == record.integrations.sum() > len(record.integrations)
+    assert record.rhs_evals.sum() == sum(t.rhs_evals for t in trajectories) == len(rconds)
+    assert record.accepted_steps.sum() == sum(t.accepted_steps for t in trajectories)
+    assert record.rejected_steps.sum() == sum(t.rejected_steps for t in trajectories)
+    assert record.metric_rcond_min.min() == min(rconds)
+    assert 1e-12 <= min(rconds) < 1.0
+
+
 def test_unreachable_targets_fail_the_search(trap_system):
     wells, units, state = trap_system
     settings = IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9)
@@ -328,6 +360,38 @@ def test_assembly_matches_object_by_object_reference(seed, n, n_wells):
     assert np.max(np.abs(system.rhs_vector - h)) <= 1e-11 * np.max(np.abs(h))
     sym, rhs = system.metric.real + system.metric.real.T, 2.0 * system.rhs_vector.imag
     assert np.linalg.norm(sym @ xdot - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4),
+       trapped=st.booleans(), interacting=st.booleans())
+def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapped, interacting):
+    # one kernel serves a whole integration; its buffers must carry nothing
+    # from one state to the next
+    first, wells, units = random_system(seed, n, n_wells)
+    second, _, _ = random_system(seed + 1, n, n_wells)
+    wells = wells if trapped else None
+    units = units if interacting else FREE_UNITS
+    kernel = TrapKernel(wells, units)
+    rhs = eom_rhs(wells, units)
+    results = []
+    for state in (first, second):
+        x = state.to_vector()
+        fresh_system, fresh_xdot = assemble_eom(VariationalState.from_vector(x), wells, units)
+        assert np.array_equal(rhs(0.0, x), fresh_xdot)
+        system, xdot = assemble_eom(x, wells, units, kernel)
+        assert np.array_equal(xdot, fresh_xdot)
+        assert np.array_equal(system.metric, fresh_system.metric)
+        assert np.array_equal(system.rhs_vector, fresh_system.rhs_vector)
+        e, grad = normalized_energy(x, wells, units, kernel=kernel)
+        fresh_e, fresh_grad = normalized_energy(state, wells, units)
+        assert e == fresh_e and np.array_equal(grad, fresh_grad)
+        results.append((system, xdot, fresh_system, fresh_xdot))
+    # what the kernel returned for the first state is not overwritten
+    system, xdot, fresh_system, fresh_xdot = results[0]
+    assert np.array_equal(xdot, fresh_xdot)
+    assert np.array_equal(system.metric, fresh_system.metric)
+    assert np.array_equal(system.rhs_vector, fresh_system.rhs_vector)
 
 
 @settings(max_examples=10)
