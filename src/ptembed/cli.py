@@ -431,8 +431,11 @@ def write_outputs(ts, cols, summary, out_dir, emit_plots=False):
         with open(csv_path, "w") as fh:
             fh.write(",".join(order) + "\n")
             data = {"t": ts, **cols}
-            for i in range(len(ts)):
-                fh.write(",".join(f"{data[k][i]:.16e}" for k in order) + "\n")
+            # one %-template per row writes the same text as f"{v:.16e}" per
+            # value, with one Python formatting call a row instead of one a cell
+            row_format = ",".join(["%.16e"] * len(order)) + "\n"
+            for row in zip(*(data[k] for k in order)):
+                fh.write(row_format % row)
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

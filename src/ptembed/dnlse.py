@@ -43,6 +43,7 @@ from .variational import (
     TrapKernel,
     VariationalState,
     gaussian_matrices,
+    gaussian_overlaps,
     norm_and_energy,
     normalized_energy,
 )
@@ -174,7 +175,7 @@ def _potential_exponent(basis, s_m, w_z):
 
 def overlap_matrix(basis: VariationalState):
     """K_lk = <g^l|g^k>, all pairs, for a basis at rest."""
-    return gaussian_matrices(basis, None)[0]
+    return gaussian_overlaps(basis)
 
 
 def interaction_tensor(basis: VariationalState, units: UnitSystem):
@@ -385,8 +386,10 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     ]).ravel()
 
     def packed(x):
-        out = np.zeros(PARAMS_PER_WELL * n)
-        out[directions] = x
+        """The packed vector (10 NG,) of the fit's parameters (5 NG,), or
+        the packed vectors (..., 10 NG) of a stack of them (..., 5 NG)."""
+        out = np.zeros((*x.shape[:-1], PARAMS_PER_WELL * n))
+        out[..., directions] = x
         return out
 
     kernel = TrapKernel(wells, units)

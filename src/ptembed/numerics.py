@@ -1,6 +1,8 @@
 """Numerical kernel: adaptive ODE integration (the Dormand-Prince 8(5,3)
 pair, DOP853, with its 7th-order dense output), root finding and
-unconstrained minimization with an analytic gradient.
+unconstrained minimization with an analytic gradient. The minimizer's
+energy takes a stack of points (m, n) as well as one point (n,), and
+builds each Hessian from one call on a stack.
 
 Everything here is deterministic for fixed inputs and free of module-level
 state, so independent calls can run in parallel. The module needs numpy
@@ -459,12 +461,15 @@ def minimize_norm_constrained(energy, x0, tol=1e-6, max_iter=500):
     """Minimize ``energy(x)``, which returns ``(value, analytic gradient)``,
     by damped, saddle-free Newton steps.
 
-    The name dates from an optional norm constraint that no caller used;
-    it is kept because the benchmark's tracer (``bench/tracing.py``) wraps
-    this function by name.
+    ``energy`` takes one point ``x`` (n,) and returns ``(value, grad)``,
+    and takes a stack of points (m, n) and returns their values (m,) and
+    gradients (m, n). The name dates from an optional norm constraint that
+    no caller used; it is kept because the benchmark's tracer
+    (``bench/tracing.py``) wraps this function by name.
 
-    Each step builds a forward-difference Hessian of the gradient and
-    eigendecomposes it. Directions of curvature |lambda| at or below 1e-8
+    Each step builds a forward-difference Hessian of the gradient, from one
+    call of ``energy`` on the n points x + h_i e_i, and eigendecomposes it.
+    Directions of curvature |lambda| at or below 1e-8
     of the largest (flat directions such as the scale of a Rayleigh
     quotient) are left out; along the others the step is
     -(v.g) v / (|lambda| + mu max|lambda|), so it points downhill at a
@@ -489,12 +494,11 @@ def minimize_norm_constrained(energy, x0, tol=1e-6, max_iter=500):
         gmax = np.max(np.abs(grad))
         if gmax <= tol:
             break
+        # row i of the stack is x + h_i e_i
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        hess = np.empty((len(x), len(x)))
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += h[i]
-            hess[:, i] = (energy(xp)[1] - grad) / h[i]
+        xp = np.tile(x, (len(x), 1))
+        xp.flat[::len(x) + 1] += h
+        hess = ((energy(xp)[1] - grad) / h[:, None]).T
         lam, vec = np.linalg.eigh(0.5 * (hess + hess.T))
         scale = np.max(np.abs(lam))
         keep = np.abs(lam) > 1e-8 * scale

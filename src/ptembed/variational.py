@@ -34,7 +34,9 @@ Each call then reads the state straight from the packed parameter vector
 and fills in only what depends on it. :func:`eom_rhs` builds one kernel
 per trap and calls :func:`assemble_eom` with it on every evaluation; the
 ground-state fit and :func:`relax_to_fixed_point` share one kernel over
-their energy evaluations.
+their energy evaluations. The brackets and :func:`normalized_energy` also
+take a stack of packed vectors, so the minimizer builds each Hessian from
+one call; every point of a stack gets the same bits as that point alone.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
@@ -215,27 +217,32 @@ def _well_shifts(wells: WellPotentialSpec):
     return shift
 
 
-def _moment_buffers(n, m):
-    """Output arrays of ``_pair_moments`` for NG bra Gaussians and m kets:
-    the pair Gaussians (5, NG, m), the x and y moments by order
-    (3, 3, NG, m) and the z moments (5, NG, m)."""
-    return (np.empty((5, n, m), dtype=complex), np.empty((3, 3, n, m), dtype=complex),
-            np.empty((5, n, m), dtype=complex))
+def _moment_buffers(n, m, lead=()):
+    """Output arrays of ``_pair_moments`` for NG bra Gaussians and m kets
+    per point of a stack of shape ``lead``: the pair Gaussians
+    (5, *lead, NG, m), the x and y moments by order (3, 3, *lead, NG, m)
+    and the z moments (5, *lead, NG, m)."""
+    return (np.empty((5, *lead, n, m), dtype=complex),
+            np.empty((3, 3, *lead, n, m), dtype=complex),
+            np.empty((5, *lead, n, m), dtype=complex))
 
 
 def _pair_moments(conj_bra, kets, out, n_table):
     """Per-axis moment tables between every bra Gaussian and every ket object.
 
-    ``conj_bra`` (5, NG), the conjugated bra Gaussians, and ``kets`` (5, M)
-    hold (A_x, A_y, A_z, b, C) per Gaussian; ``out`` is
-    ``_moment_buffers(NG, M)``, written in place. Returns (MX (3, NG, M),
-    MY (3, NG, M), MZ (5, NG, M)): orders x^0, x^2, x^4 and z^0..z^4; the
-    scalar prefactor exp(b^2/4S + C) is folded into MZ. The orders x^4,
-    z^3 and z^4 are filled in for the first ``n_table`` kets only; the
-    others carry a constant monomial and need only orders up to 2.
+    ``conj_bra`` (5, *lead, NG), the conjugated bra Gaussians, and ``kets``
+    (5, *lead, M) hold (A_x, A_y, A_z, b, C) per Gaussian, for each point
+    of a stack of shape ``lead`` (empty for one state); ``out`` is
+    ``_moment_buffers(NG, M, lead)``, written in place. Returns (MX (3,
+    *lead, NG, M), MY (3, *lead, NG, M), MZ (5, *lead, NG, M)): orders x^0,
+    x^2, x^4 and z^0..z^4; the scalar prefactor exp(b^2/4S + C) is folded
+    into MZ. The orders x^4, z^3 and z^4 are filled in for the first
+    ``n_table`` kets only; the others carry a constant monomial and need
+    only orders up to 2. Every entry is computed elementwise, so a point of
+    a stack gets the same bits as the point alone.
     """
     pair, M, MZ = out
-    np.add(conj_bra[:, :, None], kets[:, None, :], out=pair)
+    np.add(conj_bra[..., :, None], kets[..., None, :], out=pair)
     b, c = pair[3], pair[4]
 
     # sqrt(pi / S) and 1 / (2 S) for the three widths S at once: for x and
@@ -251,17 +258,17 @@ def _pair_moments(conj_bra, kets, out, n_table):
     np.multiply(iz0, mu2 + s2, out=MZ[2])
     k = n_table
     if k:
-        i0, sxy = i0[:2, :, :k], sxy[..., :k]
-        np.multiply(3.0 * i0, sxy**2, out=M[2, :2, :, :k])
-        iz0, mu, mu2, s2 = iz0[:, :k], mu[:, :k], mu2[:, :k], s2[:, :k]
-        np.multiply(iz0 * mu, mu2 + 3.0 * s2, out=MZ[3, :, :k])
-        np.multiply(iz0, mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2, out=MZ[4, :, :k])
+        i0, sxy = i0[:2, ..., :k], sxy[..., :k]
+        np.multiply(3.0 * i0, sxy**2, out=M[2, :2, ..., :k])
+        iz0, mu, mu2, s2 = iz0[..., :k], mu[..., :k], mu2[..., :k], s2[..., :k]
+        np.multiply(iz0 * mu, mu2 + 3.0 * s2, out=MZ[3, ..., :k])
+        np.multiply(iz0, mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2, out=MZ[4, ..., :k])
     return M[:, 0], M[:, 1], MZ
 
 
 def _kinetic_polys(gauss):
-    """-1/2 Delta acting on each ket Gaussian, as monomial coefficients
-    (5, NG) over {1, x^2, y^2, z, z^2}."""
+    """-1/2 Delta acting on each ket Gaussian of ``gauss`` (5, *lead, NG),
+    as monomial coefficients (5, *lead, NG) over {1, x^2, y^2, z, z^2}."""
     widths, b = gauss[:3], gauss[3]
     Q = np.empty_like(gauss)
     Q[0] = widths.sum(axis=0) - 0.5 * b**2
@@ -288,10 +295,11 @@ class TrapKernel:
       triples (the cubic part);
     - the derivative polynomials (NG, 10, 5) with their constant entries
       filled in, and each direction's well index;
-    - the buffers of ``_pair_moments``.
+    - the buffers of ``_pair_moments``, which serve one state; a stack of
+      states gets fresh ones per call, dropped when it returns.
 
     :meth:`brackets` then reads the state straight from the packed vector
-    and does only the work that depends on it. ``metric_rcond_min`` is the
+    (or each of a stack of them) and does only the work that depends on it. ``metric_rcond_min`` is the
     smallest reciprocal condition estimate of the metric that
     :func:`assemble_eom` met with this kernel.
     """
@@ -335,62 +343,92 @@ class TrapKernel:
         D[:, 7, 3] = 1j                        # p: i(z-q)
         D[:, 8, 0] = -1.0                      # gamma_R
         D[:, 9, 0] = -1j                       # gamma_I
-        self._D, self._D_parts = D, (D.real, D.imag)
+        self._D = D
         self.wells_of = np.repeat(own, PARAMS_PER_WELL)
         self._n, self._packed_len = n, PARAMS_PER_WELL * n
 
+    def _stack_scratch(self, lead):
+        """(ext, D, kets, moment buffers) for a stack of shape ``lead``: fresh
+        arrays holding the constants of the kernel's own buffers, which
+        serve one state; they are dropped when the call returns."""
+        n, (_, cols), m = self._n, self._ext.shape, self._kets.shape[1]
+        ext = np.empty((5, *lead, cols), dtype=complex)
+        ext[..., 2 * n:] = np.expand_dims(self._ext[:, 2 * n:], tuple(range(1, len(lead) + 1)))
+        D = np.broadcast_to(self._D, (*lead, *self._D.shape)).copy()
+        return ext, D, np.empty((5, *lead, m), dtype=complex), _moment_buffers(n, m, lead)
+
     def brackets(self, x):
         """The derivative polynomials and H psi for the packed vector ``x``
-        (see ``VariationalState.to_vector``).
+        (see ``VariationalState.to_vector``), or for each of a stack of them.
+
+        ``x`` is one packed vector (10 NG,) or a stack (..., 10 NG) with
+        leading axes, as in numpy; every output then gains the same leading
+        axes, and each point of the stack gets the same bits as that point
+        evaluated alone. For one vector:
 
         Returns (D, table, lin, nl). D (10 NG, 5) holds the coefficients of
         d psi / d x over {1, x^2, y^2, z, z^2} per direction, the well of
-        direction d being ``wells_of[d]``; it is the kernel's buffer, which
-        the next call overwrites. ``table`` (5, 5, NG, NG) is the moment
-        table of the state's Gaussians with themselves; the metric and the
-        kinetic ket share it. ``lin`` and ``nl`` (5, NG) hold
-        <m_i G_w| (T + V) psi> and <m_i G_w| g |psi|^2 psi> for bra
-        monomial m_i and bra Gaussian G_w, summed over the ket objects, so
-        that for a polynomial P, <P G_w | H | psi> = sum_i conj(P_i)
-        (lin + nl)[i, w]. A width with Re A <= 0 raises NonNormalizable.
+        direction d being ``wells_of[d]``; for one vector it is the
+        kernel's buffer, which the next call overwrites. ``table`` (5, 5,
+        NG, NG) is the moment table of the state's Gaussians with
+        themselves; the metric and the kinetic ket share it. ``lin`` and
+        ``nl`` (5, NG) hold <m_i G_w| (T + V) psi> and
+        <m_i G_w| g |psi|^2 psi> for bra monomial m_i and bra Gaussian G_w,
+        summed over the ket objects, so that for a polynomial P,
+        <P G_w | H | psi> = sum_i conj(P_i) (lin + nl)[i, w]. A width with
+        Re A <= 0 at any point raises NonNormalizable.
         """
         x = np.ascontiguousarray(x, dtype=float)
-        if len(x) != self._packed_len:
-            self._lay_out(len(x) // PARAMS_PER_WELL)
-        n, ext, D = self._n, self._ext, self._D
-        packed = x.view(complex).reshape(n, PARAMS_PER_WELL // 2)  # A_x, A_y, A_z, q + ip, gamma
-        if (packed[:, :3].real <= 0).any():
+        if x.shape[-1] != self._packed_len:
+            self._lay_out(x.shape[-1] // PARAMS_PER_WELL)
+        n, lead = self._n, x.shape[:-1]
+        s = len(lead)
+        # A_x, A_y, A_z, q + ip, gamma as rows (5, *lead, NG): inside, the
+        # stack's axes follow the first (component or order) axis of every
+        # array, so the moment code indexes components as for one vector
+        packed = x.view(complex).reshape(*lead, n, PARAMS_PER_WELL // 2).transpose(
+            s + 1, *range(s + 1))
+        if (packed[:3].real <= 0).any():
             # as the pair of that Gaussian with itself has: checked once here
             raise NonNormalizable("pair Gaussian with nonpositive real width")
-        q, p, az = x[6::10], x[7::10], packed[:, 2]
+        ext, D, kets, moments = (self._stack_scratch(lead) if s else
+                                 (self._ext, self._D, self._kets, self._moments))
+        q, p, az = x[..., 6::10], x[..., 7::10], packed[2]
         two_az, ip, qq = 2.0 * az, 1j * p, q * q
-        ext[:3, :n] = packed[:, :3].T
-        b = np.add(two_az * q, ip, out=ext[3, :n])
-        ext[4, :n] = -az * qq - ip * q - packed[:, 4]
-        gauss = ext[:, :n]
-        np.conjugate(gauss, out=ext[:, n:2 * n])
+        ext[:3, ..., :n] = packed[:3]
+        b = np.add(two_az * q, ip, out=ext[3, ..., :n])
+        ext[4, ..., :n] = -az * qq - ip * q - packed[4]
+        gauss = ext[..., :n]
+        np.conjugate(gauss, out=ext[..., n:2 * n])
 
         # the q-, p- and A_z-dependent entries; the rest stay as laid out
-        D_re, D_im = self._D_parts
-        D_re[:, 4, 0] = D_im[:, 5, 0] = -qq       # AzR, AzI: -(z-q)^2
-        D_re[:, 4, 3] = D_im[:, 5, 3] = 2.0 * q
-        np.negative(b, out=D[:, 6, 0])            # q: 2A_z(z-q)-ip = 2A_z z - b
-        D[:, 6, 3] = two_az
-        D_im[:, 7, 0] = -q                        # p: i(z-q)
+        D_re, D_im = D.real, D.imag
+        D_re[..., 4, 0] = D_im[..., 5, 0] = -qq   # AzR, AzI: -(z-q)^2
+        D_re[..., 4, 3] = D_im[..., 5, 3] = 2.0 * q
+        np.negative(b, out=D[..., 6, 0])          # q: 2A_z(z-q)-ip = 2A_z z - b
+        D[..., 6, 3] = two_az
+        D_im[..., 7, 0] = -q                      # p: i(z-q)
 
         # every ket object as one indexed sum over the columns of ext
-        g = ext[:, self._gather]
-        kets = np.add(g[:, 0], g[:, 1], out=self._kets)
-        kets += g[:, 2]
-        moments = _pair_moments(ext[:, n:2 * n], kets, self._moments, n)
+        g = ext[..., self._gather]
+        np.add(g[..., 0, :], g[..., 1, :], out=kets)
+        kets += g[..., 2, :]
+        moments = _pair_moments(ext[..., n:2 * n], kets, moments, n)
         mx, my, mz = (m[..., :n] for m in moments)
         table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
-        lin = np.einsum("jm,ijwm->iw", _kinetic_polys(gauss), table)
+        lin = np.einsum("j...m,ij...wm->...iw", _kinetic_polys(gauss), table)
         # the scalar kets need only the bra-monomial column (5, NG, M), and are
         # summed over objects before the bra wells are gathered into directions
         mx, my, mz = (m[..., n:] for m in moments)
-        sums = (mx[_XDEG] * my[_YDEG] * mz[_ZDEG]) @ self._weights
-        return D.reshape(PARAMS_PER_WELL * n, _N_MONO), table, lin + sums[..., 0], sums[..., 1]
+        column = np.multiply(mx[_XDEG], my[_YDEG])
+        column *= mz[_ZDEG]
+        sums = column @ self._weights
+        if s:
+            # the stack's axes lead in what is returned
+            sums = sums.transpose(*range(1, s + 1), 0, s + 1, s + 2)
+            table = table.transpose(*range(2, s + 2), 0, 1, s + 2, s + 3)
+        return (D.reshape(*lead, PARAMS_PER_WELL * n, _N_MONO), table,
+                lin + sums[..., 0], sums[..., 1])
 
     def rhs(self, t, x):
         """Time-derivative of the packed vector ``x``, through
@@ -432,10 +470,21 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     return flat[:, :n], T, V, flat[:, n + m * n:].reshape(n, n, n, n)
 
 
+def gaussian_overlaps(state: VariationalState):
+    """K_lk = <G_l|G_k> between the state's Gaussians, from the moments of
+    their own pairs alone: ``gaussian_matrices(state, wells)[0]`` bit for
+    bit, without the potential kets and the interaction triples."""
+    n = state.size
+    gauss = _gaussians(state)
+    mx, my, mz = _pair_moments(np.conj(gauss), gauss, _moment_buffers(n, n), 0)
+    return mx[0] * my[0] * mz[0]
+
+
 def _project(D, wells_of, ket):
     """sum_i conj(D[d, i]) ket[i, well(d)]: each direction's polynomial at
-    its own well against a ket already summed per bra well."""
-    return np.einsum("di,id->d", np.conj(D), ket[:, wells_of])
+    its own well against a ket already summed per bra well; D (..., d, 5)
+    and ket (..., 5, NG) may carry a stack's leading axes."""
+    return np.einsum("...di,...id->...d", np.conj(D), ket[..., wells_of])
 
 
 def _metric(D, table):
@@ -528,32 +577,61 @@ def propagate_state(state: VariationalState, wells, units, t_span,
     return VariationalState.from_vector(traj.y[-1]), traj
 
 
+# Rows of a stack that normalized_energy evaluates at once; a longer stack's
+# first axis is cut into blocks of this many. The four-well fit's Hessian
+# stacks have 20 rows. Evaluated whole, they raised trap_fit's peak RSS
+# from 40.3 to 41.1 MB, and their fresh temporaries page-faulted on every
+# call (about 460 minor faults). Blocks of 10 keep the peak within 0.1 MB
+# and fault about once a call, at about 80 us a row against 215 us for one
+# point alone (2-core x86-64 host); blocks of 5 cost about the same per row.
+STACK_BLOCK = 10
+
+
+def _squares(a):
+    """a**2 per element by libm's pow, as numpy squares one float64 scalar:
+    numpy squares an array by multiplication instead, which differs in the
+    last bit for about 0.1% of values, so a stack's points would not match
+    the same points evaluated one at a time."""
+    return np.reshape([v**2 for v in np.ravel(a).tolist()], np.shape(a))
+
+
 def normalized_energy(state, wells, units, directions=None,
                       kernel: TrapKernel | None = None):
     """Mean-field energy of the normalized state, E[psi]/<psi|psi>, and its
     analytic gradient with respect to the packed real parameters.
 
-    ``state`` is a VariationalState or its packed vector; ``kernel`` is the
-    trap's ``TrapKernel(wells, units)``, built here when not given.
+    ``state`` is a VariationalState or its packed vector, or a stack of
+    packed vectors (..., 10 NG) with leading axes; ``kernel`` is the trap's
+    ``TrapKernel(wells, units)``, built here when not given.
     ``directions``, when given, selects the entries of the packed vector
     (see ``to_vector``) whose derivatives are returned, in that order.
-    Returns ``(energy, gradient)``.
+    Returns ``(energy, gradient)``: for one state a scalar and a vector,
+    for a stack the energies (...) and gradients (..., len(directions)),
+    each point's bits the same as for that point alone. A width with
+    Re A <= 0 at any point raises NonNormalizable.
     """
     if kernel is None:
         kernel = TrapKernel(wells, units)
-    D, table, lin, nl = kernel.brackets(_packed(state))
+    x = _packed(state)
+    if np.ndim(x) > 1 and len(x) > STACK_BLOCK:
+        parts = [normalized_energy(x[i:i + STACK_BLOCK], wells, units, directions, kernel)
+                 for i in range(0, len(x), STACK_BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    D, table, lin, nl = kernel.brackets(x)
     wells_of = kernel.wells_of
     if directions is not None:
-        D, wells_of = D[directions], wells_of[directions]
-    nrm = table[0, 0].sum().real
-    e_lin = lin[0].sum().real
-    e_nl = nl[0].sum().real
-    e_n = e_lin / nrm + 0.5 * e_nl / nrm**2
-    mu = e_lin / nrm + e_nl / nrm**2
+        D, wells_of = D[..., directions, :], wells_of[directions]
+    nrm = table[..., 0, 0, :, :].sum(axis=(-2, -1)).real
+    e_lin = lin[..., 0, :].sum(axis=-1).real
+    e_nl = nl[..., 0, :].sum(axis=-1).real
+    nrm2 = _squares(nrm)
+    e_n = e_lin / nrm + 0.5 * e_nl / nrm2
+    mu = e_lin / nrm + e_nl / nrm2
     # d/dx of E/N: <D|H_lin psi> + <D|H_nl psi>/N - mu <D|psi>, where the
     # table's ket-constant column summed over kets is the bare psi
-    ket = lin + nl / nrm - mu * table[:, 0].sum(axis=-1)
-    grad = (2.0 / nrm) * _project(D, wells_of, ket).real
+    ket = (lin + nl / nrm[..., None, None]
+           - mu[..., None, None] * table[..., :, 0, :, :].sum(axis=-1))
+    grad = (2.0 / nrm)[..., None] * _project(D, wells_of, ket).real
     return e_n, grad
 
 

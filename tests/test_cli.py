@@ -140,6 +140,30 @@ class TestRunAndOutputs:
         loaded = json.loads((tmp_path / "summary.json").read_text())
         assert loaded["scenario"] == "stationary"
 
+    def test_csv_rows_match_per_value_formatting(self, stationary_run, tmp_path):
+        # extreme cells, one per row, in the n1 column of the stationary run
+        status, ts, cols, summary = stationary_run
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+        cols = {key: np.array(vals, dtype=float) for key, vals in cols.items()}
+        cols["n1"][:len(special)] = special
+        write_outputs(ts, cols, summary, str(tmp_path))
+        header, *rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+        order = header.split(",")
+        data = {"t": ts, **cols}
+        assert len(rows) == len(ts)
+        for i, row in enumerate(rows):
+            assert row == ",".join(f"{data[k][i]:.16e}" for k in order)
+        # the finite extremes read back bit for bit; non-finite cells are
+        # refused by name
+        with pytest.raises(ParseError, match="'n1'"):
+            read_timeseries(str(tmp_path / "timeseries.csv"))
+        cols["n1"][:3] = 1.0
+        write_outputs(ts, cols, summary, str(tmp_path))
+        _, cols2 = read_timeseries(str(tmp_path / "timeseries.csv"))
+        assert np.array_equal(np.signbit(cols2["n1"]), np.signbit(cols["n1"]))
+        for key, vals in cols.items():
+            assert np.array_equal(cols2[key], vals)
+
     def test_plot_scripts_emitted(self, stationary_run, tmp_path):
         status, ts, cols, summary = stationary_run
         write_outputs(ts, cols, summary, str(tmp_path), emit_plots=True)

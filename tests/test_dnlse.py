@@ -232,6 +232,29 @@ def test_fit_stopped_by_max_iter_warns():
     assert abs(mean_field_energy(d, basis, wells, units) - energy) < 1e-12
 
 
+def test_each_newton_step_makes_one_stacked_hessian_call(monkeypatch):
+    # the cold fit stopped after three damped Newton steps: three Hessians,
+    # each from one energy call on len(x) points, the rest single points
+    shapes = []
+    minimize = dnlse.minimize_norm_constrained
+
+    def recording(energy_fn, x0, **kwargs):
+        def energy(x):
+            shapes.append(np.shape(x))
+            return energy_fn(x)
+        return minimize(energy, x0, **kwargs)
+
+    monkeypatch.setattr(dnlse, "minimize_norm_constrained", recording)
+    with pytest.warns(ConvergenceWarning):
+        fit_ground_state(standard_four_well(), UnitSystem.rubidium87(), max_iter=3)
+    (n,) = shapes[0]
+    stacked = [i for i, shape in enumerate(shapes) if len(shape) == 2]
+    assert [shapes[i] for i in stacked] == [(n, n)] * 3
+    # each Hessian call is followed by the step's trial points alone
+    assert all(len(shape) == 1 for shape in shapes[stacked[-1] + 1:])
+    assert all(j - i > 1 for i, j in zip(stacked, stacked[1:]))
+
+
 @pytest.mark.slow
 def test_invert_to_potential_round_trip(fitted):
     wells, units, basis, d, energy = fitted

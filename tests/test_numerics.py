@@ -277,14 +277,16 @@ class TestRootFind:
 
 
 class TestConstrainedMinimize:
+    """The energies take one point (n,) or a stack of points (m, n)."""
+
     def test_analytic_gradient_meets_tol(self):
         # Rayleigh quotient of diag(1, 2, 3): flat along the scale of x
         a = np.array([1.0, 2.0, 3.0])
 
         def quotient(x):
-            nrm = x @ x
-            e = x @ (a * x) / nrm
-            return e, 2.0 * (a * x - e * x) / nrm
+            nrm = np.sum(x * x, axis=-1)
+            e = np.sum(x * (a * x), axis=-1) / nrm
+            return e, 2.0 * (a * x - e[..., None] * x) / nrm[..., None]
 
         x, val, grad = minimize_norm_constrained(quotient, np.array([0.5, 0.5, 0.7]),
                                                  tol=1e-12)
@@ -295,8 +297,9 @@ class TestConstrainedMinimize:
     def test_start_next_to_a_saddle_reaches_the_minimum(self):
         # x^2 - y^2 + y^4/2: saddle at the origin, minima -1/2 at (0, +-1)
         def f(v):
-            x, y = v
-            return x * x - y * y + 0.5 * y**4, np.array([2.0 * x, -2.0 * y + 2.0 * y**3])
+            x, y = v[..., 0], v[..., 1]
+            return (x * x - y * y + 0.5 * y**4,
+                    np.stack([2.0 * x, -2.0 * y + 2.0 * y**3], axis=-1))
 
         start = np.array([0.3, 1e-3])
         # the undamped Newton step from the start lands next to the saddle
@@ -313,10 +316,11 @@ class TestConstrainedMinimize:
         raised = []
 
         def f(v):
-            if v[0] <= 0.0:
-                raised.append(v[0])
+            x = v[..., 0]
+            if np.any(x <= 0.0):
+                raised.append(x)
                 raise NonNormalizable("x must stay positive")
-            return v[0] - np.log(v[0]), np.array([1.0 - 1.0 / v[0]])
+            return x - np.log(x), 1.0 - 1.0 / v
 
         x, val, grad = minimize_norm_constrained(f, np.array([3.0]), tol=1e-12)
         assert raised
@@ -325,10 +329,10 @@ class TestConstrainedMinimize:
 
     def test_max_iter_exhausted_returns_best_iterate(self):
         def rosenbrock(v):
-            x, y = v
+            x, y = v[..., 0], v[..., 1]
             return ((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2,
-                    np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-                              200.0 * (y - x * x)]))
+                    np.stack([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
+                              200.0 * (y - x * x)], axis=-1))
 
         start = np.array([-1.2, 1.0])
         x, val, grad = minimize_norm_constrained(rosenbrock, start, tol=1e-10, max_iter=2)

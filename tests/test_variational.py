@@ -10,6 +10,7 @@ from ptembed.dnlse import (
     UnitSystem,
     WellPotentialSpec,
     fit_ground_state,
+    overlap_matrix,
     standard_four_well,
 )
 from ptembed.errors import (
@@ -392,6 +393,70 @@ def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapp
     assert np.array_equal(xdot, fresh_xdot)
     assert np.array_equal(system.metric, fresh_system.metric)
     assert np.array_equal(system.rhs_vector, fresh_system.rhs_vector)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4),
+       trapped=st.booleans(), interacting=st.booleans(), rows=st.integers(1, 5))
+def test_stacked_brackets_match_row_by_row_bit_for_bit(seed, n, n_wells, trapped,
+                                                      interacting, rows):
+    _, wells, units = random_system(seed, n, n_wells)
+    wells = wells if trapped else None
+    units = units if interacting else FREE_UNITS
+    stack = np.stack([random_system(seed + k, n, n_wells)[0].to_vector()
+                      for k in range(rows)])
+    kernel = TrapKernel(wells, units)
+    stacked = [a.copy() for a in kernel.brackets(stack)]
+    picked = np.arange(2, len(stack[0]), 3)
+    energies, grads = normalized_energy(stack, wells, units, kernel=kernel)
+    sub_energies, sub_grads = normalized_energy(stack, wells, units, picked, kernel=kernel)
+    assert energies.shape == (rows,) and grads.shape == stack.shape
+    assert sub_grads.shape == (rows, len(picked))
+    for k, x in enumerate(stack):
+        for whole, alone in zip(stacked, kernel.brackets(x)):
+            assert np.array_equal(whole[k], alone)
+        e, grad = normalized_energy(x, wells, units, kernel=kernel)
+        assert energies[k] == e and np.array_equal(grads[k], grad)
+        e, grad = normalized_energy(x, wells, units, picked, kernel=kernel)
+        assert sub_energies[k] == e and np.array_equal(sub_grads[k], grad)
+    # further leading axes are the same stack
+    for whole, nested in zip(stacked, kernel.brackets(stack[None])):
+        assert np.array_equal(nested[0], whole)
+
+
+def test_long_stack_is_evaluated_in_blocks_with_the_same_bits():
+    state, wells, units = random_system(3, 4, 4)
+    x = state.to_vector()
+    rows = variational.STACK_BLOCK * 2 + 3
+    stack = x + 1e-3 * np.random.default_rng(0).standard_normal((rows, len(x)))
+    energies, grads = normalized_energy(stack, wells, units)
+    assert energies.shape == (rows,) and grads.shape == stack.shape
+    for k, point in enumerate(stack):
+        e, grad = normalized_energy(point, wells, units)
+        assert energies[k] == e and np.array_equal(grads[k], grad)
+
+
+def test_stack_with_one_nonpositive_width_raises():
+    state, wells, units = random_system(5, 3, 4)
+    stack = np.tile(state.to_vector(), (4, 1))
+    stack[2, 10 + 4] = -0.1  # Re A_z of the second Gaussian in the third row
+    kernel = TrapKernel(wells, units)
+    for call in (lambda: kernel.brackets(stack),
+                 lambda: normalized_energy(stack, wells, units, kernel=kernel)):
+        with pytest.raises(NonNormalizable):
+            call()
+    # the kernel still serves the valid rows
+    e, grad = normalized_energy(stack[:2], wells, units, kernel=kernel)
+    assert np.array_equal(e, normalized_energy(stack[0], wells, units)[0] * np.ones(2))
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
+def test_overlap_matrix_from_own_pairs_matches_the_full_evaluation(seed, n, n_wells):
+    state, wells, _ = random_system(seed, n, n_wells)
+    K = overlap_matrix(state)
+    assert np.array_equal(K, variational.gaussian_matrices(state, None)[0])
+    assert np.array_equal(K, variational.gaussian_matrices(state, wells)[0])
 
 
 @settings(max_examples=10)
