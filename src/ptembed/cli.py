@@ -119,13 +119,13 @@ def _validate(cfg):
     steps = cfg.get("integrator", "max_steps")
     if steps is not None and steps != int(steps):
         raise ParseError("[integrator] max_steps must be a whole number")
-    for key, lo in (("w_z", 0.0), ("n_atoms", -0.0), ("a_scat_bohr", -0.0)):
-        v = cfg.get("units", key)
-        if v is not None and v < lo:
-            raise UnitError(f"{key} must be >= {lo}")
     wz = cfg.get("units", "w_z")
     if wz is not None and wz <= 0:
-        raise UnitError("w_z must be positive")
+        raise UnitError(f"w_z must be positive, not {wz!r}")
+    for key in ("n_atoms", "a_scat_bohr"):
+        v = cfg.get("units", key)
+        if v is not None and v < 0:
+            raise UnitError(f"{key} must not be negative, not {v!r}")
 
 
 _DEFAULT_T_END = {

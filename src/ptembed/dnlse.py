@@ -14,10 +14,11 @@ generally with complex widths. A basis is the time-dependent ansatz of
 :mod:`ptembed.variational` at rest: a :class:`VariationalState` with
 p = gamma = 0, the amplitudes d held apart. The overlap matrix K,
 kinetic/potential matrices T, V, the two-body tensor W~ and the
-mean-field energy come from that module's Gaussian moment tables. The
-effective tridiagonal model uses nearest-neighbor closed forms; symmetric
-orthogonalization (exact or truncated to nearest neighbors) maps amplitudes
-onto it.
+mean-field energy come from that module's Gaussian moment tables, and so
+do the effective tridiagonal model and the nearest-neighbor orthogonalizer:
+both read the overlaps, the kinetic matrix and each well's potential matrix
+off one evaluation of those tables. Symmetric orthogonalization (exact or
+truncated to nearest neighbors) maps amplitudes onto the model.
 """
 
 from __future__ import annotations
@@ -148,31 +149,6 @@ class EffectiveModel:
             raise SizeMismatch("tunneling must have length size-1")
 
 
-def _pair(a):
-    """A^{kl} = A^k + (A^l)* as an (l, k)-indexed matrix."""
-    return a[None, :] + np.conj(a)[:, None]
-
-
-def _kappa(a):
-    return a[None, :] * np.conj(a)[:, None] / _pair(a)
-
-
-def _beta(a, w):
-    akl = _pair(a)
-    return np.sqrt(akl * w**2 / (akl * w**2 + 2.0))
-
-
-def _potential_exponent(basis, s_m, w_z):
-    """Exponent of the z-part of <g^l| well at s_m |g^k> relative to K_lk."""
-    ak = basis.A_z[None, :]
-    al = np.conj(basis.A_z)[:, None]
-    qk = basis.q_z[None, :]
-    ql = basis.q_z[:, None]
-    akl = ak + al
-    num = 2.0 * (ak * (s_m - qk) + al * (s_m - ql)) ** 2
-    return np.exp(-num / (akl * (akl * w_z**2 + 2.0)))
-
-
 def overlap_matrix(basis: VariationalState):
     """K_lk = <g^l|g^k>, all pairs, for a basis at rest."""
     return gaussian_overlaps(basis)
@@ -189,7 +165,8 @@ def hamiltonian_matrices(basis: VariationalState, wells: WellPotentialSpec,
     evaluation of the Gaussian moment tables."""
     if basis.size != wells.size:
         raise SizeMismatch("basis and trap must have equal well counts")
-    K, T, V, W = gaussian_matrices(basis, wells)
+    K, T, P, W = gaussian_matrices(basis, wells)
+    V = np.einsum("lmk,m->lk", P, wells.depths)
     return MatrixBundle(K=K, T=T, V=V, W_tensor=units.g * W)
 
 
@@ -204,111 +181,61 @@ def lowdin_exact(K):
     return (U / np.sqrt(evals)) @ U.conj().T
 
 
-def _geo_root4(basis):
-    """Fourth root of the product of real width parts, per well."""
-    prod = basis.A_x.real * basis.A_y.real * basis.A_z.real
-    return prod**0.25
-
-
-def _nn_kernel(basis):
-    """c^{kl} / sqrt(A_x^{kl} A_y^{kl} A_z^{kl}) on the off-diagonals
-    (the geometry factor shared by every nearest-neighbor closed form)."""
-    axy = _pair(basis.A_x)
-    ayy = _pair(basis.A_y)
-    azz = _pair(basis.A_z)
-    kappa_z = basis.A_z[None, :] * np.conj(basis.A_z)[:, None] / azz
-    dq = basis.q_z[None, :] - basis.q_z[:, None]
-    c = np.exp(-kappa_z * dq**2)
-    return c / (np.sqrt(axy) * np.sqrt(ayy) * np.sqrt(azz))
-
-
-def _nn_mask(n):
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = 1.0
-    m[idx + 1, idx] = 1.0
-    return m
+def _nn_overlaps(basis: VariationalState, power):
+    """N_k = K_kk^(-1/2) and the matrix K_lk (N_l N_k)^power / (N_l + N_k)
+    on the nearest-neighbor entries |l - k| = 1, zero elsewhere."""
+    K = overlap_matrix(basis)
+    N = np.diag(K).real ** -0.5
+    n = basis.size
+    neighbors = np.eye(n, k=1) + np.eye(n, k=-1)
+    return N, neighbors * K * np.outer(N, N) ** power / np.add.outer(N, N)
 
 
 def lowdin_nn(basis: VariationalState):
-    """Nearest-neighbor orthogonalizer X^(0) + X^(1) in closed form."""
-    n = basis.size
-    r4 = _geo_root4(basis)
-    x0 = np.diag((2.0 / math.pi) ** 0.75 * r4).astype(complex)
-    pair_geo = (r4**2)[None, :] * (r4**2)[:, None]
-    denom = r4[None, :] + r4[:, None]
-    x1 = (
-        -((8.0 / math.pi) ** 0.75)
-        * _nn_kernel(basis) * _nn_mask(n)
-        * pair_geo / denom
-    )
-    return x0 + x1
+    """Nearest-neighbor orthogonalizer X^(0) + X^(1): diag(N) minus
+    K_lk N_l^2 N_k^2 / (N_l + N_k) between neighbors, N_k = K_kk^(-1/2)."""
+    N, first = _nn_overlaps(basis, 2)
+    return np.diag(N) - first
 
 
 def lowdin_nn_inverse(basis: VariationalState):
-    """Closed-form (X^(0) + X^(1))^{-1} through first order in the overlap."""
-    n = basis.size
-    r4 = _geo_root4(basis)
-    y0 = np.diag((math.pi**3 / 8.0) ** 0.25 / r4).astype(complex)
-    pair_geo = (r4**2)[None, :] * (r4**2)[:, None]
-    denom = r4[None, :] + r4[:, None]
-    y1 = (
-        (8.0 * math.pi**3) ** 0.25
-        * _nn_kernel(basis) * _nn_mask(n)
-        * np.sqrt(pair_geo) / denom
-    )
-    return y0 + y1
+    """(X^(0) + X^(1))^{-1} through first order in the overlap: diag(1/N)
+    plus K_lk N_l N_k / (N_l + N_k) between neighbors."""
+    N, first = _nn_overlaps(basis, 1)
+    return np.diag(1.0 / N) + first
 
 
 def effective_model(basis: VariationalState, wells: WellPotentialSpec,
                     units: UnitSystem):
-    """Tridiagonal few-mode parameters in the nearest-neighbor approximation."""
+    """Tridiagonal few-mode parameters in the nearest-neighbor approximation.
+
+    From one :func:`ptembed.variational.gaussian_matrices` call, with
+    N_k = K_kk^(-1/2), S_lk = N_l K_lk N_k and l = k + 1:
+
+        E_k = Re(T_kk + V_k P_kkk) N_k^2,
+        J_k = Re[S_lk (E_k N_l + E_l N_k) / (N_k + N_l)
+                 - N_l N_k (T_lk + V_k P_lkk + V_l P_llk)],
+        U_k = g Re W~_kkkk N_k^4,
+
+    the onsite energy in the own well, the tunneling of the first-order
+    Loewdin orthogonalized pair in its two wells, and the onsite
+    interaction. For complex widths the onsite kinetic energy is the exact
+    sum |A|^2 / (2 Re A) over the axes, not the real-width value
+    (1/2) sum Re A; fitted bases have real widths, on which the two agree.
+    """
     if basis.size != wells.size:
         raise SizeMismatch("basis and trap must have equal well counts")
-    n = basis.size
-    axr = basis.A_x.real
-    ayr = basis.A_y.real
-    azr = basis.A_z.real
-
-    bx = _beta(basis.A_x, wells.w_x)
-    by = _beta(basis.A_y, wells.w_y)
-    bz = _beta(basis.A_z, wells.w_z)
-
-    # onsite energies: kinetic zero order plus the own-well potential term
-    e = np.empty(n)
-    for k in range(n):
-        own = wells.depths[k] * math.exp(
-            -2.0 * bz[k, k].real ** 2 * (wells.positions[k] - basis.q_z[k]) ** 2
-            / wells.w_z**2
-        )
-        e[k] = 0.5 * (axr[k] + ayr[k] + azr[k]) + (bx[k, k] * by[k, k] * bz[k, k]).real * own
-
-    # h_lk = t_lk + v_lk with the potential restricted to the two own wells
-    kx = _kappa(basis.A_x)
-    ky = _kappa(basis.A_y)
-    kz = _kappa(basis.A_z)
-    dq = basis.q_z[None, :] - basis.q_z[:, None]
-    t_lk = kx + ky + kz - 2.0 * kz**2 * dq**2
-    expo = [_potential_exponent(basis, s, wells.w_z) for s in wells.positions]
-    v_lk = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        for k in range(n):
-            acc = wells.depths[k] * expo[k][l, k] + wells.depths[l] * expo[l][l, k]
-            v_lk[l, k] = bx[l, k] * by[l, k] * bz[l, k] * acc
-    h_lk = t_lk + v_lk
-
-    r4 = _geo_root4(basis)
-    kernel = _nn_kernel(basis)
-    j = np.empty(n - 1)
-    for k in range(n - 1):
-        l = k + 1
-        pref = -2.0 * math.sqrt(2.0) * (r4[k] ** 2 * r4[l] ** 2) / (r4[k] + r4[l])
-        inner = (e[k] - h_lk[l, k]) / r4[k] + (e[l] - h_lk[l, k]) / r4[l]
-        h1 = (pref * inner * kernel[l, k]).real
-        j[k] = -h1
-
-    c = units.g / math.pi**1.5 * np.sqrt(axr * ayr * azr)
-    return EffectiveModel(onsite=e, tunneling=j, interaction=c)
+    K, T, P, W = gaussian_matrices(basis, wells)
+    v = wells.depths
+    w = np.arange(basis.size)
+    N = np.diag(K).real ** -0.5
+    onsite = (np.diag(T) + v * P[w, w, w]).real * N**2
+    k, l = w[:-1], w[1:]
+    pair = T[l, k] + v[k] * P[l, k, k] + v[l] * P[l, l, k]
+    tunneling = (N[l] * K[l, k] * N[k] * (onsite[k] * N[l] + onsite[l] * N[k])
+                 / (N[k] + N[l]) - N[l] * N[k] * pair).real
+    interaction = units.g * W[w, w, w, w].real * N**4
+    return EffectiveModel(onsite=onsite, tunneling=tunneling, interaction=interaction)
 
 
 def effective_amplitudes(d, basis: VariationalState, exact=False):

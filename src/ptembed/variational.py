@@ -22,8 +22,10 @@ a constant, so they need one bra-monomial column each and are summed
 before the bra wells are expanded into parameter directions. The metric
 system is solved by Cholesky; a (near-)singular metric raises
 SingularMetric instead of being regularised. ``gaussian_matrices`` reads
-the Gaussian-basis matrices K, T, V and W~ off the same moment tables; the
-dnlse module builds on them, with its basis a state at rest (p = gamma = 0).
+the Gaussian-basis matrices K, T, W~ and each well's potential matrix off
+the same moment tables; the dnlse module builds on them, with its basis a
+state at rest (p = gamma = 0), and so do the slab populations and wall
+currents of ``box_observables``.
 
 The brackets run on a per-trap kernel, :class:`TrapKernel`. It builds once
 what depends on the trap alone: the potential kets' shift columns, the
@@ -446,18 +448,19 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     evaluation over the Gaussians, the potential kets and all NG^3
     interaction triples.
 
-    Returns (K, T, V, W): K_lk = <G_l|G_k>, T_lk = <G_l| -Delta/2 |G_k> and
-    V_lk = <G_l| V_trap |G_k> (zero without ``wells``), each (NG, NG), and
+    Returns (K, T, P, W): K_lk = <G_l|G_k> and T_lk = <G_l| -Delta/2 |G_k>
+    (NG, NG); P_lmk = <G_l| well_m |G_k> (NG, N_wells, NG), the matrix of
+    each well's profile without its depth V_m (N_wells = 0 without
+    ``wells``), so that V_trap = sum_m V_m P[:, m, :]; and
     W_lkji = int conj(G_l) G_k conj(G_j) G_i d^3r (NG, NG, NG, NG), the
     interaction tensor without its strength g.
     """
     n = state.size
     gauss = _gaussians(state)
     if wells is None:
-        pot, depths = np.empty((5, 0)), np.empty(0)
+        pot = np.empty((5, 0))
     else:
         pot = (gauss[:, None, :] + _well_shifts(wells)[:, :, None]).reshape(5, -1)
-        depths = wells.depths
     k, j, i = np.indices((n, n, n)).reshape(3, -1)
     triples = gauss[:, k] + np.conj(gauss)[:, j] + gauss[:, i]
     kets = np.concatenate([gauss, pot, triples], axis=1)
@@ -465,9 +468,9 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     # <G_l| m G_k> for the ket monomials m; row 0 is <G_l|ket> for every object
     column = mx[_XDEG] * my[_YDEG] * mz[_ZDEG]
     T = np.einsum("jk,jlk->lk", _kinetic_polys(gauss), column[:, :, :n])
-    flat, m = column[0], len(depths)
-    V = np.einsum("lmk,m->lk", flat[:, n:n + m * n].reshape(n, m, n), depths)
-    return flat[:, :n], T, V, flat[:, n + m * n:].reshape(n, n, n, n)
+    flat, m = column[0], pot.shape[1]
+    return (flat[:, :n], T, flat[:, n:n + m].reshape(n, m // n, n),
+            flat[:, n + m:].reshape(n, n, n, n))
 
 
 def gaussian_overlaps(state: VariationalState):
@@ -671,39 +674,29 @@ def box_observables(state: VariationalState, partition: WallPartition):
 
     n_k integrates |psi|^2 between neighboring walls (outer slabs reach
     infinity); j_{k,k+1} integrates the z-current density over the wall
-    plane. Closed forms via the (complex) error function.
+    plane. Both are sums over the pair Gaussians conj(G_l) G_k, whose
+    widths, centres and overlaps K_lk come from one ``_pair_moments`` call:
+    along z, a pair is K_lk times a normal density of variance 1/(2 S_z)
+    about mu_lk, so its slab integral is the (complex) error function.
     """
     from scipy.special import erf
 
-    n_g = state.size
-    b, c = _z_shape(state)
-    sx = np.conj(state.A_x)[:, None] + state.A_x[None, :]
-    sy = np.conj(state.A_y)[:, None] + state.A_y[None, :]
-    sz = np.conj(state.A_z)[:, None] + state.A_z[None, :]
-    bb = np.conj(b)[:, None] + b[None, :]
-    cc = np.conj(c)[:, None] + c[None, :]
-    xy = math.pi / (np.sqrt(sx) * np.sqrt(sy))
-    amp = xy * np.exp(bb**2 / (4.0 * sz) + cc)
-    mu = bb / (2.0 * sz)
-    root = np.sqrt(sz)
-    half = 0.5 * np.sqrt(math.pi / sz)
-
-    walls = partition.walls
-    edges = np.concatenate([[-np.inf], walls, [np.inf]])
-    n_wells = len(edges) - 1
-    n = np.empty(n_wells)
-    for k in range(n_wells):
-        a_e, b_e = edges[k], edges[k + 1]
-        ea = -np.ones_like(sz) if not np.isfinite(a_e) else erf(root * (a_e - mu))
-        eb = np.ones_like(sz) if not np.isfinite(b_e) else erf(root * (b_e - mu))
-        n[k] = np.sum(amp * half * (eb - ea)).real
-
-    j = np.empty(len(walls))
-    for w, zw in enumerate(walls):
-        # integral over the wall plane of Im(psi* dpsi/dz)
-        dz_poly = (-2.0 * state.A_z * zw + b)[None, :]
-        dens = xy * dz_poly * np.exp(-sz * zw**2 + bb * zw + cc)
-        j[w] = np.sum(dens).imag
+    gauss = _gaussians(state)
+    out = _moment_buffers(state.size, state.size)
+    mx, my, mz = _pair_moments(np.conj(gauss), gauss, out, 0)
+    overlap = mx[0] * my[0] * mz[0]
+    # the pair Gaussians conj(G_l) G_k, rows (A_x, A_y, A_z, b, C)
+    sz, bz = out[0][2], out[0][3]
+    # each wall's offset from every pair centre, (walls, NG, NG)
+    dz = partition.walls[:, None, None] - bz / (2.0 * sz)
+    ends = np.ones((1, *sz.shape))
+    cdf = np.concatenate([-ends, erf(np.sqrt(sz) * dz), ends])
+    n = (0.5 * overlap * np.diff(cdf, axis=0)).sum(axis=(1, 2)).real
+    # Im(psi* dpsi/dz) over the wall plane: the pair density at the wall
+    # times the ket exponent's slope -2 A_z z + b there
+    density = overlap * np.sqrt(sz / math.pi) * np.exp(-sz * dz**2)
+    slope = gauss[3] - 2.0 * gauss[2] * partition.walls[:, None]
+    j = (density * slope[:, None, :]).sum(axis=(1, 2)).imag
     return n, j
 
 

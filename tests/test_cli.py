@@ -74,9 +74,12 @@ class TestParseConfig:
             parse_config("[scenario]\nname = stationary\nt_end = -1\n")
 
     def test_bad_units(self):
-        with pytest.raises(UnitError):
-            parse_config(
-                "[scenario]\nname = stationary\n[units]\nw_z = -1e-6\n")
+        for line, message in (("w_z = -1e-6", "w_z must be positive, not -1e-06"),
+                              ("w_z = 0", "w_z must be positive, not 0.0"),
+                              ("n_atoms = -1", "n_atoms must not be negative, not -1.0")):
+            with pytest.raises(UnitError) as err:
+                parse_config(f"[scenario]\nname = stationary\n[units]\n{line}\n")
+            assert str(err.value) == message
 
     def test_transverse_trap_widths_rejected(self):
         # the trap's transverse widths are fixed at 4 w_z, not settable

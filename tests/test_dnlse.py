@@ -167,6 +167,63 @@ class TestLowdin:
         assert np.max(np.abs(prod - np.eye(4))) < 1e-4
 
 
+# the values below were computed by the nearest-neighbour closed forms that
+# the moment-table construction replaced; they pin it to 1e-12 (1e-13 for
+# the Loewdin forms) relative to each array's largest entry
+DEFAULT_MODEL = (
+    [-43.74036068902897, -34.87727569833316, -34.87727569833177, -43.74036068903882],
+    [0.008731392898757271, 0.010502545453253465, 0.008731392898805044],
+    [25.820124179262624, 64.05670268364769, 64.056702683619, 25.82012417930259],
+)
+
+
+def assert_model(eff, expected, rtol=1e-12):
+    for got, want in zip((eff.onsite, eff.tunneling, eff.interaction), expected):
+        want = np.asarray(want)
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestPinnedValues:
+    def test_default_effective_model(self, fitted):
+        wells, units, basis, d, energy = fitted
+        assert_model(effective_model(basis, wells, units), DEFAULT_MODEL)
+
+    def test_asymmetric_trap_effective_model(self):
+        # distinct transverse widths, well depths and centres off the wells:
+        # a mix-up between axes or wells changes the values
+        wells = WellPotentialSpec(depths=[-55.0, -40.0, -47.0, -62.0],
+                                  positions=[-2.6, -0.8, 1.0, 2.9], w_x=3.0, w_y=5.0, w_z=1.2)
+        basis = VariationalState(A_x=[0.31, 0.28, 0.35, 0.26], A_y=[0.22, 0.25, 0.2, 0.27],
+                                 A_z=[2.1, 1.7, 1.9, 2.4], q_z=[-2.53, -0.85, 1.04, 2.81])
+        assert_model(effective_model(basis, wells, UnitSystem.rubidium87()), (
+            [-36.12282773078098, -25.297614452948586, -30.711425172699105, -40.8166902177293],
+            [0.1435099772493769, 0.11421733578540073, -0.00099564023666564],
+            [12.790115250026572, 11.65859199243034, 12.325326812689523, 13.872246588970576],
+        ))
+
+    def test_lowdin_nn_forms_on_complex_widths(self):
+        basis = VariationalState(
+            A_x=[0.5 + 0.1j, 0.6 - 0.05j, 0.45 + 0.2j, 0.55 - 0.15j],
+            A_y=[0.4 - 0.1j, 0.5 + 0.08j, 0.42, 0.48 + 0.12j],
+            A_z=[1.6 + 0.3j, 2.0 - 0.2j, 1.8 + 0.1j, 2.2 - 0.25j],
+            q_z=[-2.5, -0.8, 0.95, 2.7])
+        x_diag = [0.5360404792553138, 0.6272604493362828, 0.5443066866684881,
+                  0.6221809993496749]
+        x_off = [-0.01958716596816055 - 0.00872766398962857j,
+                 -0.01472965671950725 + 0.00512847816020892j,
+                 -0.0123777306423445 - 0.005133714623806j]
+        y_diag = [1.865530755045281, 1.5942341033268088, 1.8371995503502854,
+                  1.6072493390914133]
+        y_off = [0.05825404830871133 + 0.02595688220033853j,
+                 0.04314207715555304 - 0.01502093393563508j,
+                 0.03654943046194158 + 0.01515902640604801j]
+        for got, diag, off in ((lowdin_nn(basis), x_diag, x_off),
+                               (lowdin_nn_inverse(basis), y_diag, y_off)):
+            # the (k, k+1) entries; the (k+1, k) ones are their conjugates
+            want = np.diag(diag) + np.diag(off, 1) + np.diag(np.conj(off), -1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestGroundStateFit(object):
     def test_fit_energy_and_symmetry(self, fitted):
         wells, units, basis, d, energy = fitted
