@@ -116,6 +116,12 @@ def _validate(cfg):
         v = cfg.get(section, key)
         if v is not None and v <= 0:
             raise ParseError(f"[{section}] {key} must be positive")
+    # no 2-norm condition number is below 1; a negative floor is no guard
+    for key, low, rule in (("cond_limit", 1.0, "be at least 1"),
+                           ("depletion_floor", 0.0, "not be negative")):
+        v = cfg.get("scenario", key)
+        if v is not None and v < low:
+            raise ParseError(f"[scenario] {key} must {rule}")
     steps = cfg.get("integrator", "max_steps")
     if steps is not None and steps != int(steps):
         raise ParseError("[integrator] max_steps must be a whole number")
@@ -181,19 +187,18 @@ def _sample_times(t_grid_end, stride):
 
 
 def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
-    """Tabulate a controlled four-mode run at the sample times."""
+    """Tabulate a controlled four-mode run at the sample times, with the
+    controls from one ``controls_at`` call over the whole grid."""
     psi = run.trajectory.sample(ts)
-    j01c, j23c, e0, e3, gamma, cond = np.fromiter(
-        ((cs.J01, cs.J23, cs.E0, cs.E3, cs.gamma, cs.lgs_condition)
-         for cs in map(run.controls_at, ts, psi)),
-        dtype=(float, 6), count=len(ts)).T
+    cs = run.controls_at(ts, psi)
     n = np.abs(psi) ** 2
     jt = -2.0 * (psi[:, :-1] * np.conj(psi[:, 1:])).imag  # j~_{k,k+1}
     cols = {
         "n0": n[:, 0], "n1": n[:, 1], "n2": n[:, 2], "n3": n[:, 3],
-        "j01": j01c * jt[:, 0], "j12": j12 * jt[:, 1], "j23": j23c * jt[:, 2],
-        "E0": e0 - gauge_shift, "E3": e3 - gauge_shift, "J01": j01c, "J23": j23c,
-        "gamma": gamma, "breakdown": np.zeros(len(ts)), "lgs_condition": cond,
+        "j01": cs.J01 * jt[:, 0], "j12": j12 * jt[:, 1], "j23": cs.J23 * jt[:, 2],
+        "E0": cs.E0 - gauge_shift, "E3": cs.E3 - gauge_shift, "J01": cs.J01,
+        "J23": cs.J23, "gamma": cs.gamma, "breakdown": np.zeros(len(ts)),
+        "lgs_condition": cs.lgs_condition,
     }
     if run.broke_down:
         cols["breakdown"][-1] = 1.0
@@ -201,26 +206,35 @@ def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
 
 
 def _condition_residuals(run):
-    """Worst embedding-condition residual at the accepted integrator steps.
-
-    The residuals need only gamma and the couplings J01 = d C13 and
-    J23 = d C02, which ``check_conditions`` derives from ``d`` with the
-    control kernel's arithmetic; the onsite solve is not repeated."""
+    """Worst embedding-condition residual at the accepted integrator steps,
+    from one ``check_conditions`` call over the trajectory. It needs only
+    gamma and J01 = d C13, J23 = d C02, which ``check_conditions`` derives
+    from ``d``; the onsite solve is not repeated."""
     traj = run.trajectory
-    return max(
-        max(map(abs, embedding.check_conditions(
-            psi, embedding.ControlState(*run.gamma_fn(t), run.d))))
-        for t, psi in zip(traj.t.tolist(), traj.y.tolist())
-    )
+    gamma = np.array([run.gamma_fn(t)[0] for t in traj.t.tolist()])
+    residuals = embedding.check_conditions(
+        traj.y, embedding.ControlState(gamma=gamma, gamma_dot=0.0, d=run.d))
+    return float(np.max(np.abs(residuals)))
 
 
-def _step_counts(traj):
-    """The integrator's work on a run, for summary.json."""
-    return {
+def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
+    """Sample times, columns and the summary entries of a controlled
+    four-mode run, the integrator's work among them."""
+    traj = run.trajectory
+    ts = _sample_times(traj.t[-1], cfg.get("output", "stride", 0.02))
+    summary = {
+        "t_final": float(traj.t[-1]),
+        "breakdown_time": run.breakdown_time,
+        "breakdown_reason": run.breakdown_reason,
+        "breakdown_message": run.breakdown_message,
+        "total_norm_drift": float(abs(
+            np.sum(np.abs(traj.y[-1]) ** 2) - np.sum(np.abs(traj.y[0]) ** 2))),
+        "max_condition_residual": _condition_residuals(run),
         "accepted_steps": traj.accepted_steps,
         "rejected_steps": traj.rejected_steps,
         "rhs_evals": traj.rhs_evals,
     }
+    return ts, _fewmode_columns(run, ts, j12, gauge_shift), summary
 
 
 def _run_abstract(cfg):
@@ -254,24 +268,8 @@ def _run_abstract(cfg):
         psi0, t_end, embedding.constant_gamma(gamma), d, nonlinear,
         settings=settings, cond_limit=cond_limit, depletion_floor=floor,
     )
-    t_grid_end = run.trajectory.t[-1]
-    stride = cfg.get("output", "stride", 0.02)
-    ts = _sample_times(t_grid_end, stride)
-    cols = _fewmode_columns(run, ts, 1.0)
-
-    summary = {
-        "scenario": name,
-        "gamma": gamma, "c": c, "d": d,
-        "t_final": float(t_grid_end),
-        "breakdown_time": run.breakdown_time,
-        "breakdown_reason": run.breakdown_reason,
-        "breakdown_message": run.breakdown_message,
-        "total_norm_drift": float(abs(
-            np.sum(np.abs(run.trajectory.y[-1]) ** 2)
-            - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
-        "max_condition_residual": _condition_residuals(run),
-        **_step_counts(run.trajectory),
-    }
+    ts, cols, record = _fewmode_record(cfg, run, 1.0)
+    summary = {"scenario": name, "gamma": gamma, "c": c, "d": d, **record}
     if name == "stationary":
         summary["slope_n0"] = float(np.polyfit(ts, cols["n0"], 1)[0])
         summary["slope_n3"] = float(np.polyfit(ts, cols["n3"], 1)[0])
@@ -316,10 +314,7 @@ def _run_adiabatic_fewmode(cfg):
         cond_limit=cfg.get("scenario", "cond_limit", 1e14),
         depletion_floor=cfg.get("scenario", "depletion_floor", 1e-3),
     )
-    t_grid_end = run.trajectory.t[-1]
-    stride = cfg.get("output", "stride", 0.02)
-    ts = _sample_times(t_grid_end, stride)
-    cols = _fewmode_columns(run, ts, j12, gauge_shift=shift)
+    ts, cols, record = _fewmode_record(cfg, run, j12, gauge_shift=shift)
     n1 = cols["n1"]
     tail = ts >= t_f
     summary = {
@@ -329,15 +324,7 @@ def _run_adiabatic_fewmode(cfg):
         "effective_onsite": [float(v) for v in eff.onsite],
         "effective_interaction": [float(v) for v in c],
         "gamma_f": gamma_f, "t_f": t_f, "d": float(d),
-        "t_final": float(t_grid_end),
-        "breakdown_time": run.breakdown_time,
-        "breakdown_reason": run.breakdown_reason,
-        "breakdown_message": run.breakdown_message,
-        "total_norm_drift": float(abs(
-            np.sum(np.abs(run.trajectory.y[-1]) ** 2)
-            - np.sum(np.abs(run.trajectory.y[0]) ** 2))),
-        "max_condition_residual": _condition_residuals(run),
-        **_step_counts(run.trajectory),
+        **record,
         "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
         if np.any(tail) else None,
         "middle_imbalance": float(abs(cols["n1"][-1] - cols["n2"][-1]) / cols["n1"][-1]),

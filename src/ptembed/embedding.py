@@ -35,6 +35,9 @@ from .numerics import IntegratorSettings, Trajectory, integrate_adaptive
 
 @dataclass(frozen=True)
 class ControlState:
+    """Gain/loss parameter, coupling scalar and reservoir controls. The
+    fields are floats at one state, or arrays over the samples of a grid."""
+
     gamma: float
     gamma_dot: float
     d: float
@@ -85,23 +88,14 @@ def ramp_gamma(schedule: RampSchedule):
     return fn
 
 
-def synth_tunneling(obs, d):
-    """Reservoir couplings J01 = d C13 and J23 = d C02 (fulfills the
-    correlation-balance condition identically)."""
-    if d == 0.0:
-        raise ZeroCoupling("d = 0 decouples nothing; must be nonzero")
-    return d * obs.C[1, 3], d * obs.C[0, 2]
-
-
 def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
-    """Reservoir controls and the controlled derivative at one state.
-
-    ``psi`` and ``nl`` hold four Python complex amplitudes and four float
-    nonlinearities: on vectors this short, scalar arithmetic is several
-    times faster than numpy. Returns ``(dpsi, J01, J23, E0, E3, condition)``
-    with ``dpsi`` a 4-tuple. Raises ControlSingular when the onsite system
-    degenerates.
-    """
+    """Reservoir controls and the controlled derivative, from four Python
+    complex amplitudes (the RHS: on vectors this short, scalar arithmetic is
+    several times faster than numpy) or four arrays over samples, with
+    ``g``, ``gd`` arrays too. ``nl`` holds four float nonlinearities.
+    Returns ``(dpsi, J01, J23, E0, E3, condition)`` with ``dpsi`` a 4-tuple.
+    Raises ControlSingular, naming the worst condition number, when the
+    onsite system degenerates at any sample."""
     p0, p1, p2, p3 = psi
     c0, c1, c2, c3 = nl
     n0, n1, n2, n3 = abs(p0) ** 2, abs(p1) ** 2, abs(p2) ** 2, abs(p3) ** 2
@@ -125,14 +119,21 @@ def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
     # which does not cancel when the singular values are close, and the
     # difference sq - root, which cancels when they are far apart, is avoided.
     sq = a11**2 + a12**2 + a21**2 + a22**2
-    root = math.sqrt(((a11 - a22) ** 2 + (a12 + a21) ** 2)
-                     * ((a11 + a22) ** 2 + (a12 - a21) ** 2))
-    cond = (sq + root) / (2.0 * abs(det)) if det != 0.0 else math.inf
-    if not math.isfinite(cond) or cond > cond_limit:
+    sqrt = np.sqrt if isinstance(sq, np.ndarray) else math.sqrt
+    root = sqrt(((a11 - a22) ** 2 + (a12 + a21) ** 2)
+                * ((a11 + a22) ** 2 + (a12 - a21) ** 2))
+    top, bottom = sq + root, 2.0 * abs(det)
+    # cond < cond_limit as a product: False where det = 0 or a value is NaN,
+    # with no division by zero. A Python bool is the scalar path's answer.
+    regular = top < cond_limit * bottom
+    if regular is not True and not np.all(regular):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.max(np.where(bottom == 0.0, np.inf, np.divide(top, bottom)))
         raise ControlSingular(
-            f"onsite control system singular (condition {cond:.3e}); "
+            f"onsite control system singular (condition {worst:.3e}); "
             "reservoir cannot supply the demanded current"
         )
+    cond = top / bottom
 
     # d psi/dt = -i H psi at E0 = E3 = 0, and the current derivatives
     # d/dt (d C13 j~01), d/dt (d C02 j~23) it gives
@@ -206,10 +207,12 @@ def build_initial_state(psi1, psi2, psi0_r, psi3_r, gamma, d):
 
 def check_conditions(psi, controls: ControlState):
     """Residuals of the four replication conditions (the fourth is implied
-    by the first three and only monitored), as a 4-tuple of floats.
+    by the first three and only monitored), as a 4-tuple.
 
-    ``psi`` is any sequence of four amplitudes."""
-    p0, p1, p2, p3 = map(complex, psi)
+    ``psi`` holds four amplitudes, or has shape (m, 4) and gives arrays over
+    the m states, where ``controls`` may hold arrays too."""
+    psi = np.asarray(psi, dtype=complex)
+    p0, p1, p2, p3 = psi.tolist() if psi.ndim == 1 else psi.T
     c02, c13 = 2.0 * (p0 * p2.conjugate()).real, 2.0 * (p1 * p3.conjugate()).real
     j01c = controls.J01 if controls.J01 is not None else controls.d * c13
     j23c = controls.J23 if controls.J23 is not None else controls.d * c02
@@ -330,6 +333,7 @@ class EmbeddingRun:
     j12: float
     e1: float
     e2: float
+    cond_limit: float
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
     breakdown_message: str | None = None
@@ -339,11 +343,19 @@ class EmbeddingRun:
         return self.breakdown_time is not None
 
     def controls_at(self, t, psi):
-        """Controls at time ``t`` and amplitudes ``psi`` (any sequence of four)."""
-        g, gd = self.gamma_fn(t)
+        """Controls under the run's ``cond_limit`` at time ``t`` and four
+        amplitudes ``psi``, or at m times and ``psi`` of shape (m, 4) with one
+        kernel call, giving fields that are arrays over the samples."""
+        psi = np.asarray(psi, dtype=complex)
+        if psi.ndim == 1:
+            (g, gd), amps = self.gamma_fn(t), psi.tolist()
+        else:
+            g, gd = np.array([self.gamma_fn(s) for s in np.asarray(t).tolist()],
+                             dtype=float).reshape(-1, 2).T
+            amps = psi.T
         _, j01, j23, e0, e3, cond = _control_kernel(
-            map(complex, psi), g, gd, self.d,
-            self.nonlinear.tolist(), self.j12, self.e1, self.e2, 1e14,
+            amps, g, gd, self.d, self.nonlinear.tolist(),
+            self.j12, self.e1, self.e2, self.cond_limit,
         )
         return ControlState(gamma=g, gamma_dot=gd, d=self.d, J01=j01, J23=j23,
                             E0=e0, E3=e3, lgs_condition=cond)
@@ -362,8 +374,8 @@ def run_controlled(psi0, t_end, gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
     )
     psi0 = np.asarray(psi0, dtype=complex)
     run = EmbeddingRun(
-        trajectory=None, gamma_fn=gamma_fn, d=d,
-        nonlinear=np.asarray(nonlinear, dtype=float), j12=j12, e1=e1, e2=e2,
+        trajectory=None, gamma_fn=gamma_fn, d=d, nonlinear=np.asarray(nonlinear, dtype=float),
+        j12=j12, e1=e1, e2=e2, cond_limit=float(cond_limit),
     )
     try:
         run.trajectory = integrate_adaptive(rhs, psi0, (0.0, t_end), settings)

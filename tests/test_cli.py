@@ -73,6 +73,18 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="positive"):
             parse_config("[scenario]\nname = stationary\nt_end = -1\n")
 
+    def test_control_limits_rejected(self):
+        for line, message in (("cond_limit = 0.5", "cond_limit must be at least 1"),
+                              ("cond_limit = -1", "cond_limit must be at least 1"),
+                              ("depletion_floor = -1e-3",
+                               "depletion_floor must not be negative")):
+            with pytest.raises(ParseError) as err:
+                parse_config(f"[scenario]\nname = oscillatory\n{line}\n")
+            assert str(err.value) == f"[scenario] {message}"
+        cfg = parse_config("[scenario]\nname = oscillatory\ncond_limit = 1\n"
+                           "depletion_floor = 0\n")
+        assert cfg.get("scenario", "cond_limit") == 1.0
+
     def test_bad_units(self):
         for line, message in (("w_z = -1e-6", "w_z must be positive, not -1e-06"),
                               ("w_z = 0", "w_z must be positive, not 0.0"),

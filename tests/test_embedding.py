@@ -18,14 +18,12 @@ from ptembed.embedding import (
     run_controlled,
     signs_from_state,
     synth_onsite,
-    synth_tunneling,
 )
 from ptembed.errors import BranchViolation, ControlSingular, DegenerateInput, ZeroCoupling
 from ptembed.fewmode import (
     TridiagonalComplexModel,
     cross_moments,
     model_rhs,
-    observables,
     pt_two_mode,
     propagate,
 )
@@ -78,15 +76,6 @@ def test_initial_state_satisfies_conditions():
     cs = synth_onsite(psi0, cs0, np.zeros(4))
     res = check_conditions(psi0, cs)
     assert np.max(np.abs(res)) < 1e-12
-
-
-def test_synth_tunneling_balance():
-    psi0 = stationary_initial_state()
-    obs = observables(psi0, TridiagonalComplexModel(
-        onsite=np.zeros(4), coupling=np.ones(3), nonlinear=np.zeros(4)))
-    j01, j23 = synth_tunneling(obs, STATIONARY["d"])
-    # correlation balance J01 C02 = J23 C13 holds identically by construction
-    assert abs(j01 * obs.C[0, 2] - j23 * obs.C[1, 3]) < 1e-14
 
 
 def test_stationary_middle_wells_hold():
@@ -308,6 +297,34 @@ def test_replication_holds_along_controlled_runs(inp):
 
 
 @PROPERTY_SETTINGS
+@given(controlled_inputs())
+def test_controls_over_a_grid_match_the_scalar_kernel(inp):
+    assume(reference_controls(**inp)[3] < 1e3)
+    g, gd = inp["gamma"], inp["gamma_dot"]
+    run = run_controlled(
+        inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
+        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"],
+        settings=IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
+    )
+    grid = run.controls_at(run.trajectory.t, run.trajectory.y)
+    eps = np.finfo(float).eps
+    for k, (t, psi) in enumerate(zip(run.trajectory.t, run.trajectory.y)):
+        one = run.controls_at(t, psi)
+        assert (grid.gamma[k], grid.gamma_dot[k]) == (one.gamma, one.gamma_dot)
+        # numpy's complex products differ from Python's in the last bit of
+        # their terms: J01 = 2 d Re(psi1 psi3*) to 4 eps of |2 d psi1 psi3|
+        # (it may be a cancelled remainder), and the onsite solve amplifies
+        # that by the condition number, relative to the size of its solution
+        assert abs(grid.J01[k] - one.J01) <= 4 * eps * abs(2.0 * run.d * psi[1] * psi[3])
+        assert abs(grid.J23[k] - one.J23) <= 4 * eps * abs(2.0 * run.d * psi[0] * psi[2])
+        tol = 64 * eps * max(1.0, one.lgs_condition)
+        scale = max(abs(one.E0), abs(one.E3))
+        assert abs(grid.E0[k] - one.E0) <= tol * scale
+        assert abs(grid.E3[k] - one.E3) <= tol * scale
+        assert abs(grid.lgs_condition[k] - one.lgs_condition) <= tol * one.lgs_condition
+
+
+@PROPERTY_SETTINGS
 @given(gamma=st.floats(0.05, 0.9), d=st.floats(0.3, 2.0), a1=st.floats(0.1, 0.9),
        sign=st.sampled_from([-1.0, 1.0]))
 def test_singular_phase_surface_raises(gamma, d, a1, sign):
@@ -320,3 +337,8 @@ def test_singular_phase_surface_raises(gamma, d, a1, sign):
         synth_onsite(psi0, ControlState(gamma=gamma, gamma_dot=0.0, d=d), np.zeros(4))
     with pytest.raises(ControlSingular, match="singular"):
         make_controlled_rhs(constant_gamma(gamma), d, np.zeros(4))(0.0, psi0)
+    # one singular state in a grid fails the whole grid
+    regular = build_initial_state(np.sqrt(a1), np.sqrt(1.0 - a1), 2.0 * r + 1.0, r, gamma, d)
+    run = run_controlled(regular, 0.1, constant_gamma(gamma), d, np.zeros(4))
+    with pytest.raises(ControlSingular, match="singular"):
+        run.controls_at(np.zeros(3), np.array([regular, psi0, regular]))
