@@ -99,9 +99,10 @@ def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
     p0, p1, p2, p3 = psi
     c0, c1, c2, c3 = nl
     n0, n1, n2, n3 = abs(p0) ** 2, abs(p1) ** 2, abs(p2) ** 2, abs(p3) ** 2
+    p1c, p2c, p3c = p1.conjugate(), p2.conjugate(), p3.conjugate()
     # C_kl = 2 Re m_kl and j~_kl = -2 Im m_kl with m_kl = psi_k psi_l*
-    m01, m02, m12 = p0 * p1.conjugate(), p0 * p2.conjugate(), p1 * p2.conjugate()
-    m13, m23 = p1 * p3.conjugate(), p2 * p3.conjugate()
+    m01, m02, m12 = p0 * p1c, p0 * p2c, p1 * p2c
+    m13, m23 = p1 * p3c, p2 * p3c
     cc01, cc02, cc13, cc23 = 2.0 * m01.real, 2.0 * m02.real, 2.0 * m13.real, 2.0 * m23.real
     jt01, jt02, jt12 = -2.0 * m01.imag, -2.0 * m02.imag, -2.0 * m12.imag
     jt13, jt23 = -2.0 * m13.imag, -2.0 * m23.imag
@@ -141,10 +142,11 @@ def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
     q1 = -1j * ((e1 + c1 * n1) * p1 - j12 * p2 - j01c * p0)
     q2 = -1j * ((e2 + c2 * n2) * p2 - j23c * p3 - j12 * p1)
     q3 = -1j * (c3 * n3 * p3 - j23c * p2)
-    b1 = 2.0 * d * ((q1 * p3.conjugate() + p1 * q3.conjugate()).real * jt01
-                    - cc13 * (q0 * p1.conjugate() + p0 * q1.conjugate()).imag)
-    b2 = 2.0 * d * ((q0 * p2.conjugate() + p0 * q2.conjugate()).real * jt23
-                    - cc02 * (q2 * p3.conjugate() + p2 * q3.conjugate()).imag)
+    q3c = q3.conjugate()
+    b1 = 2.0 * d * ((q1 * p3c + p1 * q3c).real * jt01
+                    - cc13 * (q0 * p1c + p0 * q1.conjugate()).imag)
+    b2 = 2.0 * d * ((q0 * p2c + p0 * q2.conjugate()).real * jt23
+                    - cc02 * (q2 * p3c + p2 * q3c).imag)
 
     # target current derivatives d/dt (2 gamma n_k), occupation rates expanded
     r1 = 2.0 * gd * n1 + 2.0 * g * (j01c * jt01 - j12 * jt12) - b1
@@ -305,6 +307,7 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
     d, j12, e1, e2 = float(d), float(j12), float(e1), float(e2)
     cond_limit, depletion_floor = float(cond_limit), float(depletion_floor)
     nl = np.asarray(nonlinear, dtype=float).tolist()
+    kernel = _control_kernel
 
     def rhs(t, psi):
         p = psi.tolist()
@@ -315,7 +318,7 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
                 f"reservoir depleted at t={t:.6g} (n0={n0:.3e}, n3={n3:.3e})"
             )
         g, gd = gamma_fn(t)
-        return _control_kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]
+        return kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]
 
     return rhs
 

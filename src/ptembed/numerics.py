@@ -228,10 +228,34 @@ _D = np.array([
      -0.14972683625798562581422125276e+3],
 ])
 
-# the step's increment and the error estimates in one product with the
-# first twelve stages: 8th-order weights, the embedded 5th-order error
-# weights and the 8th- minus 3rd-order weights (_BHH)
-_STEP_WEIGHTS = np.stack([_A[12], _ER, _A[12] - _BHH])
+# _A as one (16, 16) table: row i holds stage i's weights of k_0..k_15
+_TABLEAU = np.array([[*row, *[0.0] * (16 - len(row))] for row in _A])
+
+# the embedded 5th-order error weights and the 8th- minus 3rd-order weights
+# (_BHH), applied to the first twelve stages in one product
+_ERR_WEIGHTS = np.stack([_ER, _A[12] - _BHH])
+
+
+def _wrong_length(r, n):
+    return ValueError(f"rhs returned {len(r)} components for a state of {n}")
+
+
+def _dense_rows(t, y, f, dk):
+    """Continuous-extension rows (steps, 7, n) of the accepted steps from
+    the accepted times ``t``, states ``y`` and derivatives ``f`` (one per
+    accepted time) and each step's ``_D . k`` (steps, 4, n): the per-step
+    formula of Hairer's DOP853, in one pass over the steps."""
+    h = np.diff(t)[:, None]
+    n = y.shape[1]
+    dy = y[1:] - y[:-1]
+    f = np.asarray(f, dtype=y.dtype).reshape(-1, n)
+    f0, f1 = f[:-1], f[1:]
+    rows = np.empty((len(h), 7, n), dtype=y.dtype)
+    rows[:, 0] = dy
+    rows[:, 1] = h * f0 - dy
+    rows[:, 2] = 2.0 * dy - h * (f1 + f0)
+    rows[:, 3:] = h[:, :, None] * np.asarray(dk, dtype=y.dtype).reshape(-1, 4, n)
+    return rows
 
 
 def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = IntegratorSettings(),
@@ -240,7 +264,14 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
 
     Works for real or complex state vectors. ``rhs(t, y)`` receives ``y``
     as a 1-D ndarray of the state's dtype and may return any 1-D sequence
-    of the state's length. The stages are rows of one (16, n) array.
+    of the state's length.
+
+    The step's start state and its stages are the rows of one (17, n)
+    array, so each stage's input, y + h sum_j a_ij k_j, is one product of
+    a row of the tableau (scaled by h once per step, in the state's dtype)
+    with the rows before it. The stages' values are checked for finiteness
+    once per step (and once for the dense-output stages), not after each
+    evaluation.
 
     The error norm combines the embedded 5th- and 3rd-order estimates
     (RMS over components, scaled by ``abs_tol + rel_tol * |y|``); a step is
@@ -252,15 +283,21 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     derivative at the new state, which is the next step's first stage.
     With ``dense_output`` (the default) each accepted step evaluates 3 more
     stages, for the 7th-order continuous extension that
-    :meth:`Trajectory.sample` evaluates; callers that read only the states
-    at the accepted steps pass False and save them.
+    :meth:`Trajectory.sample` evaluates; the step keeps only its derivative
+    and four weighted stage sums, and the coefficient rows of all steps are
+    built in one pass when the trajectory is returned. Callers that read
+    only the states at the accepted steps pass False and save the stages.
 
     Returns a :class:`Trajectory` containing every accepted step (both
     endpoints included) and the work counters. If the right-hand side
     raises a :class:`PtError` or produces non-finite values, the step size
     underflows, or ``settings.max_steps`` steps (attempted) are used up, the
     partial trajectory is attached to the raised exception together with
-    ``t_fail``, the time of the last accepted step.
+    ``t_fail``, the time of the last accepted step. A non-finite value
+    raises :class:`NonFiniteDerivative` naming the time of the first
+    non-finite stage, even when a later stage of the same step raised
+    another error on the non-finite input. ``rhs_evals`` counts every call
+    made.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -269,46 +306,104 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     dtype = complex if np.iscomplexobj(y0) else float
     y = y0.astype(dtype)
     n = len(y)
-    K = np.empty((16, n), dtype=dtype)
+    # S[0] is the step's start state and S[i + 1] stage i's derivative k_i,
+    # so stage i's input y + h sum_j a_ij k_j is HA[i, :i + 1] . S[:i + 1],
+    # where column 0 of HA is 1 and the rest is h * _TABLEAU (row 12 gives
+    # the new state). The tables take the state's dtype here, once: a real
+    # factor would be cast on every product.
+    S = np.empty((17, n), dtype=dtype)
+    tableau = _TABLEAU.astype(dtype)
+    err_weights, dense_weights = _ERR_WEIGHTS.astype(dtype), _D.astype(dtype)
+    HA = np.ones((16, 17), dtype=dtype)
+    h_weights = HA[:, 1:]
+    stage_in = [(i, _C[i], HA[i, :i + 1].dot, S[:i + 1]) for i in range(16)]
+    # the stages of a step and of the dense output, with their rows of S
+    step_stages, dense_stages = (stage_in[1:13], S[2:14]), (stage_in[13:], S[14:])
+    k_step, k_all, f_new = S[1:13], S[1:], S[13]
 
-    ts, ys, dense = [t0], [y], []
+    ts, ys = [t0], [y]
+    fs, dks = [], []  # f at each accepted time, _D . k of each accepted step
     evals = 0
     rejected = 0
 
     def _fail(exc, t_fail):
+        t_arr, y_arr = np.array(ts), np.array(ys)
         exc.trajectory = Trajectory(
-            np.array(ts), np.array(ys), rejected, evals,
-            np.array(dense, dtype=dtype).reshape(-1, 7, n) if dense_output else None)
+            t_arr, y_arr, rejected, evals,
+            _dense_rows(t_arr, y_arr, fs, dks) if dense_output else None)
         exc.t_fail = t_fail
         raise exc
 
-    def stage(i, t, yi):
+    def run_stages(group, t, h, t_new):
+        """Evaluate a group of stages of the step from t to t_new into S,
+        check their values once, and return the last stage's input."""
         nonlocal evals
-        evals += 1
-        r = rhs(t, yi)
-        if len(r) != n:
-            raise ValueError(f"rhs returned {len(r)} components for a state of {n}")
-        K[i] = r
-        if not np.isfinite(K[i]).all():
-            raise NonFiniteDerivative(f"rhs not finite at t={t}")
+        stages, values = group
+        first = i = stages[0][0]
+        try:
+            for i, c, dot, s in stages:
+                yi = dot(s)
+                r = rhs(t_new if i == 12 else t + c * h, yi)
+                if len(r) != n:
+                    raise _wrong_length(r, n)
+                S[i + 1] = r
+        except Exception as exc:
+            evals += i - first + 1
+            # a stage computed before the failing call may be what it failed on
+            check_finite(first, i, t, h, t_new, exc)
+            if isinstance(exc, PtError):
+                _fail(exc, t)
+            raise
+        evals += len(stages)
+        if not np.isfinite(values).all():
+            check_finite(first, i + 1, t, h, t_new)
+        return yi
+
+    def check_finite(first, stop, t, h, t_new, cause=None):
+        """Raise NonFiniteDerivative at the first of stages first..stop-1
+        with a non-finite value."""
+        ok = np.isfinite(S[first + 1:stop + 1]).all(axis=1)
+        if not ok.all():
+            i = first + int(np.argmin(ok))
+            exc = NonFiniteDerivative(
+                f"rhs not finite at t={t_new if i == 12 else t + _C[i] * h}")
+            exc.__cause__ = cause
+            _fail(exc, t)
 
     rtol, atol = settings.rel_tol, settings.abs_tol
+    max_step, max_steps = settings.max_step, settings.max_steps
     try:
-        stage(0, t0, y)
+        evals += 1
+        r = rhs(t0, y)
+        if len(r) != n:
+            raise _wrong_length(r, n)
+        S[1] = r
+        if not np.isfinite(S[1]).all():
+            raise NonFiniteDerivative(f"rhs not finite at t={t0}")
         # starting step: an explicit Euler probe estimates the second
         # derivative, and the step is sized for order 8 on it
-        sc = atol + rtol * np.abs(y)
+        ay = np.abs(y)
+        sc = atol + rtol * ay
         d0 = math.sqrt(np.vdot(y / sc, y / sc).real / n)
-        d1 = math.sqrt(np.vdot(K[0] / sc, K[0] / sc).real / n)
+        d1 = math.sqrt(np.vdot(S[1] / sc, S[1] / sc).real / n)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, t1 - t0, settings.max_step)
-        stage(1, t0 + h0, y + h0 * K[0])
+        h0 = min(h0, t1 - t0, max_step)
+        evals += 1
+        r = rhs(t0 + h0, y + h0 * S[1])
+        if len(r) != n:
+            raise _wrong_length(r, n)
+        S[2] = r
+        if not np.isfinite(S[2]).all():
+            raise NonFiniteDerivative(f"rhs not finite at t={t0 + h0}")
     except PtError as exc:
         _fail(exc, t0)
-    dk = (K[1] - K[0]) / sc
-    d2 = math.sqrt(np.vdot(dk, dk).real / n) / h0
+    probe = (S[2] - S[1]) / sc
+    d2 = math.sqrt(np.vdot(probe, probe).real / n) / h0
     h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h = min(100.0 * h0, h1, t1 - t0, settings.max_step)
+    h = min(100.0 * h0, h1, t1 - t0, max_step)
+    S[0] = y
+    if dense_output:
+        fs.append(S[1].copy())
 
     t = t0
     nsteps = 0
@@ -316,8 +411,8 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     while t < t1:
         if h <= 1e-15 * max(abs(t), 1.0):
             _fail(StepSizeUnderflow(f"step size underflow at t={t}"), t)
-        if nsteps >= settings.max_steps:
-            _fail(StepLimitExceeded(f"max_steps={settings.max_steps} reached at t={t}"), t)
+        if nsteps >= max_steps:
+            _fail(StepLimitExceeded(f"max_steps={max_steps} reached at t={t}"), t)
         if h >= t1 - t:
             t_new = t1
         else:
@@ -326,37 +421,25 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
                 # rounded up: keep the stored step within h (and max_step)
                 t_new = math.nextafter(t_new, t)
         h = t_new - t
-        try:
-            for i in range(1, 12):
-                stage(i, t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-            dy, err5, err3 = _STEP_WEIGHTS @ K[:12]
-            y_new = y + h * dy
-            stage(12, t_new, y_new)
-        except PtError as exc:
-            _fail(exc, t)
+        np.multiply(tableau, h, out=h_weights)
+        y_new = run_stages(step_stages, t, h, t_new)
         nsteps += 1
 
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 /= sc
-        err3 /= sc
-        e5 = np.vdot(err5, err5).real
-        denom = e5 + 0.01 * np.vdot(err3, err3).real
+        # the embedded 5th- and 3rd-order error estimates, scaled
+        est = err_weights.dot(k_step)
+        ay_new = np.abs(y_new)
+        est /= atol + rtol * np.maximum(ay, ay_new)
+        e5 = np.vdot(est[0], est[0]).real
+        denom = e5 + 0.01 * np.vdot(est[1], est[1]).real
         err = h * e5 / math.sqrt(denom * n) if denom > 0.0 else 0.0
         if err <= 1.0:
             if dense_output:
-                try:
-                    for i in range(13, 16):
-                        stage(i, t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-                except PtError as exc:
-                    _fail(exc, t)
-                rows = np.empty((7, n), dtype=dtype)
-                rows[0] = y_new - y
-                rows[1] = h * K[0] - rows[0]
-                rows[2] = 2.0 * rows[0] - h * (K[12] + K[0])
-                rows[3:] = h * (_D @ K)
-                dense.append(rows)
-            t, y = t_new, y_new
-            K[0] = K[12]  # FSAL
+                run_stages(dense_stages, t, h, t_new)
+                dks.append(dense_weights.dot(k_all))
+                fs.append(f_new.copy())
+            t, y, ay = t_new, y_new, ay_new
+            S[0] = y
+            S[1] = f_new  # FSAL
             ts.append(t)
             ys.append(y)
             fac = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.125)
@@ -367,10 +450,11 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
             rejected += 1
             fac = max(0.2, 0.9 * err**-0.125)
             after_rejection = True
-        h = min(h * fac, settings.max_step)
+        h = min(h * fac, max_step)
 
-    return Trajectory(np.array(ts), np.array(ys), rejected, evals,
-                      np.array(dense) if dense_output else None)
+    t_arr, y_arr = np.array(ts), np.array(ys)
+    return Trajectory(t_arr, y_arr, rejected, evals,
+                      _dense_rows(t_arr, y_arr, fs, dks) if dense_output else None)
 
 
 def _fd_jacobian(f, x, fx):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate._ivp import dop853_coefficients as dop853
+from scipy.linalg import expm
 
 from ptembed.errors import (
     ControlSingular,
@@ -136,6 +137,88 @@ class TestIntegrator:
         assert traj.t.tolist() == [0.5]
         assert traj.y.tolist() == [[1.0 + 2.0j, 3.0 + 0j]]
         assert traj.rhs_evals == 1
+
+    @staticmethod
+    def failing_at_call(rhs, fail_call, failure):
+        """``rhs`` whose call number ``fail_call`` (from 1) returns
+        ``failure(t, y)``; every call is recorded in ``calls``."""
+        calls = []
+
+        def wrapped(t, y):
+            calls.append(t)
+            return failure(t, y) if len(calls) == fail_call else rhs(t, y)
+
+        return wrapped, calls
+
+    def test_nan_stage_then_pt_error_is_nonfinite(self):
+        # the initial call, the probe, 3 accepted steps of 12 + 3 calls,
+        # then stage 5 of the fourth step returns NaN; stage 6 gets the NaN
+        # in its input and raises, as the controlled RHS does on a NaN state
+        rhs, y0 = forced_linear_rhs(2, 3, True)
+        settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
+        clean = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_)
+        assert clean.rejected_steps == 0
+
+        def nan_then_singular(t, y):
+            if not np.isfinite(y).all():
+                raise ControlSingular("onsite control system singular")
+            return rhs(t, y)
+
+        bad, calls = self.failing_at_call(
+            nan_then_singular, 2 + 3 * 15 + 5, lambda t, y: np.full(3, np.nan))
+        with pytest.raises(NonFiniteDerivative, match="rhs not finite") as exc:
+            integrate_adaptive(bad, y0, (0.0, 2.0), settings_)
+        traj = exc.value.trajectory
+        # stage 6 was called and raised; the message names stage 5's time
+        assert len(calls) == 2 + 3 * 15 + 6
+        assert f"t={calls[-2]}" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ControlSingular)
+        assert traj.rhs_evals == len(calls)
+        # the partial trajectory is the clean run's first three steps
+        assert traj.accepted_steps == 3 and exc.value.t_fail == traj.t[-1] == clean.t[3]
+        assert np.array_equal(traj.t, clean.t[:4]) and np.array_equal(traj.y, clean.y[:4])
+        assert np.array_equal(traj.dense, clean.dense[:3])
+
+    def test_pt_error_in_dense_stage_keeps_sampleable_trajectory(self):
+        rhs, y0 = forced_linear_rhs(6, 4, True)
+        settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
+        clean = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_)
+        assert clean.rejected_steps == 0
+
+        def singular(t, y):
+            raise ControlSingular("reservoir depleted")
+
+        # the first dense-output stage of the fifth step
+        bad, calls = self.failing_at_call(rhs, 2 + 4 * 15 + 13, singular)
+        with pytest.raises(ControlSingular) as exc:
+            integrate_adaptive(bad, y0, (0.0, 2.0), settings_)
+        traj = exc.value.trajectory
+        assert traj.rhs_evals == len(calls) == 2 + 4 * 15 + 13
+        assert traj.accepted_steps == 4 and exc.value.t_fail == traj.t[-1]
+        assert traj.dense.shape == (4, 7, 4)
+        assert np.array_equal(traj.dense, clean.dense[:4])
+        assert np.array_equal(traj.sample(traj.t), traj.y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           t_end=st.floats(0.1, 3.0))
+    def test_dense_output_matches_matrix_exponential(self, seed, n, t_end):
+        # y' = A y with A = i H - (c + B B^H), H Hermitian: A + A^H is
+        # negative definite, so |y| does not grow and y(t) = expm(A t) y0
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = 0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a = 0.5j * (h + h.conj().T) - rng.uniform(0.01, 1.0) * np.eye(n) - b @ b.conj().T / n
+        y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rel_tol = 1e-8
+        traj = integrate_adaptive(lambda t, y: a @ y, y0, (0.0, t_end),
+                                  IntegratorSettings(rel_tol=rel_tol, abs_tol=1e-14))
+        # random points inside every accepted step
+        tq = traj.t[:-1] + rng.uniform(0.0, 1.0, traj.accepted_steps) * np.diff(traj.t)
+        got = traj.sample(tq)
+        for t, y in zip(tq, got):
+            exact = expm(a * t) @ y0
+            assert np.max(np.abs(y - exact)) <= 100 * rel_tol * np.max(np.abs(exact))
 
     def test_finite_time_blowup_underflows_step_size(self):
         # y' = y^2 with y(0) = 1 blows up at t = 1: the step size collapses
