@@ -6,11 +6,11 @@ minimizer), :mod:`ptembed.fewmode` (discrete mode models and observables),
 system into an effective two-mode gain/loss system), :mod:`ptembed.dnlse`
 (Gaussian-basis reduction of the Gross-Pitaevskii equation to a discrete
 model), :mod:`ptembed.variational` (fully time-dependent Gaussian ansatz),
-and :mod:`ptembed.cli` (scenario orchestration and file outputs).
+:mod:`ptembed.special` (the complex error function) and :mod:`ptembed.cli`
+(scenario orchestration and file outputs).
 
-Only numpy is imported at module level. scipy is imported inside the
-functions that call it (the variational metric solve and the wall
-observables), so few-mode runs and ground-state fits never load it.
+The package runs on numpy alone; scipy is needed only by the tests, as an
+independent reference.
 """
 
 from .errors import PtError

@@ -272,6 +272,37 @@ def _default_seed(wells: WellPotentialSpec):
 _FIT_PARAMS = ("AxR", "AyR", "AzR", "q", "gR")
 
 
+def _amplitude_energy(basis: VariationalState, wells: WellPotentialSpec,
+                      units: UnitSystem):
+    """The normalized mean-field energy of psi = sum_k d_k g^k over the
+    real ``basis`` held fixed, as a function of x = -log d, in closed form
+    from one :func:`ptembed.variational.gaussian_matrices` call:
+
+        E(d) = d.H d / N + (g/2) W(d) / N^2,   N = d.K d,
+
+    with H = T + V and W(d) = sum W~_lkji d_l d_k d_j d_i. Returns
+    ``energy(x) -> (value, gradient)`` for one x (NG,) or a stack
+    (..., NG), as :func:`ptembed.numerics.minimize_norm_constrained` takes
+    it."""
+    K, T, P, W = gaussian_matrices(basis, wells)
+    K, H = K.real, (T + np.einsum("lmk,m->lk", P, wells.depths)).real
+    W = units.g * W.real
+
+    def energy(x):
+        d = np.exp(-x)
+        Kd, Hd = d @ K, d @ H
+        Wd = np.einsum("lkji,...k,...j,...i->...l", W, d, d, d)
+        nrm = (d * Kd).sum(axis=-1)[..., None]
+        e_lin = (d * Hd).sum(axis=-1)[..., None]
+        e_nl = (d * Wd).sum(axis=-1)[..., None]
+        value = e_lin / nrm + 0.5 * e_nl / nrm**2
+        # d/dd of E, W~ being symmetric in its four indices for real widths
+        grad = 2.0 * (Hd - value * Kd) / nrm + (Wd - 0.5 * e_nl * Kd / nrm) * (2.0 / nrm**2)
+        return value[..., 0], -d * grad
+
+    return energy
+
+
 def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
                      seed_basis: VariationalState | None = None, seed_d=None,
                      tol=1e-9, max_iter=800):
@@ -284,7 +315,11 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     :func:`ptembed.numerics.minimize_norm_constrained` (at most
     ``max_iter`` of them). A trial width with Re A <= 0 raises
     NonNormalizable inside the minimizer, which damps the step instead.
-    ``seed_d`` must be positive: the ground state has no nodes.
+    ``seed_d`` must be positive: the ground state has no nodes. A warm fit
+    given ``seed_basis`` without ``seed_d`` first finds the amplitudes that
+    minimize the energy over that basis held fixed (by the same steps, on
+    the closed form of :func:`_amplitude_energy`) and starts the full fit
+    from them; a cold fit starts from unit amplitudes.
 
     ``tol`` bounds the max norm of that gradient at exit. On the standard
     trap (E = -37.7) the gradient's roundoff is about 1e-11 and the fit
@@ -299,6 +334,7 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     a warm refit), and
     ``energy = mean_field_energy(d, basis, wells, units)``.
     """
+    seed_amplitudes = seed_basis is not None and seed_d is None
     if seed_basis is None:
         seed_basis = _default_seed(wells)
     n = wells.size
@@ -319,6 +355,10 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
         out[..., directions] = x
         return out
 
+    if seed_amplitudes:
+        start = VariationalState.from_vector(packed(x0))
+        x0[4::5] = minimize_norm_constrained(_amplitude_energy(start, wells, units),
+                                             x0[4::5], tol=tol, max_iter=max_iter)[0]
     kernel = TrapKernel(wells, units)
 
     def energy(x):

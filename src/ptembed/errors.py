@@ -84,8 +84,8 @@ class OutOfRange(PtError):
 
 
 class SingularMetric(PtError):
-    """Variational metric is not positive definite, or too ill-conditioned
-    to solve: the ansatz has (near-)redundant parameter directions."""
+    """The variational Gram matrix is singular, or too ill-conditioned to
+    solve: the ansatz has (near-)redundant Gaussians."""
 
 
 class ControlSearchFailed(PtError):

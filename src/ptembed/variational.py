@@ -5,40 +5,44 @@ The wave function is a sum of one Gaussian per well,
     psi = sum_k exp[-A_x^k x^2 - A_y^k y^2 - A_z^k (z - q^k)^2
                     + i p^k (z - q^k) - gamma^k],
 
-with all parameters time-dependent. The equations of motion follow from
-the time-dependent variational principle: with the real parameter vector
-x (complex parameters split into real/imaginary parts),
+with all parameters time-dependent, in units hbar = m = 1 (lengths in w_z,
+energies in E0, cf. the dnlse module). The time derivative of each
+Gaussian is that Gaussian times a polynomial in its centred monomials
+{1, x^2, y^2, z - q^k, (z - q^k)^2}, and every such polynomial is reached
+by some parameter velocity. The time-dependent variational principle is
+therefore a complex Hermitian Gram system over these monomials (Rau, Main
+and Wunner, PRA 82, 023610, 2010),
 
-    Re(M) xdot = Im(h),      M_lk = <d psi/d x_l | d psi/d x_k>,
-                             h_l  = <d psi/d x_l | H | psi>,
+    G c = -i k,     G_(a w),(b v) = <n_a G_w | n_b G_v>,
+                    k_(a w) = <n_a G_w | H | psi>,
 
-in units hbar = m = 1 (lengths in w_z, energies in E0, cf. the dnlse
-module). Every bracket reduces to moments of pair Gaussians: each
-parameter derivative acts on its Gaussian as a polynomial in the
-monomials {1, x^2, y^2, z, z^2}, so brackets are assembled from per-axis
-Gaussian moments (orders 0/2/4 transverse, 0..4 longitudinal). Only the
-kinetic ket carries a polynomial; the potential and interaction kets carry
-a constant, so they need one bra-monomial column each and are summed
-before the bra wells are expanded into parameter directions. The metric
-system is solved by Cholesky; a (near-)singular metric raises
-SingularMetric instead of being regularised. ``gaussian_matrices`` reads
-the Gaussian-basis matrices K, T, W~ and each well's potential matrix off
-the same moment tables; the dnlse module builds on them, with its basis a
-state at rest (p = gamma = 0), and so do the slab populations and wall
-currents of ``box_observables``.
+whose solution c holds the coefficients of d psi / dt; the packed
+parameter velocities follow from c in closed form. Every bracket reduces
+to moments of pair Gaussians over the plain monomials {1, x^2, y^2, z,
+z^2}, from per-axis Gaussian moments (orders 0/2/4 transverse, 0..4
+longitudinal); a real block-diagonal centring matrix C maps them onto the
+centred ones, G = C T C^T and k = C (<m_i G_w | H | psi>). Only the kinetic
+ket carries a polynomial; the potential and interaction kets carry a
+constant, so they need one bra-monomial column each and are summed before
+they meet C. The Gram matrix is inverted with numpy; a (near-)singular one
+raises SingularMetric instead of being regularised. ``gaussian_matrices``
+reads the Gaussian-basis matrices K, T, W~ and each well's potential matrix
+off the same moment tables; the dnlse module builds on them, with its basis
+a state at rest (p = gamma = 0), and so do the slab populations and wall
+currents of ``box_observables``. The module runs on numpy alone.
 
 The brackets run on a per-trap kernel, :class:`TrapKernel`. It builds once
 what depends on the trap alone: the potential kets' shift columns, the
 indices that gather every ket object (the state's Gaussians, the potential
 kets and the interaction triples) with one indexed sum from one array,
-their weights and the constant entries of the derivative polynomials.
-Each call then reads the state straight from the packed parameter vector
-and fills in only what depends on it. :func:`eom_rhs` builds one kernel
-per trap and calls :func:`assemble_eom` with it on every evaluation; the
-ground-state fit and :func:`relax_to_fixed_point` share one kernel over
-their energy evaluations. The brackets and :func:`normalized_energy` also
-take a stack of packed vectors, so the minimizer builds each Hessian from
-one call; every point of a stack gets the same bits as that point alone.
+their weights and the constant entries of the centring matrix. Each call
+then reads the state straight from the packed parameter vector and fills
+in only what depends on it. :func:`eom_rhs` builds one kernel per trap and
+calls :func:`assemble_eom` with it on every evaluation; the ground-state
+fit and :func:`relax_to_fixed_point` share one kernel over their energy
+evaluations. The brackets and :func:`normalized_energy` also take a stack
+of packed vectors, so the minimizer builds each Hessian from one call;
+every point of a stack gets the same bits as that point alone.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
@@ -69,6 +73,7 @@ from .numerics import (
     minimize_norm_constrained,
     root_find,
 )
+from .special import erf
 
 if TYPE_CHECKING:
     from .dnlse import UnitSystem, WellPotentialSpec
@@ -78,7 +83,7 @@ PARAMS_PER_WELL = 10
 PARAM_NAMES = ("AxR", "AxI", "AyR", "AyI", "AzR", "AzI", "q", "p", "gR", "gI")
 
 # monomial basis for derivative polynomials and operator actions
-_N_MONO = 5  # 1, x^2, y^2, z, z^2
+_N_MONO = 5  # 1, x^2, y^2, z, z^2; centred: 1, x^2, y^2, z - q, (z - q)^2
 _XDEG = np.array([0, 1, 0, 0, 0])
 _YDEG = np.array([0, 0, 1, 0, 0])
 _ZDEG = np.array([0, 0, 0, 1, 2])
@@ -86,9 +91,11 @@ _IXTAB = _XDEG[:, None] + _XDEG[None, :]
 _IYTAB = _YDEG[:, None] + _YDEG[None, :]
 _IZTAB = _ZDEG[:, None] + _ZDEG[None, :]
 
-# smallest reciprocal condition estimate (1-norm) of the symmetrized metric
-# that the equations of motion accept; the default trap's metric sits near
-# 1e-4, and below this the velocities along its weakest directions are noise
+# smallest reciprocal condition number (1-norm, exact from the inverse) of
+# the Gram matrix G that the equations of motion accept; below this the
+# velocities along its weakest directions are noise. Two equal packets 1e-2
+# apart give 7.9e-18, 1e-1 apart 6.1e-16; the default trap's packets, 1.8
+# apart, sit far above it
 METRIC_RCOND_MIN = 1e-12
 
 
@@ -173,6 +180,13 @@ class WallPartition:
 
 @dataclass(frozen=True)
 class VariationalSystem:
+    """The variational Gram system G c = -i k of :func:`assemble_eom`.
+
+    ``metric`` (5 NG, 5 NG) is the Hermitian Gram matrix G_(a w),(b v) =
+    <n_a G_w | n_b G_v> over each Gaussian G_w's centred monomials n_a in
+    {1, x^2, y^2, z - q_w, (z - q_w)^2}, indexed Gaussian-major (row
+    5 w + a); ``rhs_vector`` (5 NG,) holds k_(a w) = <n_a G_w | H | psi>."""
+
     metric: np.ndarray
     rhs_vector: np.ndarray
 
@@ -295,15 +309,17 @@ class TrapKernel:
     - the weights (M, 2) of the M scalar kets: the well depth V_m for the
       potential kets (the linear part), g times the multiplicity for the
       triples (the cubic part);
-    - the derivative polynomials (NG, 10, 5) with their constant entries
-      filled in, and each direction's well index;
     - the buffers of ``_pair_moments``, which serve one state; a stack of
-      states gets fresh ones per call, dropped when it returns.
+      states gets fresh ones per call, dropped when it returns;
+    - the centring matrix C (5 NG, 5 NG) of :func:`assemble_eom`, real
+      and block-diagonal, whose row 5 w + a holds the centred monomial n_a of
+      Gaussian w over the plain ones; its constant entries are filled in,
+      and :meth:`centring` rewrites the q-dependent ones.
 
     :meth:`brackets` then reads the state straight from the packed vector
-    (or each of a stack of them) and does only the work that depends on it. ``metric_rcond_min`` is the
-    smallest reciprocal condition estimate of the metric that
-    :func:`assemble_eom` met with this kernel.
+    (or each of a stack of them) and does only the work that depends on
+    it. ``metric_rcond_min`` is the smallest reciprocal condition number
+    of the Gram matrix that :func:`assemble_eom` met with this kernel.
     """
 
     def __init__(self, wells: WellPotentialSpec | None, units: UnitSystem):
@@ -335,32 +351,33 @@ class TrapKernel:
         self._weights[len(lin):, 1] = cubic
         self._kets = np.empty((5, n + m), dtype=complex)
         self._moments = _moment_buffers(n, n + m)
-
-        D = np.zeros((n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
-        D[:, 0, 1] = -1.0                      # AxR: -x^2
-        D[:, 1, 1] = -1j                       # AxI
-        D[:, 2, 2] = -1.0                      # AyR
-        D[:, 3, 2] = -1j                       # AyI
-        D[:, 4, 4], D[:, 5, 4] = -1.0, -1j     # AzR, AzI: -(z-q)^2
-        D[:, 7, 3] = 1j                        # p: i(z-q)
-        D[:, 8, 0] = -1.0                      # gamma_R
-        D[:, 9, 0] = -1j                       # gamma_I
-        self._D = D
-        self.wells_of = np.repeat(own, PARAMS_PER_WELL)
+        # C[w, a, w, :] = n_a over {1, x^2, y^2, z, z^2}: the identity but for
+        # z - q = z - q 1 and (z - q)^2 = z^2 - 2q z + q^2 1. Its entries are
+        # real; held complex, it enters the products with the table uncast
+        self._centring = np.zeros((n, _N_MONO, n, _N_MONO), dtype=complex)
+        self._centring[own, :, own, :] = np.eye(_N_MONO)
         self._n, self._packed_len = n, PARAMS_PER_WELL * n
 
+    def centring(self, q):
+        """The centring matrix C (5 NG, 5 NG) at the centres ``q`` (NG,):
+        the kernel's buffer, with its q-dependent entries rewritten."""
+        own, C = np.arange(self._n), self._centring
+        C[own, 3, own, 0] = -q
+        C[own, 4, own, 0] = q * q
+        C[own, 4, own, 3] = -2.0 * q
+        return C.reshape(_N_MONO * self._n, _N_MONO * self._n)
+
     def _stack_scratch(self, lead):
-        """(ext, D, kets, moment buffers) for a stack of shape ``lead``: fresh
+        """(ext, kets, moment buffers) for a stack of shape ``lead``: fresh
         arrays holding the constants of the kernel's own buffers, which
         serve one state; they are dropped when the call returns."""
         n, (_, cols), m = self._n, self._ext.shape, self._kets.shape[1]
         ext = np.empty((5, *lead, cols), dtype=complex)
         ext[..., 2 * n:] = np.expand_dims(self._ext[:, 2 * n:], tuple(range(1, len(lead) + 1)))
-        D = np.broadcast_to(self._D, (*lead, *self._D.shape)).copy()
-        return ext, D, np.empty((5, *lead, m), dtype=complex), _moment_buffers(n, m, lead)
+        return ext, np.empty((5, *lead, m), dtype=complex), _moment_buffers(n, m, lead)
 
     def brackets(self, x):
-        """The derivative polynomials and H psi for the packed vector ``x``
+        """The Gaussians' moment table and H psi for the packed vector ``x``
         (see ``VariationalState.to_vector``), or for each of a stack of them.
 
         ``x`` is one packed vector (10 NG,) or a stack (..., 10 NG) with
@@ -368,12 +385,10 @@ class TrapKernel:
         axes, and each point of the stack gets the same bits as that point
         evaluated alone. For one vector:
 
-        Returns (D, table, lin, nl). D (10 NG, 5) holds the coefficients of
-        d psi / d x over {1, x^2, y^2, z, z^2} per direction, the well of
-        direction d being ``wells_of[d]``; for one vector it is the
-        kernel's buffer, which the next call overwrites. ``table`` (5, 5,
-        NG, NG) is the moment table of the state's Gaussians with
-        themselves; the metric and the kinetic ket share it. ``lin`` and
+        Returns (table, lin, nl). ``table`` (5, 5, NG, NG), indexed [i, j,
+        w, v], holds <m_i G_w | m_j G_v> for the monomials m in {1, x^2,
+        y^2, z, z^2} of the state's Gaussians G; the Gram matrix and the
+        kinetic ket share it. ``lin`` and
         ``nl`` (5, NG) hold <m_i G_w| (T + V) psi> and
         <m_i G_w| g |psi|^2 psi> for bra monomial m_i and bra Gaussian G_w,
         summed over the ket objects, so that for a polynomial P,
@@ -393,23 +408,15 @@ class TrapKernel:
         if (packed[:3].real <= 0).any():
             # as the pair of that Gaussian with itself has: checked once here
             raise NonNormalizable("pair Gaussian with nonpositive real width")
-        ext, D, kets, moments = (self._stack_scratch(lead) if s else
-                                 (self._ext, self._D, self._kets, self._moments))
+        ext, kets, moments = (self._stack_scratch(lead) if s else
+                              (self._ext, self._kets, self._moments))
         q, p, az = x[..., 6::10], x[..., 7::10], packed[2]
-        two_az, ip, qq = 2.0 * az, 1j * p, q * q
+        ip = 1j * p
         ext[:3, ..., :n] = packed[:3]
-        b = np.add(two_az * q, ip, out=ext[3, ..., :n])
-        ext[4, ..., :n] = -az * qq - ip * q - packed[4]
+        np.add(2.0 * az * q, ip, out=ext[3, ..., :n])
+        ext[4, ..., :n] = -az * (q * q) - ip * q - packed[4]
         gauss = ext[..., :n]
         np.conjugate(gauss, out=ext[..., n:2 * n])
-
-        # the q-, p- and A_z-dependent entries; the rest stay as laid out
-        D_re, D_im = D.real, D.imag
-        D_re[..., 4, 0] = D_im[..., 5, 0] = -qq   # AzR, AzI: -(z-q)^2
-        D_re[..., 4, 3] = D_im[..., 5, 3] = 2.0 * q
-        np.negative(b, out=D[..., 6, 0])          # q: 2A_z(z-q)-ip = 2A_z z - b
-        D[..., 6, 3] = two_az
-        D_im[..., 7, 0] = -q                      # p: i(z-q)
 
         # every ket object as one indexed sum over the columns of ext
         g = ext[..., self._gather]
@@ -429,8 +436,7 @@ class TrapKernel:
             # the stack's axes lead in what is returned
             sums = sums.transpose(*range(1, s + 1), 0, s + 1, s + 2)
             table = table.transpose(*range(2, s + 2), 0, 1, s + 2, s + 3)
-        return (D.reshape(*lead, PARAMS_PER_WELL * n, _N_MONO), table,
-                lin + sums[..., 0], sums[..., 1])
+        return table, lin + sums[..., 0], sums[..., 1]
 
     def rhs(self, t, x):
         """Time-derivative of the packed vector ``x``, through
@@ -490,19 +496,10 @@ def _project(D, wells_of, ket):
     return np.einsum("...di,...id->...d", np.conj(D), ket[..., wells_of])
 
 
-def _metric(D, table):
-    """M[d, k] = <D_d G_well(d) | D_k G_well(k)> from the state's table,
-    one (10, 10) block per pair of wells."""
-    n = table.shape[-1]
-    Dw = D.reshape(n, PARAMS_PER_WELL, _N_MONO)
-    blocks = (np.conj(Dw)[:, None] @ table.transpose(2, 3, 0, 1)) @ Dw.transpose(0, 2, 1)
-    return blocks.transpose(0, 2, 1, 3).reshape(PARAMS_PER_WELL * n, PARAMS_PER_WELL * n)
-
-
 def norm_and_energy(state: VariationalState, wells: WellPotentialSpec | None,
                     units: UnitSystem):
     """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>)."""
-    _, table, lin, nl = TrapKernel(wells, units).brackets(state.to_vector())
+    table, lin, nl = TrapKernel(wells, units).brackets(state.to_vector())
     nrm = float(table[0, 0].sum().real)
     return nrm, float((lin[0].sum() + 0.5 * nl[0].sum()).real)
 
@@ -515,56 +512,69 @@ def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
     trap's ``TrapKernel(wells, units)``: :func:`eom_rhs` builds it once and
     passes it on every call; without it one is built for this call.
 
-    Solves (Re M + Re M^T) xdot = 2 Im h by Cholesky. A metric that is not
-    positive definite or is ill-conditioned (near-redundant parameter
-    directions) is a breakdown of the ansatz, raised as SingularMetric;
-    nothing is floored (see ``_solve_metric``)."""
+    Solves the Gram system G c = -i k (see :class:`VariationalSystem`) for
+    the coefficients c of d psi / dt over each Gaussian's centred
+    monomials {1, x^2, y^2, z - q, (z - q)^2}, with G = C T C^T and
+    k = C (lin + nl) from the kernel's brackets and centring matrix C.
+    The packed velocities follow per Gaussian:
+
+        dA_x/dt = -c_x2,  dA_y/dt = -c_y2,  dA_z/dt = -c_(z-q)2,
+        dq/dt = Re c_(z-q) / (2 Re A_z),
+        dp/dt = Im c_(z-q) - 2 Im A_z dq/dt,
+        dgamma/dt = -c_1 - i p dq/dt.
+
+    A singular or ill-conditioned Gram matrix (near-redundant Gaussians) is
+    a breakdown of the ansatz, raised as SingularMetric; nothing is floored
+    (see ``_solve_metric``)."""
     if kernel is None:
         kernel = TrapKernel(wells, units)
-    D, table, lin, nl = kernel.brackets(_packed(state))
-    metric = _metric(D, table)
-    h = _project(D, kernel.wells_of, lin + nl)
-    xdot, rcond = _solve_metric(metric.real + metric.real.T, 2.0 * h.imag)
+    x = _packed(state)
+    table, lin, nl = kernel.brackets(x)
+    n = table.shape[-1]
+    C = kernel.centring(x[6::10])
+    gram = C @ table.transpose(2, 0, 3, 1).reshape(_N_MONO * n, _N_MONO * n) @ C.T
+    k = C @ (lin + nl).T.reshape(-1)
+    c, rcond = _solve_metric(gram, -1j * k)
     kernel.metric_rcond_min = min(kernel.metric_rcond_min, rcond)
-    return VariationalSystem(metric=metric, rhs_vector=h), xdot
+    return VariationalSystem(metric=gram, rhs_vector=k), _velocities(x, c)
 
 
-@lru_cache(maxsize=None)
-def _lapack():
-    """LAPACK's Cholesky solve and condition estimate, imported at the
-    first solve.
+def _solve_metric(gram, rhs):
+    """Solve ``gram @ c = rhs`` for the Hermitian Gram matrix through its
+    inverse.
 
-    Called directly: scipy.linalg.cho_factor/cho_solve run the same
-    ?potrf/?potrs (which ?posv runs in one call) but add about 20 us of
-    argument checks per call."""
-    from scipy.linalg.lapack import dpocon, dposv
-    return dpocon, dposv
-
-
-def _solve_metric(sym, rhs):
-    """Solve ``sym @ xdot = rhs`` for the symmetrized metric by Cholesky.
-
-    Returns xdot and LAPACK's reciprocal condition estimate of the factor
-    (1-norm). Raises SingularMetric when the factorization fails (the
-    metric is not positive definite to working precision) or when that
-    estimate is below ``METRIC_RCOND_MIN``: the velocities along
-    near-redundant directions would then be roundoff. The metric is never
-    regularised."""
-    dpocon, dposv = _lapack()
-    # factor and solve in one call; the solution is dropped if a check fails
-    factor, xdot, info = dposv(sym, rhs, lower=1)
-    if info != 0:
+    Returns c and the reciprocal condition number 1 / (|G|_1 |G^-1|_1),
+    exact for this small matrix. Raises SingularMetric when the inversion
+    fails (G is singular to working precision) or when that number is
+    below ``METRIC_RCOND_MIN``: the velocities along near-redundant
+    directions would then be roundoff. The matrix is never regularised."""
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
         raise SingularMetric(
-            f"variational metric is not positive definite "
-            f"(Cholesky pivot {info} of {len(sym)} fails)"
-        )
-    rcond, _ = dpocon(factor, np.abs(sym).sum(axis=0).max(), uplo="L")
+            f"variational metric is singular (inversion of the {len(gram)}x{len(gram)} "
+            f"Gram matrix fails)"
+        ) from None
+    rcond = 1.0 / (np.abs(gram).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
     if not rcond >= METRIC_RCOND_MIN:
         raise SingularMetric(
             f"variational metric is singular to working precision "
             f"(reciprocal condition estimate {rcond:.3e} < {METRIC_RCOND_MIN:g})"
         )
-    return xdot, rcond
+    return inverse @ rhs, rcond
+
+
+def _velocities(x, c):
+    """The packed velocities (10 NG,) at the packed vector ``x`` whose
+    Gaussians move by c (5 NG,) over their centred monomials."""
+    # -c in the packed order of complex pairs (A_x, A_y, A_z, q + ip, gamma):
+    # the widths' velocities as they stand; q, p and gamma follow from theirs
+    xdot = np.negative(c.reshape(-1, _N_MONO).take([1, 2, 4, 3, 0], axis=1)).view(float)
+    qdot = xdot[:, 6] / (-2.0 * x[4::10])               # Re c_(z-q) / (2 Re A_z)
+    xdot[:, 6] = qdot
+    xdot[:, 7] = -xdot[:, 7] - 2.0 * x[5::10] * qdot    # Im c_(z-q) - 2 Im A_z qdot
+    xdot[:, 9] -= x[7::10] * qdot                       # Im gamma: -Im c_1 - p qdot
+    return xdot.reshape(-1)
 
 
 def eom_rhs(wells, units):
@@ -598,6 +608,33 @@ def _squares(a):
     return np.reshape([v**2 for v in np.ravel(a).tolist()], np.shape(a))
 
 
+def _derivative_polys(x):
+    """d psi / d x for every direction of the packed vector ``x`` (10 NG,),
+    or of each of a stack (..., 10 NG): the coefficients (..., 10 NG, 5) of
+    each direction's polynomial over {1, x^2, y^2, z, z^2}, which
+    multiplies Gaussian d // 10."""
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.shape[-1] // PARAMS_PER_WELL
+    D = np.zeros((*x.shape[:-1], n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
+    D[..., 0, 1] = -1.0                        # AxR: -x^2
+    D[..., 1, 1] = -1j                         # AxI
+    D[..., 2, 2] = -1.0                        # AyR
+    D[..., 3, 2] = -1j                         # AyI
+    D[..., 4, 4], D[..., 5, 4] = -1.0, -1j     # AzR, AzI: -(z-q)^2
+    D[..., 7, 3] = 1j                          # p: i(z-q)
+    D[..., 8, 0] = -1.0                        # gamma_R
+    D[..., 9, 0] = -1j                         # gamma_I
+    q, p, az = x[..., 6::10], x[..., 7::10], x.view(complex)[..., 2::5]
+    two_az, qq = 2.0 * az, q * q
+    D_re, D_im = D.real, D.imag
+    D_re[..., 4, 0] = D_im[..., 5, 0] = -qq   # AzR, AzI: -(z-q)^2
+    D_re[..., 4, 3] = D_im[..., 5, 3] = 2.0 * q
+    np.negative(two_az * q + 1j * p, out=D[..., 6, 0])  # q: 2A_z(z-q)-ip
+    D[..., 6, 3] = two_az
+    D_im[..., 7, 0] = -q                      # p: i(z-q)
+    return D.reshape(*x.shape, _N_MONO)
+
+
 def normalized_energy(state, wells, units, directions=None,
                       kernel: TrapKernel | None = None):
     """Mean-field energy of the normalized state, E[psi]/<psi|psi>, and its
@@ -620,8 +657,9 @@ def normalized_energy(state, wells, units, directions=None,
         parts = [normalized_energy(x[i:i + STACK_BLOCK], wells, units, directions, kernel)
                  for i in range(0, len(x), STACK_BLOCK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    D, table, lin, nl = kernel.brackets(x)
-    wells_of = kernel.wells_of
+    table, lin, nl = kernel.brackets(x)
+    D = _derivative_polys(x)
+    wells_of = np.arange(D.shape[-2]) // PARAMS_PER_WELL
     if directions is not None:
         D, wells_of = D[..., directions, :], wells_of[directions]
     nrm = table[..., 0, 0, :, :].sum(axis=(-2, -1)).real
@@ -677,10 +715,9 @@ def box_observables(state: VariationalState, partition: WallPartition):
     plane. Both are sums over the pair Gaussians conj(G_l) G_k, whose
     widths, centres and overlaps K_lk come from one ``_pair_moments`` call:
     along z, a pair is K_lk times a normal density of variance 1/(2 S_z)
-    about mu_lk, so its slab integral is the (complex) error function.
+    about mu_lk, so its slab integral is the complex error function
+    (:func:`ptembed.special.erf`).
     """
-    from scipy.special import erf
-
     gauss = _gaussians(state)
     out = _moment_buffers(state.size, state.size)
     mx, my, mz = _pair_moments(np.conj(gauss), gauss, out, 0)
@@ -724,8 +761,8 @@ class ControlledStepResult:
     at the accepted depths (unscaled currents). ``rhs_evals``,
     ``accepted_steps`` and ``rejected_steps`` sum the integrator's work over
     all those integrations, the search's trials included, and
-    ``metric_rcond_min`` is the smallest reciprocal condition estimate of
-    the metric that they met."""
+    ``metric_rcond_min`` is the smallest reciprocal condition number of
+    the Gram matrix that they met."""
 
     state: VariationalState
     depths: tuple
@@ -821,7 +858,7 @@ class VariationalRunRecord:
     per completed interval the depth search's root iterations,
     finite-difference Jacobian builds, end-of-interval integrations, the
     integrator's work on them and the smallest reciprocal condition
-    estimate of the metric (see :class:`ControlledStepResult`). A run ended
+    number of the Gram matrix (see :class:`ControlledStepResult`). A run ended
     by an error records its time, type name (``breakdown_reason``) and text
     (``breakdown_message``)."""
 

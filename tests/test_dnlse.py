@@ -272,6 +272,40 @@ class TestGroundStateFit(object):
         assert abs(energy2 - energy) < 1e-12
         assert np.max(np.abs(d2 - d)) < 1e-9
 
+    def test_warm_refit_without_amplitudes_seeds_them_from_the_basis(self, fitted,
+                                                                     monkeypatch):
+        # an inversion's first residual refits the unchanged trap from the
+        # fitted basis alone: the amplitude stage, on the basis matrices,
+        # leaves the full fit converged at its first evaluation (from unit
+        # amplitudes it took 13 evaluations of 127 points)
+        wells, units, basis, d, energy = fitted
+        points = []
+        full = dnlse.normalized_energy
+
+        def counting(x, *args, **kwargs):
+            points.append(len(x) if np.ndim(x) == 2 else 1)
+            return full(x, *args, **kwargs)
+
+        monkeypatch.setattr(dnlse, "normalized_energy", counting)
+        basis2, d2, energy2 = fit_ground_state(wells, units, seed_basis=basis)
+        assert sum(points) <= 2
+        assert abs(energy2 - energy) < 1e-12
+        assert np.max(np.abs(d2 - d)) < 1e-9
+
+    def test_amplitude_energy_matches_the_full_energy(self, fitted):
+        # the closed form on the basis matrices against normalized_energy
+        # along the gamma_R directions, for one point and a stack
+        wells, units, basis, d, energy = fitted
+        closed = dnlse._amplitude_energy(basis, wells, units)
+        x = -np.log(d) + 0.3 * np.random.default_rng(1).standard_normal((3, len(d)))
+        packed = np.tile(basis.to_vector(), (3, 1))
+        packed[:, 8::10] = x
+        directions = np.arange(8, packed.shape[1], 10)
+        e_ref, g_ref = dnlse.normalized_energy(packed, wells, units, directions)
+        for e, g in (closed(x), [np.array(v) for v in zip(*map(closed, x))]):
+            assert np.allclose(e, e_ref, rtol=1e-12, atol=0.0)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(e_ref))
+
     def test_effective_amplitudes_close_to_box_numbers(self, fitted):
         wells, units, basis, d, energy = fitted
         d_nn, occ_nn = effective_amplitudes(d, basis)

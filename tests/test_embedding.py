@@ -234,6 +234,18 @@ def reference_controls(psi, gamma, gamma_dot, d, nonlinear, j12, e1, e2):
 
 PROPERTY_SETTINGS = settings(max_examples=30)
 
+# Controlled runs to t = 0.5 take under 200 steps on almost every draw. A
+# draw can grind toward the singular surface although its condition number
+# at t = 0 is low: this one, from build_initial_state(0.422 + 0.59j, 0.688,
+# 2.707, 1.3, 0.275, -1.565), used up 20,000 steps by t = 0.376 in 2.5 s.
+# The cap ends such a run as a recorded StepLimitExceeded breakdown instead
+# of stalling the suite; the assertions then hold along the partial run.
+RUN_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, max_steps=2000)
+GRINDING_DRAW = dict(
+    psi=build_initial_state(0.422 + 0.59j, 0.688, 2.707, 1.3, 0.275, -1.565),
+    gamma=0.275, gamma_dot=-0.794, d=-1.565, nonlinear=np.array([1.41, 0.43, 1.90, -0.26]),
+    j12=0.769, e1=-0.926, e2=0.537)
+
 
 @PROPERTY_SETTINGS
 @given(controlled_inputs())
@@ -276,13 +288,13 @@ def test_numpy_scalar_parameters_run_the_float_kernel(inp):
 
 @PROPERTY_SETTINGS
 @given(controlled_inputs())
+@example(GRINDING_DRAW)
 def test_replication_holds_along_controlled_runs(inp):
     assume(reference_controls(**inp)[3] < 1e3)
     g, gd = inp["gamma"], inp["gamma_dot"]
     run = run_controlled(
         inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
-        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"],
-        settings=IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
+        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"], settings=RUN_SETTINGS,
     )
     controls = [run.controls_at(t, psi) for t, psi in zip(run.trajectory.t, run.trajectory.y)]
     res = np.abs([check_conditions(psi, cs) for psi, cs in zip(run.trajectory.y, controls)])
@@ -298,13 +310,13 @@ def test_replication_holds_along_controlled_runs(inp):
 
 @PROPERTY_SETTINGS
 @given(controlled_inputs())
+@example(GRINDING_DRAW)
 def test_controls_over_a_grid_match_the_scalar_kernel(inp):
     assume(reference_controls(**inp)[3] < 1e3)
     g, gd = inp["gamma"], inp["gamma_dot"]
     run = run_controlled(
         inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
-        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"],
-        settings=IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
+        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"], settings=RUN_SETTINGS,
     )
     grid = run.controls_at(run.trajectory.t, run.trajectory.y)
     eps = np.finfo(float).eps

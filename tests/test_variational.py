@@ -117,10 +117,11 @@ def test_metric_is_hermitian_positive(trap_system):
     wells, units, state = trap_system
     system, xdot = assemble_eom(state, wells, units)
     m = system.metric
-    assert np.allclose(m, m.conj().T, atol=1e-10)
-    evals = np.linalg.eigvalsh(m.real + m.real.T)
-    assert evals[-1] > 0
-    assert evals[0] > -1e-10 * evals[-1]
+    assert m.shape == (5 * state.size, 5 * state.size)
+    assert np.allclose(m, m.conj().T, atol=1e-10 * np.max(np.abs(m)))
+    # a Gram matrix of independent functions: positive definite
+    evals = np.linalg.eigvalsh(m)
+    assert evals[0] > 0
     assert np.all(np.isfinite(xdot))
 
 
@@ -297,10 +298,34 @@ def axis_moments(a, b, c, orders):
 POWERS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
 
 
-def reference_brackets(state, wells, units):
-    """The metric <D|D> and h = <D|H|psi> summed ket object by ket object:
-    kinetic, every (well, Gaussian) potential term and all NG^3 interaction
-    triples, each through its full 5x5 table of monomial pair moments."""
+def packed_polys(state):
+    """d psi / d x per packed direction (AxR, AxI, AyR, AyI, AzR, AzI, q, p,
+    gR, gI) of each Gaussian, over the monomials 1, x^2, y^2, z, z^2."""
+    polys = []
+    for q, p, az in zip(state.q_z, state.p_z, state.A_z):
+        polys.append(np.array([
+            [0, -1, 0, 0, 0], [0, -1j, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, -1j, 0, 0],
+            [-q * q, 0, 0, 2 * q, -1], [-1j * q * q, 0, 0, 2j * q, -1j],
+            [-2 * az * q - 1j * p, 0, 0, 2 * az, 0], [-1j * q, 0, 0, 1j, 0],
+            [-1, 0, 0, 0, 0], [-1j, 0, 0, 0, 0],
+        ]))
+    return polys
+
+
+def centred_polys(state):
+    """The centred monomials 1, x^2, y^2, z - q, (z - q)^2 of each Gaussian
+    over the monomials 1, x^2, y^2, z, z^2."""
+    return [np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                      [-q, 0, 0, 1, 0], [q * q, 0, 0, -2 * q, 1]], dtype=complex)
+            for q in state.q_z]
+
+
+def reference_brackets(state, wells, units, polys):
+    """The Gram matrix <P|P> and h = <P|H|psi> for the polynomials ``polys``
+    (one (r, 5) array per Gaussian, each row a bra polynomial P times that
+    Gaussian), summed ket object by ket object: kinetic, every (well,
+    Gaussian) potential term and all NG^3 interaction triples, each through
+    its full 5x5 table of monomial pair moments."""
     n = state.size
     gauss = [(state.A_x[k], state.A_y[k], state.A_z[k],
               2.0 * state.A_z[k] * state.q_z[k] + 1j * state.p_z[k],
@@ -312,17 +337,6 @@ def reference_brackets(state, wells, units):
         mx, my, mz = axis_moments(ax, 0, 0, 5), axis_moments(ay, 0, 0, 5), axis_moments(az, b, c, 5)
         return np.array([[mx[pi[0] + pj[0]] * my[pi[1] + pj[1]] * mz[pi[2] + pj[2]]
                           for pj in POWERS] for pi in POWERS])
-
-    # d psi / d x per packed direction (AxR, AxI, AyR, AyI, AzR, AzI, q, p, gR, gI)
-    D = np.zeros((10 * n, 5), dtype=complex)
-    for k in range(n):
-        q, p, az = state.q_z[k], state.p_z[k], state.A_z[k]
-        D[10 * k:10 * k + 10] = [
-            [0, -1, 0, 0, 0], [0, -1j, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, -1j, 0, 0],
-            [-q * q, 0, 0, 2 * q, -1], [-1j * q * q, 0, 0, 2j * q, -1j],
-            [-2 * az * q - 1j * p, 0, 0, 2 * az, 0], [-1j * q, 0, 0, 1j, 0],
-            [-1, 0, 0, 0, 0], [-1j, 0, 0, 0, 0],
-        ]
 
     kets = []
     for ax, ay, az, b, c in gauss:
@@ -339,15 +353,16 @@ def reference_brackets(state, wells, units):
                 kets.append((tuple(x + np.conj(y) + z for x, y, z in zip(ga, gb, gc)),
                              [units.g, 0, 0, 0, 0]))
 
-    metric = np.zeros((10 * n, 10 * n), dtype=complex)
-    h = np.zeros(10 * n, dtype=complex)
+    r = len(polys[0])
+    metric = np.zeros((r * n, r * n), dtype=complex)
+    h = np.zeros(r * n, dtype=complex)
     for w in range(n):
-        bra = np.conj(D[10 * w:10 * w + 10])
+        bra = np.conj(polys[w])
         for v in range(n):
-            metric[10 * w:10 * w + 10, 10 * v:10 * v + 10] = (
-                bra @ table(gauss[w], gauss[v]) @ D[10 * v:10 * v + 10].T)
+            metric[r * w:r * w + r, r * v:r * v + r] = (
+                bra @ table(gauss[w], gauss[v]) @ polys[v].T)
         for ket, poly in kets:
-            h[10 * w:10 * w + 10] += bra @ table(gauss[w], ket) @ np.array(poly)
+            h[r * w:r * w + r] += bra @ table(gauss[w], ket) @ np.array(poly)
     return metric, h
 
 
@@ -355,11 +370,24 @@ def reference_brackets(state, wells, units):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
 def test_assembly_matches_object_by_object_reference(seed, n, n_wells):
     state, wells, units = random_system(seed, n, n_wells)
-    system, xdot = assemble_eom(state, wells, units)
-    metric, h = reference_brackets(state, wells, units)
-    assert np.max(np.abs(system.metric - metric)) <= 1e-11 * np.max(np.abs(metric))
-    assert np.max(np.abs(system.rhs_vector - h)) <= 1e-11 * np.max(np.abs(h))
-    sym, rhs = system.metric.real + system.metric.real.T, 2.0 * system.rhs_vector.imag
+    system, _ = assemble_eom(state, wells, units)
+    gram, k = reference_brackets(state, wells, units, centred_polys(state))
+    assert np.max(np.abs(system.metric - gram)) <= 1e-11 * np.max(np.abs(gram))
+    assert np.max(np.abs(system.rhs_vector - k)) <= 1e-11 * np.max(np.abs(k))
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
+def test_velocities_solve_the_packed_real_metric_system(seed, n, n_wells):
+    # the TDVP in the real packed parameters, Re(M) xdot = Im(h) with
+    # M = <D|D> and h = <D|H|psi> over the directions D, symmetrized and
+    # solved densely: the Gram solve must give the same velocities
+    state, wells, units = random_system(seed, n, n_wells)
+    _, xdot = assemble_eom(state, wells, units)
+    metric, h = reference_brackets(state, wells, units, packed_polys(state))
+    sym, rhs = metric.real + metric.real.T, 2.0 * h.imag
+    reference = np.linalg.solve(sym, rhs)
+    assert np.max(np.abs(xdot - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.linalg.norm(sym @ xdot - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
