@@ -570,11 +570,7 @@ def _cmd_fit(args):
 
 
 def _cmd_params(args):
-    cfg = _read_config(args.config)
-    wells = _trap(cfg)
-    units = _units(cfg)
-    basis, d_amp, energy = dnlse.fit_ground_state(wells, units)
-    eff = dnlse.effective_model(basis, wells, units)
+    wells, units, _, _, _, eff = _fitted_system(_read_config(args.config))
     print(f"# effective model (energies in E0 = {units.E0_hz:.4f} Hz * h)")
     print("well  onsite          interaction")
     for k in range(wells.size):

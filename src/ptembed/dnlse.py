@@ -17,8 +17,8 @@ kinetic/potential matrices T, V, the two-body tensor W~ and the
 mean-field energy come from that module's Gaussian moment tables, and so
 do the effective tridiagonal model and the nearest-neighbor orthogonalizer:
 both read the overlaps, the kinetic matrix and each well's potential matrix
-off one evaluation of those tables. Symmetric orthogonalization (exact or
-truncated to nearest neighbors) maps amplitudes onto the model.
+off one evaluation of those tables. Symmetric (Loewdin) orthogonalization,
+truncated to nearest neighbors, maps amplitudes onto the model.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     ConvergenceWarning,
     NonNormalizable,
-    NotPositiveDefinite,
     NoConvergence,
     OutOfRange,
     SizeMismatch,
@@ -128,14 +127,6 @@ class UnitSystem:
 
 
 @dataclass(frozen=True)
-class MatrixBundle:
-    K: np.ndarray
-    T: np.ndarray
-    V: np.ndarray
-    W_tensor: np.ndarray
-
-
-@dataclass(frozen=True)
 class EffectiveModel:
     onsite: np.ndarray
     tunneling: np.ndarray
@@ -149,60 +140,21 @@ class EffectiveModel:
             raise SizeMismatch("tunneling must have length size-1")
 
 
-def overlap_matrix(basis: VariationalState):
-    """K_lk = <g^l|g^k>, all pairs, for a basis at rest."""
-    return gaussian_overlaps(basis)
-
-
 def interaction_tensor(basis: VariationalState, units: UnitSystem):
     """W~_lkji = g * int (g^l)* (g^j)* g^i g^k d^3r with g = 4 pi N a / w_z."""
     return units.g * gaussian_matrices(basis, None)[3]
 
 
-def hamiltonian_matrices(basis: VariationalState, wells: WellPotentialSpec,
-                         units: UnitSystem):
-    """K, T = <g^l| -Delta/2 |g^k>, V = <g^l| V_trap |g^k> and W~ from one
-    evaluation of the Gaussian moment tables."""
-    if basis.size != wells.size:
-        raise SizeMismatch("basis and trap must have equal well counts")
-    K, T, P, W = gaussian_matrices(basis, wells)
-    V = np.einsum("lmk,m->lk", P, wells.depths)
-    return MatrixBundle(K=K, T=T, V=V, W_tensor=units.g * W)
-
-
-def lowdin_exact(K):
-    """Symmetric orthogonalizer X = U D^{-1/2} U^dag with K = U D U^dag."""
-    K = np.asarray(K, dtype=complex)
-    evals, U = np.linalg.eigh(K)
-    if evals[0] <= 1e-14 * abs(evals[-1]):
-        raise NotPositiveDefinite(
-            f"overlap matrix has eigenvalue {evals[0]:.3e} (basis linearly dependent)"
-        )
-    return (U / np.sqrt(evals)) @ U.conj().T
-
-
-def _nn_overlaps(basis: VariationalState, power):
-    """N_k = K_kk^(-1/2) and the matrix K_lk (N_l N_k)^power / (N_l + N_k)
-    on the nearest-neighbor entries |l - k| = 1, zero elsewhere."""
-    K = overlap_matrix(basis)
+def lowdin_nn_inverse(basis: VariationalState):
+    """(X^(0) + X^(1))^{-1} through first order in the overlap, for the
+    nearest-neighbor Loewdin orthogonalizer X^(0) + X^(1): diag(1/N) plus
+    K_lk N_l N_k / (N_l + N_k) between neighbors |l - k| = 1, with
+    N_k = K_kk^(-1/2)."""
+    K = gaussian_overlaps(basis)
     N = np.diag(K).real ** -0.5
     n = basis.size
     neighbors = np.eye(n, k=1) + np.eye(n, k=-1)
-    return N, neighbors * K * np.outer(N, N) ** power / np.add.outer(N, N)
-
-
-def lowdin_nn(basis: VariationalState):
-    """Nearest-neighbor orthogonalizer X^(0) + X^(1): diag(N) minus
-    K_lk N_l^2 N_k^2 / (N_l + N_k) between neighbors, N_k = K_kk^(-1/2)."""
-    N, first = _nn_overlaps(basis, 2)
-    return np.diag(N) - first
-
-
-def lowdin_nn_inverse(basis: VariationalState):
-    """(X^(0) + X^(1))^{-1} through first order in the overlap: diag(1/N)
-    plus K_lk N_l N_k / (N_l + N_k) between neighbors."""
-    N, first = _nn_overlaps(basis, 1)
-    return np.diag(1.0 / N) + first
+    return np.diag(1.0 / N) + neighbors * K * np.outer(N, N) / np.add.outer(N, N)
 
 
 def effective_model(basis: VariationalState, wells: WellPotentialSpec,
@@ -238,16 +190,13 @@ def effective_model(basis: VariationalState, wells: WellPotentialSpec,
     return EffectiveModel(onsite=onsite, tunneling=tunneling, interaction=interaction)
 
 
-def effective_amplitudes(d, basis: VariationalState, exact=False):
-    """Orthogonalized amplitudes d_eff = X^{-1} d and occupations |d_eff|^2."""
+def effective_amplitudes(d, basis: VariationalState):
+    """Orthogonalized amplitudes d_eff = X^{-1} d, X the nearest-neighbor
+    Loewdin orthogonalizer, and occupations |d_eff|^2."""
     d = np.asarray(d, dtype=complex)
     if len(d) != basis.size:
         raise SizeMismatch("amplitude vector size mismatch")
-    if exact:
-        x = lowdin_exact(overlap_matrix(basis))
-        d_eff = np.linalg.solve(x, d)
-    else:
-        d_eff = lowdin_nn_inverse(basis) @ d
+    d_eff = lowdin_nn_inverse(basis) @ d
     return d_eff, np.abs(d_eff) ** 2
 
 
@@ -374,7 +323,7 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     basis = replace(state, gamma=np.zeros(n))
     # gamma is real here: the amplitudes are real
     d = np.exp(-state.gamma).real
-    d *= 1.0 / math.sqrt(np.vdot(d, overlap_matrix(basis) @ d).real)
+    d *= 1.0 / math.sqrt(np.vdot(d, gaussian_overlaps(basis) @ d).real)
     return basis, d, mean_field_energy(d, basis, wells, units)
 
 

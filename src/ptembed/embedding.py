@@ -23,13 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    BranchViolation,
     ControlSingular,
     DegenerateInput,
     PtError,
     ZeroCoupling,
 )
-from .fewmode import cross_moments, model_rhs  # noqa: F401 (model_rhs re-exported)
+from .fewmode import model_rhs  # noqa: F401 (bench/tracing.py wraps it here)
 from .numerics import IntegratorSettings, Trajectory, integrate_adaptive
 
 
@@ -225,60 +224,6 @@ def check_conditions(psi, controls: ControlState):
         j01c * c02 - j23c * c13,
         -2.0 * (j01c * (p0 * p2.conjugate()).imag - j23c * (p1 * p3.conjugate()).imag),
     )
-
-
-@dataclass(frozen=True)
-class ClosedFormSigns:
-    s1: int
-    s2: int
-    s3: int
-    s6: int
-
-
-def signs_from_state(psi, gamma, d):
-    """Read the closed-form branch signs off an admissible wave function."""
-    c_mat, jt = cross_moments(psi)
-    n = np.abs(psi) ** 2
-    s2 = 1 if jt[0, 1] >= 0 else -1
-    s3 = 1 if jt[0, 1] * jt[2, 3] >= 0 else -1
-    s6 = 1 if jt[0, 2] >= 0 else -1
-    gaux = jt[1, 2] / math.sqrt(n[1] * n[2])
-    beta = s3 * gamma / (d * math.sqrt(n[0] * n[3]))
-    alpha = 0.5 * gaux * (beta + 0.5 * gaux)
-    s1 = 1 if jt[0, 1] ** 2 / (2.0 * n[0] * n[1]) >= (1.0 - alpha) else -1
-    return ClosedFormSigns(s1=s1, s2=s2, s3=s3, s6=s6)
-
-
-def closed_form_observables(n, j_tilde_12, gamma, d, signs: ClosedFormSigns):
-    """Correlations and currents from (n_k, j~12) alone.
-
-    Returns (j~01, j~23, C02, C13, j~02, j~13). Raises BranchViolation when
-    the discriminant is negative (no real solution for these occupations).
-    """
-    n = np.asarray(n, dtype=float)
-    if np.any(n <= 0):
-        raise BranchViolation("all occupations must be positive")
-    gaux = j_tilde_12 / math.sqrt(n[1] * n[2])
-    beta = signs.s3 * gamma / (d * math.sqrt(n[0] * n[3]))
-    alpha = 0.5 * gaux * (beta + 0.5 * gaux)
-    disc = (1.0 - alpha) ** 2 - beta**2
-    if disc < 0:
-        raise BranchViolation(f"(1-alpha)^2 - beta^2 = {disc:.3e} < 0")
-    root = math.sqrt(disc)
-    plus = 1.0 - alpha + signs.s1 * root
-    minus = 1.0 - alpha - signs.s1 * root
-    outer = 1.0 + alpha + signs.s1 * root
-    if min(plus, minus, outer) < -1e-12:
-        raise BranchViolation("negative radicand in closed-form observables")
-    plus, minus, outer = max(plus, 0.0), max(minus, 0.0), max(outer, 0.0)
-    jt01 = signs.s2 * math.sqrt(2.0 * n[0] * n[1] * plus)
-    jt23 = signs.s3 * math.sqrt(n[2] * n[3] / (n[0] * n[1])) * jt01
-    sgn_d = 1.0 if d > 0 else -1.0
-    c02 = signs.s2 * sgn_d * math.sqrt(2.0 * n[0] * n[2] * minus)
-    c13 = signs.s2 * sgn_d * math.sqrt(2.0 * n[1] * n[3] * minus)
-    jt02 = signs.s6 * math.sqrt(2.0 * n[0] * n[2] * outer)
-    jt13 = signs.s6 * math.sqrt(2.0 * n[1] * n[3] * outer)
-    return jt01, jt23, c02, c13, jt02, jt13
 
 
 def pt_stationary_state(gamma, j12=1.0, c=0.0):

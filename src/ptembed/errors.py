@@ -65,18 +65,10 @@ class DegenerateInput(PtError):
     """Initial-state construction received degenerate inputs."""
 
 
-class BranchViolation(PtError):
-    """Closed-form correlations have no real solution for these inputs."""
-
-
 # --- Gaussian basis / variational ---
 
 class NonNormalizable(PtError):
     """Gaussian parameters violate Re(A) > 0."""
-
-
-class NotPositiveDefinite(PtError):
-    """Overlap matrix is not positive definite."""
 
 
 class OutOfRange(PtError):

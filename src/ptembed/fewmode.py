@@ -1,5 +1,7 @@
 """Discrete mode models: tridiagonal (possibly non-Hermitian) Hamiltonians,
-observables and their closed-form rates, and the two-mode spectrum.
+their pair moments, dynamics and the two-mode spectrum: the balanced
+gain/loss reference that the controlled four-mode run of
+:mod:`ptembed.embedding` reproduces.
 
 States are plain complex numpy vectors (the mode amplitudes psi_k). Internal
 units set hbar = 1; energies are measured in the reference coupling J12 for
@@ -8,7 +10,7 @@ abstract scenarios and in E0 = hbar^2 / (m w_z^2) for physical ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,21 +56,6 @@ def pt_two_mode(gamma, j12=1.0, c=0.0):
     )
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """Occupations, nearest-neighbor currents and pair correlations.
-
-    ``j_tilde`` and ``j`` are nearest-neighbor vectors (length size-1) with
-    j_{k,k+1} = J_{k,k+1} * j_tilde_{k,k+1}; ``C`` is the full symmetric
-    correlation matrix C_kl = psi_k psi_l* + psi_k* psi_l.
-    """
-
-    n: np.ndarray
-    j: np.ndarray
-    j_tilde: np.ndarray
-    C: np.ndarray = field(repr=False)
-
-
 def cross_moments(psi):
     """Full pair matrices (C_kl, j_tilde_kl) for all index pairs."""
     p = np.outer(psi, np.conj(psi))
@@ -83,63 +70,6 @@ def model_rhs(psi, model: TridiagonalComplexModel):
     h[:-1] -= model.coupling * psi[1:]
     h[1:] -= model.coupling * psi[:-1]
     return -1j * h
-
-
-def observables(psi, model: TridiagonalComplexModel):
-    if len(psi) != model.size:
-        raise SizeMismatch(f"state size {len(psi)} != model size {model.size}")
-    c_mat, jt_mat = cross_moments(psi)
-    n = np.abs(psi) ** 2
-    jt = np.array([jt_mat[k, k + 1] for k in range(model.size - 1)])
-    return ObservableSet(n=n, j=model.coupling * jt, j_tilde=jt, C=c_mat)
-
-
-def observable_rates(psi, model: TridiagonalComplexModel):
-    """Closed-form time derivatives of (n1, n2, j12, C12).
-
-    For size 2 the indices refer to the two modes and the rates carry the
-    gain/loss terms 2 n_k Im E_k; for size 4 they refer to the middle wells
-    (modes 1 and 2) and carry the reservoir couplings instead.
-    """
-    if model.size == 2:
-        psi = np.asarray(psi, dtype=complex)
-        e1, e2 = model.onsite
-        c1, c2 = model.nonlinear
-        j12c = model.coupling[0]
-        c_mat, jt_mat = cross_moments(psi)
-        n = np.abs(psi) ** 2
-        jt12 = jt_mat[0, 1]
-        c12 = c_mat[0, 1]
-        de = e1.real - e2.real + c1 * n[0] - c2 * n[1]
-        dn1 = -j12c * jt12 + 2.0 * n[0] * e1.imag
-        dn2 = j12c * jt12 + 2.0 * n[1] * e2.imag
-        dj12 = (
-            2.0 * j12c**2 * (n[0] - n[1])
-            + (e1.imag + e2.imag) * j12c * jt12
-            + j12c * de * c12
-        )
-        dc12 = (e1.imag + e2.imag) * c12 - de * jt12
-        return np.array([dn1, dn2, dj12, dc12])
-    if model.size == 4:
-        psi = np.asarray(psi, dtype=complex)
-        e = model.onsite
-        if np.any(e.imag != 0.0):
-            raise UnsupportedSize("four-mode rates assume a Hermitian model")
-        c = model.nonlinear
-        j01c, j12c, j23c = model.coupling
-        c_mat, jt_mat = cross_moments(psi)
-        n = np.abs(psi) ** 2
-        de = e[1].real - e[2].real + c[1] * n[1] - c[2] * n[2]
-        dn1 = j01c * jt_mat[0, 1] - j12c * jt_mat[1, 2]
-        dn2 = j12c * jt_mat[1, 2] - j23c * jt_mat[2, 3]
-        dj12 = (
-            2.0 * j12c**2 * (n[1] - n[2])
-            - j12c * (j01c * c_mat[0, 2] - j23c * c_mat[1, 3])
-            + j12c * de * c_mat[1, 2]
-        )
-        dc12 = j01c * jt_mat[0, 2] - j23c * jt_mat[1, 3] - de * jt_mat[1, 2]
-        return np.array([dn1, dn2, dj12, dc12])
-    raise UnsupportedSize(f"observable rates defined for sizes 2 and 4, got {model.size}")
 
 
 def two_mode_eigenvalues(model: TridiagonalComplexModel):

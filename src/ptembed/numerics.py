@@ -113,9 +113,6 @@ class Trajectory:
         out = np.where(s == 1.0, self.y[idx + 1], out)
         return out[0] if scalar else out
 
-    def final(self):
-        return self.t[-1], self.y[-1]
-
 
 # Dormand-Prince 8(5,3), "DOP853" (Hairer, Norsett & Wanner, Solving
 # Ordinary Differential Equations I, Sec. II.10), with the coefficients of

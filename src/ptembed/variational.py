@@ -37,12 +37,13 @@ indices that gather every ket object (the state's Gaussians, the potential
 kets and the interaction triples) with one indexed sum from one array,
 their weights and the constant entries of the centring matrix. Each call
 then reads the state straight from the packed parameter vector and fills
-in only what depends on it. :func:`eom_rhs` builds one kernel per trap and
-calls :func:`assemble_eom` with it on every evaluation; the ground-state
-fit and :func:`relax_to_fixed_point` share one kernel over their energy
-evaluations. The brackets and :func:`normalized_energy` also take a stack
-of packed vectors, so the minimizer builds each Hessian from one call;
-every point of a stack gets the same bits as that point alone.
+in only what depends on it. An integration builds one kernel per trap and
+takes its :meth:`TrapKernel.rhs`, which calls :func:`assemble_eom` with it
+on every evaluation; the ground-state fit and :func:`relax_to_fixed_point`
+share one kernel over their energy evaluations. The brackets and
+:func:`normalized_energy` also take a stack of packed vectors, so the
+minimizer builds each Hessian from one call; every point of a stack gets
+the same bits as that point alone.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
@@ -191,13 +192,6 @@ class VariationalSystem:
     rhs_vector: np.ndarray
 
 
-def _z_shape(state: VariationalState):
-    """Ket z-factor exp(-A_z z^2 + b z + c): returns (b, c)."""
-    b = 2.0 * state.A_z * state.q_z + 1j * state.p_z
-    c = -state.A_z * state.q_z**2 - 1j * state.p_z * state.q_z - state.gamma
-    return b, c
-
-
 @lru_cache(maxsize=None)
 def _triples(n):
     """Interaction kets G_a conj(G_b) G_c as index arrays (a, b, c) and
@@ -217,7 +211,8 @@ def _gaussians(state: VariationalState):
     rows (A_x, A_y, A_z, b, C) of a (5, NG) array."""
     gauss = np.empty((5, state.size), dtype=complex)
     gauss[0], gauss[1], gauss[2] = state.A_x, state.A_y, state.A_z
-    gauss[3], gauss[4] = _z_shape(state)
+    gauss[3] = 2.0 * state.A_z * state.q_z + 1j * state.p_z
+    gauss[4] = -state.A_z * state.q_z**2 - 1j * state.p_z * state.q_z - state.gamma
     return gauss
 
 
@@ -509,8 +504,8 @@ def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
     """Variational system and parameter velocities xdot (real vector).
 
     ``state`` is a VariationalState or its packed vector. ``kernel`` is the
-    trap's ``TrapKernel(wells, units)``: :func:`eom_rhs` builds it once and
-    passes it on every call; without it one is built for this call.
+    trap's ``TrapKernel(wells, units)``: its :meth:`TrapKernel.rhs` passes
+    it on every call; without it one is built for this call.
 
     Solves the Gram system G c = -i k (see :class:`VariationalSystem`) for
     the coefficients c of d psi / dt over each Gaussian's centred
@@ -575,19 +570,6 @@ def _velocities(x, c):
     xdot[:, 7] = -xdot[:, 7] - 2.0 * x[5::10] * qdot    # Im c_(z-q) - 2 Im A_z qdot
     xdot[:, 9] -= x[7::10] * qdot                       # Im gamma: -Im c_1 - p qdot
     return xdot.reshape(-1)
-
-
-def eom_rhs(wells, units):
-    """Time-derivative of the packed real parameter vector, ``rhs(t, x)``:
-    the ``rhs`` method of one ``TrapKernel(wells, units)``."""
-    return TrapKernel(wells, units).rhs
-
-
-def propagate_state(state: VariationalState, wells, units, t_span,
-                    settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)):
-    traj = integrate_adaptive(eom_rhs(wells, units), state.to_vector(), t_span, settings,
-                              dense_output=False)
-    return VariationalState.from_vector(traj.y[-1]), traj
 
 
 # Rows of a stack that normalized_energy evaluates at once; a longer stack's
@@ -737,21 +719,6 @@ def box_observables(state: VariationalState, partition: WallPartition):
     return n, j
 
 
-def density_profile(state: VariationalState, z_grid):
-    """|psi(0, 0, z)|^2 along the trap axis."""
-    z = np.asarray(z_grid, dtype=float)
-    b, c = _z_shape(state)
-    vals = np.zeros_like(z, dtype=complex)
-    for k in range(state.size):
-        vals += np.exp(-state.A_z[k] * z**2 + b[k] * z + c[k])
-    return np.abs(vals) ** 2
-
-
-def free_gaussian_width(a0, t):
-    """Analytic width of a force-free Gaussian: 1/A(t) = 1/A(0) + 2 i t."""
-    return 1.0 / (1.0 / a0 + 2j * t)
-
-
 @dataclass
 class ControlledStepResult:
     """One control interval: the end state, the accepted outer depths, the
@@ -885,14 +852,14 @@ class VariationalRunRecord:
 
 
 def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
-                             gamma_fn, t_end, control_dt=0.05,
-                             state: VariationalState | None = None,
+                             gamma_fn, t_end, state: VariationalState, control_dt=0.05,
                              settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
                              control_tol=1e-8):
     """Drive the trap through a gain/loss schedule with depth control.
 
     ``gamma_fn(t) -> (gamma, gamma_dot)`` sets the target currents
-    j_01 = 2 gamma n_1 and j_23 = 2 gamma n_2 (enforced at step ends).
+    j_01 = 2 gamma n_1 and j_23 = 2 gamma n_2 (enforced at step ends);
+    ``state`` is the initial (relaxed) state.
     Each interval's depth search starts from the Jacobian the previous
     interval ended with. Only the first interval that iterates builds one
     by finite differences; later ones rebuild it only when their search
@@ -900,8 +867,6 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     Returns a VariationalRunRecord; a failed control search terminates the
     run and is recorded as a breakdown, not raised.
     """
-    if state is None:
-        raise ValueError("an initial (relaxed) state is required")
     partition = WallPartition.from_wells(wells)
     times = [0.0]
     n0, j0 = box_observables(state, partition)

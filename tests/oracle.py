@@ -1,19 +1,35 @@
-"""Adaptive quadrature oracle for the tests.
+"""Independent references that the tests compare the program against.
 
 ``quadrature_oracle`` integrates by nested ``scipy.integrate.quad`` calls,
 independently of the closed-form Gaussian moments the package uses, so the
-tests can check those moments against it. It lives with the tests because
-no program path integrates numerically.
+tests can check those moments against it. The exact and the
+nearest-neighbor Loewdin orthogonalizers, the force-free width of a
+Gaussian packet and the closed-form correlations of the embedding are
+further references. They live with the tests because no program path uses
+them.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 
 from ptembed.errors import PtError
+from ptembed.fewmode import cross_moments
+from ptembed.variational import VariationalState, gaussian_overlaps
 
 
 class RefinementLimit(PtError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+
+class NotPositiveDefinite(PtError):
+    """Overlap matrix is not positive definite."""
+
+
+class BranchViolation(PtError):
+    """Closed-form correlations have no real solution for these inputs."""
 
 
 def _quad_1d(fun, a, b, tol):
@@ -68,3 +84,85 @@ def quadrature_oracle(integrand, region, tol=1e-10):
     if err > tol * max(1.0, abs(val)):
         raise RefinementLimit(f"quadrature error {err:.3e} above tol {tol:.1e}")
     return val
+
+
+def lowdin_exact(K):
+    """Symmetric orthogonalizer X = U D^{-1/2} U^dag with K = U D U^dag."""
+    K = np.asarray(K, dtype=complex)
+    evals, U = np.linalg.eigh(K)
+    if evals[0] <= 1e-14 * abs(evals[-1]):
+        raise NotPositiveDefinite(
+            f"overlap matrix has eigenvalue {evals[0]:.3e} (basis linearly dependent)"
+        )
+    return (U / np.sqrt(evals)) @ U.conj().T
+
+
+def lowdin_nn(basis: VariationalState):
+    """Nearest-neighbor orthogonalizer X^(0) + X^(1): diag(N) minus
+    K_lk N_l^2 N_k^2 / (N_l + N_k) between neighbors, N_k = K_kk^(-1/2)."""
+    K = gaussian_overlaps(basis)
+    N = np.diag(K).real ** -0.5
+    n = basis.size
+    neighbors = np.eye(n, k=1) + np.eye(n, k=-1)
+    return np.diag(N) - neighbors * K * np.outer(N, N) ** 2 / np.add.outer(N, N)
+
+
+def free_gaussian_width(a0, t):
+    """Analytic width of a force-free Gaussian: 1/A(t) = 1/A(0) + 2 i t."""
+    return 1.0 / (1.0 / a0 + 2j * t)
+
+
+@dataclass(frozen=True)
+class ClosedFormSigns:
+    s1: int
+    s2: int
+    s3: int
+    s6: int
+
+
+def signs_from_state(psi, gamma, d):
+    """Read the closed-form branch signs off an admissible wave function."""
+    c_mat, jt = cross_moments(psi)
+    n = np.abs(psi) ** 2
+    s2 = 1 if jt[0, 1] >= 0 else -1
+    s3 = 1 if jt[0, 1] * jt[2, 3] >= 0 else -1
+    s6 = 1 if jt[0, 2] >= 0 else -1
+    gaux = jt[1, 2] / math.sqrt(n[1] * n[2])
+    beta = s3 * gamma / (d * math.sqrt(n[0] * n[3]))
+    alpha = 0.5 * gaux * (beta + 0.5 * gaux)
+    s1 = 1 if jt[0, 1] ** 2 / (2.0 * n[0] * n[1]) >= (1.0 - alpha) else -1
+    return ClosedFormSigns(s1=s1, s2=s2, s3=s3, s6=s6)
+
+
+def closed_form_observables(n, j_tilde_12, gamma, d, signs: ClosedFormSigns):
+    """Correlations and currents from (n_k, j~12) alone.
+
+    Returns (j~01, j~23, C02, C13, j~02, j~13). Raises BranchViolation when
+    the discriminant is negative (no real solution for these occupations).
+    """
+    n = np.asarray(n, dtype=float)
+    if np.any(n <= 0):
+        raise BranchViolation("all occupations must be positive")
+    gaux = j_tilde_12 / math.sqrt(n[1] * n[2])
+    beta = signs.s3 * gamma / (d * math.sqrt(n[0] * n[3]))
+    alpha = 0.5 * gaux * (beta + 0.5 * gaux)
+    disc = (1.0 - alpha) ** 2 - beta**2
+    if disc < 0:
+        raise BranchViolation(f"(1-alpha)^2 - beta^2 = {disc:.3e} < 0")
+    root = math.sqrt(disc)
+    plus = 1.0 - alpha + signs.s1 * root
+    minus = 1.0 - alpha - signs.s1 * root
+    outer = 1.0 + alpha + signs.s1 * root
+    if min(plus, minus, outer) < -1e-12:
+        raise BranchViolation("negative radicand in closed-form observables")
+    plus, minus, outer = max(plus, 0.0), max(minus, 0.0), max(outer, 0.0)
+    jt01 = signs.s2 * math.sqrt(2.0 * n[0] * n[1] * plus)
+    jt23 = signs.s3 * math.sqrt(n[2] * n[3] / (n[0] * n[1])) * jt01
+    sgn_d = 1.0 if d > 0 else -1.0
+    c02 = signs.s2 * sgn_d * math.sqrt(2.0 * n[0] * n[2] * minus)
+    c13 = signs.s2 * sgn_d * math.sqrt(2.0 * n[1] * n[3] * minus)
+    jt02 = signs.s6 * math.sqrt(2.0 * n[0] * n[2] * outer)
+    jt13 = signs.s6 * math.sqrt(2.0 * n[1] * n[3] * outer)
+    return jt01, jt23, c02, c13, jt02, jt13
+
+

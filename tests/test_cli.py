@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptembed import variational
+from ptembed import dnlse, variational
 from ptembed.cli import (
     compare_runs,
     main,
@@ -348,7 +348,17 @@ class TestPhysicalSubcommands:
         assert len(fit["amplitudes"]) == 4
         rc = main(["params", "--config", str(cfg)])
         assert rc == 0
-        assert "tunneling" in capsys.readouterr().out
+        # the table holds the effective model of the fitted default trap, to
+        # the printed digits
+        wells, units = dnlse.standard_four_well(), dnlse.UnitSystem.rubidium87()
+        basis, _, _ = dnlse.fit_ground_state(wells, units)
+        eff = dnlse.effective_model(basis, wells, units)
+        per_well, per_pair = capsys.readouterr().out.split("pair  tunneling\n")
+        assert [line.split() for line in per_well.splitlines()[2:]] == [
+            [str(k), f"{e:.8e}", f"{u:.8e}"]
+            for k, (e, u) in enumerate(zip(eff.onsite, eff.interaction))]
+        assert [line.split() for line in per_pair.splitlines()] == [
+            [f"{k},{k + 1}", f"{j:.8e}"] for k, j in enumerate(eff.tunneling)]
 
     def test_variational_summary_counts_control_work(self, tmp_path):
         cfg = tmp_path / "var.cfg"

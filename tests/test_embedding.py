@@ -3,23 +3,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracle import BranchViolation, ClosedFormSigns, closed_form_observables, signs_from_state
 from ptembed.embedding import (
-    ClosedFormSigns,
     ControlState,
     RampSchedule,
     build_initial_state,
     check_conditions,
-    closed_form_observables,
     constant_gamma,
     gamma_ramp,
     make_controlled_rhs,
     pt_stationary_state,
     ramp_gamma,
     run_controlled,
-    signs_from_state,
     synth_onsite,
 )
-from ptembed.errors import BranchViolation, ControlSingular, DegenerateInput, ZeroCoupling
+from ptembed.errors import ControlSingular, DegenerateInput, ZeroCoupling
 from ptembed.fewmode import (
     TridiagonalComplexModel,
     cross_moments,

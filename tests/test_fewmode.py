@@ -6,8 +6,6 @@ from ptembed.fewmode import (
     TridiagonalComplexModel,
     cross_moments,
     model_rhs,
-    observable_rates,
-    observables,
     propagate,
     pt_two_mode,
     two_mode_eigenvalues,
@@ -50,43 +48,6 @@ def test_rhs_matches_matrix_form_linear():
     assert np.allclose(model_rhs(psi, m), -1j * h @ psi, atol=1e-14)
 
 
-def test_observable_rates_match_finite_differences():
-    m = pt_two_mode(0.35, c=0.2)
-    psi = np.array([0.8 + 0.1j, 0.4 - 0.5j])
-    eps = 1e-7
-    psi2 = psi + eps * model_rhs(psi, m)
-
-    def pack(p):
-        obs = observables(p, m)
-        return np.array([obs.n[0], obs.n[1], obs.j[0], obs.C[0, 1]])
-
-    fd = (pack(psi2) - pack(psi)) / eps
-    assert np.max(np.abs(fd - observable_rates(psi, m))) < 1e-5
-
-
-def test_four_mode_rates_match_finite_differences():
-    m = TridiagonalComplexModel(onsite=[0.4, -0.2, 0.1, 0.6],
-                                coupling=[0.7, 1.0, 0.3],
-                                nonlinear=[0.0, -0.5, -0.5, 0.0])
-    psi = np.array([0.9 + 0.2j, 0.4 - 0.1j, 0.3 + 0.6j, 0.7 - 0.4j])
-    eps = 1e-7
-    psi2 = psi + eps * model_rhs(psi, m)
-
-    def pack(p):
-        obs = observables(p, m)
-        return np.array([obs.n[1], obs.n[2], obs.j[1], obs.C[1, 2]])
-
-    fd = (pack(psi2) - pack(psi)) / eps
-    assert np.max(np.abs(fd - observable_rates(psi, m))) < 1e-5
-
-
-def test_rates_unsupported_size():
-    m = TridiagonalComplexModel(onsite=[0.0, 0.0, 0.0], coupling=[1.0, 1.0],
-                                nonlinear=[0.0, 0.0, 0.0])
-    with pytest.raises(UnsupportedSize):
-        observable_rates(np.ones(3, dtype=complex), m)
-
-
 class TestTwoModeSpectrum:
     def test_unbroken_real(self):
         for g in (0.0, 0.5, 0.9):
@@ -116,13 +77,3 @@ def test_hermitian_propagation_conserves_norm():
     norms = np.sum(np.abs(traj.y) ** 2, axis=1)
     assert np.max(np.abs(norms - norms[0])) < 1e-9
 
-
-def test_gain_loss_norm_rates():
-    # d(n1)/dt - d(n2)/dt picks up 2 gamma (n1 + n2) beyond the current terms
-    m = pt_two_mode(0.3)
-    psi = np.array([0.7 + 0.2j, 0.5 - 0.4j])
-    rates = observable_rates(psi, m)
-    n = np.abs(psi) ** 2
-    obs = observables(psi, m)
-    assert abs(rates[0] - (-obs.j[0] + 2 * 0.3 * n[0])) < 1e-14
-    assert abs(rates[1] - (obs.j[0] - 2 * 0.3 * n[1])) < 1e-14

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import free_gaussian_width
 from ptembed import variational
 from ptembed.dnlse import (
     UnitSystem,
     WellPotentialSpec,
     fit_ground_state,
-    overlap_matrix,
     standard_four_well,
 )
 from ptembed.errors import (
@@ -20,7 +20,7 @@ from ptembed.errors import (
     SingularMetric,
     SizeMismatch,
 )
-from ptembed.numerics import IntegratorSettings
+from ptembed.numerics import IntegratorSettings, integrate_adaptive
 from ptembed.variational import (
     TrapKernel,
     VariationalState,
@@ -28,17 +28,21 @@ from ptembed.variational import (
     assemble_eom,
     box_observables,
     controlled_step,
-    density_profile,
-    eom_rhs,
-    free_gaussian_width,
     norm_and_energy,
     normalized_energy,
-    propagate_state,
     relax_to_fixed_point,
     run_variational_scenario,
 )
 
 FREE_UNITS = UnitSystem.rubidium87(N=0.0)  # g = 0
+
+
+def end_state(state, wells, units, t_span,
+              settings=IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)):
+    """The state at the end of ``t_span``, integrated on the trap's kernel."""
+    traj = integrate_adaptive(TrapKernel(wells, units).rhs, state.to_vector(), t_span,
+                              settings, dense_output=False)
+    return VariationalState.from_vector(traj.y[-1])
 
 
 def single_packet(a_z=0.7 + 0.2j, q=0.3, p=0.4):
@@ -72,7 +76,7 @@ class TestState:
         # state: its kernel checks the widths instead, and the derivative
         # is unchanged
         st = single_packet()
-        rhs = eom_rhs(None, FREE_UNITS)
+        rhs = TrapKernel(None, FREE_UNITS).rhs
         x = st.to_vector()
         assert np.array_equal(rhs(0.0, x), assemble_eom(st, None, FREE_UNITS)[1])
         x[4] = -0.1  # Re A_z
@@ -88,7 +92,7 @@ class TestState:
 class TestFreeMotion:
     def test_width_dispersion(self):
         st = single_packet()
-        stf, _ = propagate_state(
+        stf = end_state(
             st, None, FREE_UNITS, (0.0, 1.0),
             IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13))
         assert abs(stf.A_z[0] - free_gaussian_width(0.7 + 0.2j, 1.0)) < 1e-9
@@ -96,7 +100,7 @@ class TestFreeMotion:
 
     def test_packet_drifts_at_momentum(self):
         st = single_packet()
-        stf, _ = propagate_state(
+        stf = end_state(
             st, None, FREE_UNITS, (0.0, 1.0),
             IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13))
         assert abs(stf.q_z[0] - (0.3 + 0.4 * 1.0)) < 1e-9
@@ -105,7 +109,7 @@ class TestFreeMotion:
     def test_norm_and_energy_conserved(self):
         st = single_packet()
         n0, e0 = norm_and_energy(st, None, FREE_UNITS)
-        stf, _ = propagate_state(
+        stf = end_state(
             st, None, FREE_UNITS, (0.0, 1.0),
             IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13))
         n1, e1 = norm_and_energy(stf, None, FREE_UNITS)
@@ -135,16 +139,6 @@ def test_box_numbers_sum_to_norm(trap_system):
     assert np.max(np.abs(j)) < 1e-12
 
 
-def test_density_profile_peaks_at_wells(trap_system):
-    wells, units, state = trap_system
-    z = np.linspace(-5.0, 5.0, 2001)
-    rho = density_profile(state, z)
-    assert np.all(rho >= 0)
-    # outer wells are deeper: density maxima near the outer positions
-    peak = z[np.argmax(rho)]
-    assert min(abs(peak - wells.positions[0]), abs(peak - wells.positions[3])) < 0.3
-
-
 def test_relaxed_state_is_stationary(trap_system):
     wells, units, state = trap_system
     gs = relax_to_fixed_point(state, wells, units)
@@ -152,8 +146,7 @@ def test_relaxed_state_is_stationary(trap_system):
     assert abs(nrm - 1.0) < 1e-10
     part = WallPartition.from_wells(wells)
     n0, _ = box_observables(gs, part)
-    stf, _ = propagate_state(gs, wells, units, (0.0, 2.0),
-                             IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11))
+    stf = end_state(gs, wells, units, (0.0, 2.0))
     n1, _ = box_observables(stf, part)
     _, e1 = norm_and_energy(stf, wells, units)
     assert np.max(np.abs(n1 - n0)) < 1e-6
@@ -402,7 +395,7 @@ def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapp
     wells = wells if trapped else None
     units = units if interacting else FREE_UNITS
     kernel = TrapKernel(wells, units)
-    rhs = eom_rhs(wells, units)
+    rhs = TrapKernel(wells, units).rhs
     results = []
     for state in (first, second):
         x = state.to_vector()
@@ -482,7 +475,7 @@ def test_stack_with_one_nonpositive_width_raises():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
 def test_overlap_matrix_from_own_pairs_matches_the_full_evaluation(seed, n, n_wells):
     state, wells, _ = random_system(seed, n, n_wells)
-    K = overlap_matrix(state)
+    K = variational.gaussian_overlaps(state)
     assert np.array_equal(K, variational.gaussian_matrices(state, None)[0])
     assert np.array_equal(K, variational.gaussian_matrices(state, wells)[0])
 
@@ -528,4 +521,4 @@ class TestSingularMetric:
 
     def test_propagation_stops_at_the_singular_metric(self):
         with pytest.raises(SingularMetric):
-            propagate_state(self.pair(0.0), None, FREE_UNITS, (0.0, 0.1))
+            end_state(self.pair(0.0), None, FREE_UNITS, (0.0, 0.1))
