@@ -9,11 +9,13 @@ Subcommands::
 
 Configs are strict line-based ``key = value`` files with ``[section]``
 headers; unknown keys and non-finite numbers are rejected, and so are
-non-positive times, tolerances, step limits and strides. Abstract
-scenarios (stationary, oscillatory, collapse) use internal units with the
-middle coupling as the energy scale; physical scenarios (adiabatic_fewmode,
-adiabatic_variational) measure energies in E0 = hbar^2 / (m w_z^2) and
-times in t0 = hbar / E0.
+non-positive times, tolerances, step limits and strides. ``SCENARIOS``
+lists the ``[scenario]`` keys each scenario reads, with their defaults; any
+other ``[scenario]`` key is rejected by line number, and so is a ``[trap]``
+or ``[units]`` key in an abstract scenario. Abstract scenarios (stationary,
+oscillatory, collapse) use internal units with the middle coupling as the
+energy scale; physical scenarios (adiabatic_fewmode, adiabatic_variational)
+measure energies in E0 = hbar^2 / (m w_z^2) and times in t0 = hbar / E0.
 
 Exit status: 0 = completed, 2 = controlled breakdown (a physical result),
 1 = error.
@@ -33,18 +35,33 @@ from . import dnlse, embedding, variational
 from .errors import IoError, MissingKey, NoOverlap, ParseError, PtError, UnitError
 from .numerics import IntegratorSettings
 
-SCENARIOS = (
-    "stationary", "oscillatory", "collapse",
-    "adiabatic_fewmode", "adiabatic_variational",
-)
+# scenario -> (default [integrator] rel_tol, {[scenario] key: default}): the
+# only place a scenario default is written and the only list of the
+# [scenario] keys a scenario reads. Near-breakdown runs need tight
+# tolerances to hold the total norm.
+SCENARIOS = {
+    "stationary": (1e-10, dict(
+        t_end=5.0, gamma=0.5, c=0.0, d=1.0, reservoir_0=math.sqrt(3.0), reservoir_3=0.7,
+        cond_limit=1e12, depletion_floor=1e-4)),
+    "oscillatory": (1e-12, dict(
+        t_end=30.0, gamma=0.5, c=0.0, d=-1.0, reservoir_0=3.0, reservoir_3=0.8,
+        cond_limit=1e12, depletion_floor=1e-4, psi1_abs2=0.6)),
+    "collapse": (1e-12, dict(
+        t_end=30.0, gamma=0.9, c=-1.0, d=-1.0, reservoir_0=3.0, reservoir_3=0.8,
+        cond_limit=1e12, depletion_floor=1e-4, perturbation=0.01)),
+    "adiabatic_fewmode": (1e-10, dict(
+        t_end=70.0, gamma_f_rel=0.5, t_f=60.0, cond_limit=1e14, depletion_floor=1e-3)),
+    "adiabatic_variational": (1e-7, dict(
+        t_end=70.0, gamma_f_rel=0.5, t_f=60.0, control_dt=0.5, control_tol=1e-8)),
+}
+
+# the scenarios on the fitted Gaussian trap, the only ones that read [trap]
+# and [units]
+_PHYSICAL = ("adiabatic_fewmode", "adiabatic_variational")
 
 # section -> allowed keys
 _SCHEMA = {
-    "scenario": {
-        "name", "t_end", "gamma", "gamma_f_rel", "t_f", "d", "c",
-        "psi1_abs2", "reservoir_0", "reservoir_3", "perturbation",
-        "cond_limit", "depletion_floor", "control_dt", "control_tol",
-    },
+    "scenario": {"name"}.union(*(keys for _, keys in SCENARIOS.values())),
     "integrator": {"rel_tol", "abs_tol", "max_step", "max_steps"},
     "trap": {"depth_outer", "depth_inner", "spacing"},
     "units": {"w_z", "n_atoms", "a_scat_bohr"},
@@ -56,16 +73,24 @@ _STRING_KEYS = {"name", "dir"}
 
 @dataclass
 class ScenarioConfig:
+    """A parsed config: ``values`` maps (section, key) to the values set, and
+    ``cfg[key]`` is a [scenario] value with the scenario's default filled in."""
+
     scenario: str
     values: dict = field(default_factory=dict)
+
+    def __getitem__(self, key):
+        return self.values.get(("scenario", key), SCENARIOS[self.scenario][1][key])
 
     def get(self, section, key, default=None):
         return self.values.get((section, key), default)
 
 
 def parse_config(text):
-    """Strict ``key = value`` configuration with ``[section]`` headers."""
+    """Strict ``key = value`` configuration with ``[section]`` headers. A key
+    the named scenario does not read is an error that names its line."""
     values = {}
+    lines = {}
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,6 +114,7 @@ def parse_config(text):
             raise ParseError(f"line {ln}: unknown key '{key}' in [{section}]")
         if (section, key) in values:
             raise ParseError(f"line {ln}: duplicate key '{key}'")
+        lines[(section, key)] = ln
         if key in _STRING_KEYS:
             values[(section, key)] = value
         else:
@@ -106,6 +132,12 @@ def parse_config(text):
         raise MissingKey("missing [scenario] name")
     if name not in SCENARIOS:
         raise ParseError(f"unknown scenario '{name}'")
+    keys = {"name", *SCENARIOS[name][1]}
+    for (section, key), ln in lines.items():
+        if (key not in keys if section == "scenario"
+                else section in ("trap", "units") and name not in _PHYSICAL):
+            raise ParseError(
+                f"line {ln}: [{section}] {key} is not read by scenario '{name}'")
     cfg = ScenarioConfig(scenario=name, values=values)
     _validate(cfg)
     return cfg
@@ -134,12 +166,6 @@ def _validate(cfg):
             raise UnitError(f"{key} must not be negative, not {v!r}")
 
 
-_DEFAULT_T_END = {
-    "stationary": 5.0,
-    "oscillatory": 30.0,
-    "collapse": 30.0,
-}
-
 # numeric keys that only make sense above zero
 _POSITIVE_KEYS = (
     ("scenario", "t_end"), ("integrator", "rel_tol"), ("integrator", "abs_tol"),
@@ -148,7 +174,8 @@ _POSITIVE_KEYS = (
 )
 
 
-def _integrator(cfg, rel_default):
+def _integrator(cfg):
+    rel_default = SCENARIOS[cfg.scenario][0]
     kwargs = {
         "rel_tol": cfg.get("integrator", "rel_tol", rel_default),
         "abs_tol": cfg.get("integrator", "abs_tol", rel_default * 1e-2),
@@ -205,23 +232,14 @@ def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
     return cols
 
 
-def _condition_residuals(run):
-    """Worst embedding-condition residual at the accepted integrator steps,
-    from one ``check_conditions`` call over the trajectory. It needs only
-    gamma and J01 = d C13, J23 = d C02, which ``check_conditions`` derives
-    from ``d``; the onsite solve is not repeated."""
-    traj = run.trajectory
-    gamma = np.array([run.gamma_fn(t)[0] for t in traj.t.tolist()])
-    residuals = embedding.check_conditions(
-        traj.y, embedding.ControlState(gamma=gamma, gamma_dot=0.0, d=run.d))
-    return float(np.max(np.abs(residuals)))
-
-
 def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
     """Sample times, columns and the summary entries of a controlled
-    four-mode run, the integrator's work among them."""
+    four-mode run, the integrator's work among them. The condition audit
+    reads the controls at the accepted steps, where the integrator already
+    evaluated the kernel without a breakdown."""
     traj = run.trajectory
     ts = _sample_times(traj.t[-1], cfg.get("output", "stride", 0.02))
+    residuals = embedding.check_conditions(traj.y, run.controls_at(traj.t, traj.y))
     summary = {
         "t_final": float(traj.t[-1]),
         "breakdown_time": run.breakdown_time,
@@ -229,7 +247,7 @@ def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
         "breakdown_message": run.breakdown_message,
         "total_norm_drift": float(abs(
             np.sum(np.abs(traj.y[-1]) ** 2) - np.sum(np.abs(traj.y[0]) ** 2))),
-        "max_condition_residual": _condition_residuals(run),
+        "max_condition_residual": float(np.max(np.abs(residuals))),
         "accepted_steps": traj.accepted_steps,
         "rejected_steps": traj.rejected_steps,
         "rhs_evals": traj.rhs_evals,
@@ -240,33 +258,20 @@ def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
 def _run_abstract(cfg):
     """stationary / oscillatory / collapse: internal units, middle coupling 1."""
     name = cfg.scenario
-    gamma = cfg.get("scenario", "gamma", 0.5 if name != "collapse" else 0.9)
-    c = cfg.get("scenario", "c", -1.0 if name == "collapse" else 0.0)
-    d = cfg.get("scenario", "d", 1.0 if name == "stationary" else -1.0)
-    r0 = cfg.get("scenario", "reservoir_0",
-                 math.sqrt(3.0) if name == "stationary" else 3.0)
-    r3 = cfg.get("scenario", "reservoir_3", 0.7 if name == "stationary" else 0.8)
-    t_end = cfg.get("scenario", "t_end", _DEFAULT_T_END[name])
-    cond_limit = cfg.get("scenario", "cond_limit", 1e12)
-    floor = cfg.get("scenario", "depletion_floor", 1e-4)
-    # near-breakdown runs need tight tolerances to hold the total norm
-    settings = _integrator(cfg, 1e-10 if name == "stationary" else 1e-12)
-
-    if name == "stationary":
-        psi1, psi2 = embedding.pt_stationary_state(gamma, c=c)
-    elif name == "oscillatory":
-        a1 = cfg.get("scenario", "psi1_abs2", 0.6)
+    gamma, c, d = cfg["gamma"], cfg["c"], cfg["d"]
+    if name == "oscillatory":
+        a1 = cfg["psi1_abs2"]
         psi1, psi2 = math.sqrt(a1), math.sqrt(1.0 - a1)
-    else:  # collapse: perturbed stationary state
-        eps = cfg.get("scenario", "perturbation", 0.01)
+    else:
         psi1, psi2 = embedding.pt_stationary_state(gamma, c=c)
-        psi1 = psi1 * math.sqrt(1.0 + eps)
-    psi0 = embedding.build_initial_state(psi1, psi2, r0, r3, gamma, d)
-
-    nonlinear = np.array([0.0, c, c, 0.0])
+        if name == "collapse":  # perturbed stationary state
+            psi1 = psi1 * math.sqrt(1.0 + cfg["perturbation"])
+    psi0 = embedding.build_initial_state(
+        psi1, psi2, cfg["reservoir_0"], cfg["reservoir_3"], gamma, d)
     run = embedding.run_controlled(
-        psi0, t_end, embedding.constant_gamma(gamma), d, nonlinear,
-        settings=settings, cond_limit=cond_limit, depletion_floor=floor,
+        psi0, cfg["t_end"], embedding.constant_gamma(gamma), d,
+        np.array([0.0, c, c, 0.0]), settings=_integrator(cfg),
+        cond_limit=cfg["cond_limit"], depletion_floor=cfg["depletion_floor"],
     )
     ts, cols, record = _fewmode_record(cfg, run, 1.0)
     summary = {"scenario": name, "gamma": gamma, "c": c, "d": d, **record}
@@ -289,14 +294,31 @@ def _fitted_system(cfg):
     return wells, units, basis, d_amp, energy, eff
 
 
+def _ramp(cfg, eff):
+    """Cosine ramp of gamma to gamma_f_rel times the fitted middle tunneling."""
+    return embedding.RampSchedule(gamma_f=cfg["gamma_f_rel"] * float(eff.tunneling[1]),
+                                  t_f=cfg["t_f"])
+
+
+def _ramp_summary(cfg, energy, schedule, ts, cols):
+    """Summary entries of the two adiabatic scenarios: the ramp, and how
+    still and balanced the middle pair ends."""
+    n1, n2 = cols["n1"], cols["n2"]
+    tail = ts >= schedule.t_f
+    return {
+        "scenario": cfg.scenario,
+        "fit_energy": float(energy),
+        "gamma_f": schedule.gamma_f, "t_f": schedule.t_f,
+        "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
+        if np.any(tail) else None,
+        "middle_imbalance": float(abs(n1[-1] - n2[-1]) / n1[-1]),
+    }
+
+
 def _run_adiabatic_fewmode(cfg):
     wells, units, basis, d_amp, energy, eff = _fitted_system(cfg)
+    schedule = _ramp(cfg, eff)
     j12 = float(eff.tunneling[1])
-    gamma_f = cfg.get("scenario", "gamma_f_rel", 0.5) * j12
-    t_f = cfg.get("scenario", "t_f", 60.0)
-    t_end = cfg.get("scenario", "t_end", 70.0)
-    schedule = embedding.RampSchedule(gamma_f=gamma_f, t_f=t_f)
-
     d_eff, occ = dnlse.effective_amplitudes(d_amp, basis)
     x = np.abs(d_eff)
     x = x / np.linalg.norm(x)
@@ -307,27 +329,19 @@ def _run_adiabatic_fewmode(cfg):
     # a global onsite shift is pure gauge for the observables but removes the
     # fast common phase, which speeds up the integration enormously
     shift = -(e1 + c[1] * x[1] ** 2)
-    settings = _integrator(cfg, 1e-10)
     run = embedding.run_controlled(
-        x.astype(complex), t_end, embedding.ramp_gamma(schedule), d,
-        c, j12=j12, e1=e1 + shift, e2=e2 + shift, settings=settings,
-        cond_limit=cfg.get("scenario", "cond_limit", 1e14),
-        depletion_floor=cfg.get("scenario", "depletion_floor", 1e-3),
+        x.astype(complex), cfg["t_end"], embedding.ramp_gamma(schedule), d,
+        c, j12=j12, e1=e1 + shift, e2=e2 + shift, settings=_integrator(cfg),
+        cond_limit=cfg["cond_limit"], depletion_floor=cfg["depletion_floor"],
     )
     ts, cols, record = _fewmode_record(cfg, run, j12, gauge_shift=shift)
-    n1 = cols["n1"]
-    tail = ts >= t_f
     summary = {
-        "scenario": "adiabatic_fewmode",
-        "fit_energy": float(energy),
+        **_ramp_summary(cfg, energy, schedule, ts, cols),
         "effective_tunneling": [float(v) for v in eff.tunneling],
         "effective_onsite": [float(v) for v in eff.onsite],
         "effective_interaction": [float(v) for v in c],
-        "gamma_f": gamma_f, "t_f": t_f, "d": float(d),
+        "d": float(d),
         **record,
-        "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
-        if np.any(tail) else None,
-        "middle_imbalance": float(abs(cols["n1"][-1] - cols["n2"][-1]) / cols["n1"][-1]),
     }
     status = 2 if run.broke_down else 0
     return status, ts, cols, summary
@@ -335,20 +349,13 @@ def _run_adiabatic_fewmode(cfg):
 
 def _run_adiabatic_variational(cfg):
     wells, units, basis, d_amp, energy, eff = _fitted_system(cfg)
-    j12 = float(eff.tunneling[1])
-    gamma_f = cfg.get("scenario", "gamma_f_rel", 0.5) * j12
-    t_f = cfg.get("scenario", "t_f", 60.0)
-    t_end = cfg.get("scenario", "t_end", 70.0)
-    schedule = embedding.RampSchedule(gamma_f=gamma_f, t_f=t_f)
-
+    schedule = _ramp(cfg, eff)
     state = variational.VariationalState.from_basis(basis, d_amp)
     state = variational.relax_to_fixed_point(state, wells, units)
-    settings = _integrator(cfg, 1e-7)
     record, _ = variational.run_variational_scenario(
-        wells, units, embedding.ramp_gamma(schedule), t_end,
-        control_dt=cfg.get("scenario", "control_dt", 0.5),
-        state=state, settings=settings,
-        control_tol=cfg.get("scenario", "control_tol", 1e-8),
+        wells, units, embedding.ramp_gamma(schedule), cfg["t_end"],
+        control_dt=cfg["control_dt"], state=state, settings=_integrator(cfg),
+        control_tol=cfg["control_tol"],
     )
     ts = record.t
     cols = {
@@ -363,20 +370,13 @@ def _run_adiabatic_variational(cfg):
     }
     if record.broke_down:
         cols["breakdown"][-1] = 1.0
-    n1 = cols["n1"]
-    tail = ts >= t_f
     summary = {
-        "scenario": "adiabatic_variational",
-        "fit_energy": float(energy),
-        "gamma_f": gamma_f, "t_f": t_f,
+        **_ramp_summary(cfg, energy, schedule, ts, cols),
         "t_final": float(ts[-1]),
         "breakdown_time": record.breakdown_time,
         "breakdown_reason": record.breakdown_reason,
         "breakdown_message": record.breakdown_message,
         "total_norm_drift": float(abs(record.n[-1].sum() - record.n[0].sum())),
-        "n1_tail_drift": float((n1[tail].max() - n1[tail].min()) / n1[-1])
-        if np.any(tail) else None,
-        "middle_imbalance": float(abs(cols["n1"][-1] - cols["n2"][-1]) / cols["n1"][-1]),
         "control_root_iterations": int(record.root_iterations.sum()),
         "control_jacobian_refreshes": int(record.jacobian_refreshes.sum()),
         "control_integrations": int(record.integrations.sum()),
@@ -389,13 +389,6 @@ def _run_adiabatic_variational(cfg):
     }
     status = 2 if record.broke_down else 0
     return status, ts, cols, summary
-
-
-_FEWMODE_COLUMNS = ("t", "n0", "n1", "n2", "n3", "j01", "j12", "j23",
-                    "E0", "E3", "J01", "J23", "gamma", "breakdown", "lgs_condition")
-_VARIATIONAL_COLUMNS = ("t", "n0", "n1", "n2", "n3", "j01", "j12", "j23",
-                        "V0", "V3", "delta0", "delta1", "delta2", "delta3",
-                        "gamma", "breakdown")
 
 
 def run_scenario(cfg: ScenarioConfig):
@@ -413,15 +406,16 @@ def write_outputs(ts, cols, summary, out_dir, emit_plots=False):
     import os
     try:
         os.makedirs(out_dir, exist_ok=True)
-        order = _VARIATIONAL_COLUMNS if "V0" in cols else _FEWMODE_COLUMNS
+        # the columns in the order of ``cols``, after the sample times
+        data = {"t": ts, **cols}
+        order = list(data)
         csv_path = os.path.join(out_dir, "timeseries.csv")
         with open(csv_path, "w") as fh:
             fh.write(",".join(order) + "\n")
-            data = {"t": ts, **cols}
             # one %-template per row writes the same text as f"{v:.16e}" per
             # value, with one Python formatting call a row instead of one a cell
             row_format = ",".join(["%.16e"] * len(order)) + "\n"
-            for row in zip(*(data[k] for k in order)):
+            for row in zip(*data.values()):
                 fh.write(row_format % row)
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

@@ -211,13 +211,12 @@ def check_conditions(psi, controls: ControlState):
     by the first three and only monitored), as a 4-tuple.
 
     ``psi`` holds four amplitudes, or has shape (m, 4) and gives arrays over
-    the m states, where ``controls`` may hold arrays too."""
+    the m states, where ``controls`` (from ``synth_onsite`` or
+    ``EmbeddingRun.controls_at``) may hold arrays too."""
     psi = np.asarray(psi, dtype=complex)
     p0, p1, p2, p3 = psi.tolist() if psi.ndim == 1 else psi.T
     c02, c13 = 2.0 * (p0 * p2.conjugate()).real, 2.0 * (p1 * p3.conjugate()).real
-    j01c = controls.J01 if controls.J01 is not None else controls.d * c13
-    j23c = controls.J23 if controls.J23 is not None else controls.d * c02
-    g = controls.gamma
+    j01c, j23c, g = controls.J01, controls.J23, controls.gamma
     return (
         -2.0 * j01c * (p0 * p1.conjugate()).imag - 2.0 * g * abs(p1) ** 2,
         -2.0 * j23c * (p2 * p3.conjugate()).imag - 2.0 * g * abs(p2) ** 2,

@@ -42,10 +42,6 @@ class TridiagonalComplexModel:
     def size(self):
         return len(self.onsite)
 
-    @property
-    def is_hermitian(self):
-        return bool(np.all(self.onsite.imag == 0.0))
-
 
 def pt_two_mode(gamma, j12=1.0, c=0.0):
     """The balanced gain/loss two-mode model: onsite energies +-i*gamma."""

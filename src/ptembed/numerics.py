@@ -66,9 +66,8 @@ class Trajectory:
 
     ``rejected_steps`` and ``rhs_evals`` count the integrator's work, the
     initial evaluation and the initial-step probe included;
-    ``accepted_steps``, ``h_min`` and ``h_max`` follow from ``t``. A partial
-    trajectory attached to an exception counts the work done up to the
-    failure.
+    ``accepted_steps`` follows from ``t``. A partial trajectory attached to
+    an exception counts the work done up to the failure.
     """
 
     t: np.ndarray
@@ -80,16 +79,6 @@ class Trajectory:
     @property
     def accepted_steps(self):
         return len(self.t) - 1
-
-    @property
-    def h_min(self):
-        """Shortest accepted step (nan without one)."""
-        return float(np.min(np.diff(self.t))) if len(self.t) > 1 else math.nan
-
-    @property
-    def h_max(self):
-        """Longest accepted step (nan without one)."""
-        return float(np.max(np.diff(self.t))) if len(self.t) > 1 else math.nan
 
     def sample(self, tq):
         """States at the times ``tq`` (clipped to the integrated interval);

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptembed import dnlse, variational
 from ptembed.cli import (
+    SCENARIOS,
     compare_runs,
     main,
     parse_config,
@@ -31,7 +32,7 @@ class TestParseConfig:
     def test_minimal_config(self):
         cfg = parse_config("[scenario]\nname = stationary\n")
         assert cfg.scenario == "stationary"
-        assert cfg.get("scenario", "t_end", 5.0) == 5.0
+        assert cfg["t_end"] == 5.0
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
@@ -90,14 +91,48 @@ class TestParseConfig:
                               ("w_z = 0", "w_z must be positive, not 0.0"),
                               ("n_atoms = -1", "n_atoms must not be negative, not -1.0")):
             with pytest.raises(UnitError) as err:
-                parse_config(f"[scenario]\nname = stationary\n[units]\n{line}\n")
+                parse_config(f"[scenario]\nname = adiabatic_fewmode\n[units]\n{line}\n")
             assert str(err.value) == message
 
     def test_transverse_trap_widths_rejected(self):
         # the trap's transverse widths are fixed at 4 w_z, not settable
         for key in ("w_x", "w_y"):
             with pytest.raises(ParseError, match=f"line 4.*unknown key '{key}'"):
-                parse_config(f"[scenario]\nname = stationary\n[trap]\n{key} = 4\n")
+                parse_config(f"[scenario]\nname = adiabatic_fewmode\n[trap]\n{key} = 4\n")
+
+    @pytest.mark.parametrize("name, key", [
+        ("stationary", "control_dt"), ("oscillatory", "perturbation"),
+        ("collapse", "psi1_abs2"), ("adiabatic_fewmode", "gamma"),
+        ("adiabatic_variational", "cond_limit"),
+    ])
+    def test_key_of_another_scenario_rejected_by_line(self, name, key):
+        # the key is read by some scenario, just not by this one
+        assert any(key in keys for _, keys in SCENARIOS.values())
+        with pytest.raises(ParseError) as err:
+            parse_config(f"[scenario]\nname = {name}\nt_end = 1\n{key} = 0.1\n")
+        assert str(err.value) == (
+            f"line 4: [scenario] {key} is not read by scenario '{name}'")
+
+    @pytest.mark.parametrize("name", ["stationary", "oscillatory", "collapse"])
+    @pytest.mark.parametrize("section, line", [("trap", "spacing = 1.8"),
+                                               ("units", "w_z = 1e-6")])
+    def test_abstract_scenarios_reject_trap_and_units(self, name, section, line):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"[{section}]\n{line}\n[scenario]\nname = {name}\n")
+        key = line.split(" = ")[0]
+        assert str(err.value) == f"line 2: [{section}] {key} is not read by scenario '{name}'"
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_every_key_of_a_scenario_parses(self, name):
+        _, keys = SCENARIOS[name]
+        lines = [f"{key} = {default!r}" for key, default in keys.items()]
+        sections = "[integrator]\nrel_tol = 1e-9\n[output]\nstride = 0.1\n"
+        if name.startswith("adiabatic"):
+            sections += "[trap]\nspacing = 1.8\n[units]\nw_z = 1e-6\n"
+        cfg = parse_config("[scenario]\nname = {}\n{}\n{}".format(
+            name, "\n".join(lines), sections))
+        assert {key: cfg[key] for key in keys} == keys
+        assert cfg.get("units", "w_z") == (1e-6 if name.startswith("adiabatic") else None)
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -274,6 +309,20 @@ class TestMain:
         assert summary["breakdown_reason"] == "ControlSearchFailed"
         assert summary["breakdown_message"].startswith("depth search ")
         assert summary["control_root_iterations"] == 0
+
+    @pytest.mark.parametrize("line, prefix", [
+        ("depletion_floor = 0.05", "reservoir depleted at t="),
+        ("cond_limit = 1e3", "onsite control system singular"),
+    ])
+    def test_control_breakdown_exit_two(self, tmp_path, capsys, line, prefix):
+        # the run ends on the control's own guard before the step size collapses
+        cfg = self._write(tmp_path, f"[scenario]\nname = oscillatory\n{line}\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["breakdown_reason"] == "control_singular"
+        assert summary["breakdown_message"].startswith(prefix)
+        assert "(control_singular): " + prefix in capsys.readouterr().out
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[scenario]\nname = stationary\nbogus = 1\n")
