@@ -8,13 +8,13 @@ Subcommands::
     ptembed params --config cfg
 
 Configs are strict line-based ``key = value`` files with ``[section]``
-headers; unknown keys and non-finite numbers are rejected, and so are
-non-positive times, tolerances, step limits and strides. ``SCENARIOS``
-lists the ``[scenario]`` keys each scenario reads, with their defaults; any
-other ``[scenario]`` key is rejected by line number, and so is a ``[trap]``
-or ``[units]`` key in an abstract scenario. Abstract scenarios (stationary,
-oscillatory, collapse) use internal units with the middle coupling as the
-energy scale; physical scenarios (adiabatic_fewmode, adiabatic_variational)
+headers; unknown keys and non-finite numbers are rejected. ``SCENARIOS``
+lists the ``[scenario]`` keys each scenario reads and ``SECTIONS`` the
+others, each with its default and domain; a key the scenario does not read
+(a ``[trap]`` or ``[units]`` key in an abstract scenario among them), and a
+value outside its key's domain, are rejected by line number. Abstract
+scenarios (stationary, oscillatory, collapse) use internal units with the
+middle coupling as the energy scale; physical scenarios (adiabatic_fewmode, adiabatic_variational)
 measure energies in E0 = hbar^2 / (m w_z^2) and times in t0 = hbar / E0.
 
 Exit status: 0 = completed, 2 = controlled breakdown (a physical result),
@@ -27,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,61 +35,101 @@ from . import dnlse, embedding, variational
 from .errors import IoError, MissingKey, NoOverlap, ParseError, PtError, UnitError
 from .numerics import IntegratorSettings
 
-# scenario -> (default [integrator] rel_tol, {[scenario] key: default}): the
-# only place a scenario default is written and the only list of the
-# [scenario] keys a scenario reads. Near-breakdown runs need tight
-# tolerances to hold the total norm.
+# A key's domain: a test of its (finite) value and the rule an error states.
+POSITIVE = (lambda v: v > 0, "be positive")
+NEGATIVE = (lambda v: v < 0, "be negative")
+NON_NEGATIVE = (lambda v: v >= 0, "not be negative")
+AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+WHOLE = (lambda v: v >= 1 and v == int(v), "be a whole number of at least 1")
+NONZERO = (lambda v: v != 0, "be nonzero")
+FINITE = (lambda v: True, "be finite")
+UNIT_INTERVAL = (lambda v: 0 <= v <= 1, "lie in [0, 1]")
+ABOVE_MINUS_1 = (lambda v: v > -1, "be greater than -1")
+SYMMETRIC_UNIT = (lambda v: -1 <= v <= 1, "lie in [-1, 1]")
+
+# scenario -> ({[integrator] key: default}, {[scenario] key: (default,
+# domain)}): the only place a scenario default is written and the only list
+# of the [scenario] keys a scenario reads. Near-breakdown runs need tight
+# tolerances to hold the total norm. The stationary state that stationary and
+# collapse start from exists for |gamma| <= J12 = 1. No 2-norm condition
+# number is below 1, and a negative depletion floor is no guard.
 SCENARIOS = {
-    "stationary": (1e-10, dict(
-        t_end=5.0, gamma=0.5, c=0.0, d=1.0, reservoir_0=math.sqrt(3.0), reservoir_3=0.7,
-        cond_limit=1e12, depletion_floor=1e-4)),
-    "oscillatory": (1e-12, dict(
-        t_end=30.0, gamma=0.5, c=0.0, d=-1.0, reservoir_0=3.0, reservoir_3=0.8,
-        cond_limit=1e12, depletion_floor=1e-4, psi1_abs2=0.6)),
-    "collapse": (1e-12, dict(
-        t_end=30.0, gamma=0.9, c=-1.0, d=-1.0, reservoir_0=3.0, reservoir_3=0.8,
-        cond_limit=1e12, depletion_floor=1e-4, perturbation=0.01)),
-    "adiabatic_fewmode": (1e-10, dict(
-        t_end=70.0, gamma_f_rel=0.5, t_f=60.0, cond_limit=1e14, depletion_floor=1e-3)),
-    "adiabatic_variational": (1e-7, dict(
-        t_end=70.0, gamma_f_rel=0.5, t_f=60.0, control_dt=0.5, control_tol=1e-8)),
+    "stationary": (dict(rel_tol=1e-10, abs_tol=1e-12), dict(
+        t_end=(5.0, POSITIVE), gamma=(0.5, SYMMETRIC_UNIT), c=(0.0, FINITE),
+        d=(1.0, NONZERO), reservoir_0=(math.sqrt(3.0), NONZERO), reservoir_3=(0.7, FINITE),
+        cond_limit=(1e12, AT_LEAST_1), depletion_floor=(1e-4, NON_NEGATIVE))),
+    "oscillatory": (dict(rel_tol=1e-12, abs_tol=1e-14), dict(
+        t_end=(30.0, POSITIVE), gamma=(0.5, FINITE), c=(0.0, FINITE),
+        d=(-1.0, NONZERO), reservoir_0=(3.0, NONZERO), reservoir_3=(0.8, FINITE),
+        cond_limit=(1e12, AT_LEAST_1), depletion_floor=(1e-4, NON_NEGATIVE),
+        psi1_abs2=(0.6, UNIT_INTERVAL))),
+    "collapse": (dict(rel_tol=1e-12, abs_tol=1e-14), dict(
+        t_end=(30.0, POSITIVE), gamma=(0.9, SYMMETRIC_UNIT), c=(-1.0, FINITE),
+        d=(-1.0, NONZERO), reservoir_0=(3.0, NONZERO), reservoir_3=(0.8, FINITE),
+        cond_limit=(1e12, AT_LEAST_1), depletion_floor=(1e-4, NON_NEGATIVE),
+        perturbation=(0.01, ABOVE_MINUS_1))),
+    "adiabatic_fewmode": (dict(rel_tol=1e-10, abs_tol=1e-12), dict(
+        t_end=(70.0, POSITIVE), gamma_f_rel=(0.5, FINITE), t_f=(60.0, POSITIVE),
+        cond_limit=(1e14, AT_LEAST_1), depletion_floor=(1e-3, NON_NEGATIVE))),
+    "adiabatic_variational": (dict(rel_tol=1e-7, abs_tol=1e-9), dict(
+        t_end=(70.0, POSITIVE), gamma_f_rel=(0.5, FINITE), t_f=(60.0, POSITIVE),
+        control_dt=(0.5, POSITIVE), control_tol=(1e-8, POSITIVE))),
+}
+
+# section -> {key: (default, domain)} outside [scenario]; domain None marks a
+# string. Every scenario reads [integrator] and [output], and the physical
+# ones [trap] and [units]. rel_tol and abs_tol default to the scenario's.
+SECTIONS = {
+    "integrator": dict(rel_tol=(None, POSITIVE), abs_tol=(None, POSITIVE),
+                       max_step=(math.inf, POSITIVE), max_steps=(1_000_000, WHOLE)),
+    "trap": dict(depth_outer=(-60.0, NEGATIVE), depth_inner=(-45.0, NEGATIVE),
+                 spacing=(1.8, POSITIVE)),
+    "units": dict(w_z=(1e-6, POSITIVE), n_atoms=(1e5, NON_NEGATIVE),
+                  a_scat_bohr=(2.83, NON_NEGATIVE)),
+    "output": dict(dir=("out", None), stride=(0.02, POSITIVE)),
 }
 
 # the scenarios on the fitted Gaussian trap, the only ones that read [trap]
 # and [units]
 _PHYSICAL = ("adiabatic_fewmode", "adiabatic_variational")
 
-# section -> allowed keys
-_SCHEMA = {
-    "scenario": {"name"}.union(*(keys for _, keys in SCENARIOS.values())),
-    "integrator": {"rel_tol", "abs_tol", "max_step", "max_steps"},
-    "trap": {"depth_outer", "depth_inner", "spacing"},
-    "units": {"w_z", "n_atoms", "a_scat_bohr"},
-    "output": {"dir", "stride"},
-}
 
-_STRING_KEYS = {"name", "dir"}
+def _key_table(name):
+    """(section, key) -> (default, domain) of every key scenario ``name`` reads."""
+    tolerances, keys = SCENARIOS[name]
+    table = {("scenario", "name"): (name, None)}
+    table.update((("scenario", key), entry) for key, entry in keys.items())
+    for section in ("integrator", "output", *(("trap", "units") if name in _PHYSICAL else ())):
+        for key, (default, domain) in SECTIONS[section].items():
+            table[section, key] = (tolerances.get(key, default), domain)
+    return table
+
+
+_KEYS = {name: _key_table(name) for name in SCENARIOS}
+# every (section, key) that some scenario reads -> whether it holds a string
+_KNOWN = {k: domain is None for table in _KEYS.values() for k, (_, domain) in table.items()}
 
 
 @dataclass
 class ScenarioConfig:
-    """A parsed config: ``values`` maps (section, key) to the values set, and
-    ``cfg[key]`` is a [scenario] value with the scenario's default filled in."""
+    """A parsed config: ``values`` maps each (section, key) the scenario
+    reads to its value, the default where the config sets none."""
 
     scenario: str
-    values: dict = field(default_factory=dict)
+    values: dict
 
     def __getitem__(self, key):
-        return self.values.get(("scenario", key), SCENARIOS[self.scenario][1][key])
+        return self.values["scenario", key]
 
-    def get(self, section, key, default=None):
-        return self.values.get((section, key), default)
+    def get(self, section, key):
+        """The value of [section] key, or None if the scenario does not read it."""
+        return self.values.get((section, key))
 
 
 def parse_config(text):
     """Strict ``key = value`` configuration with ``[section]`` headers. A key
-    the named scenario does not read is an error that names its line."""
-    values = {}
+    the named scenario does not read, or a value outside its key's domain, is
+    an error that names its line; a [units] value is refused as a UnitError."""
     lines = {}
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -100,7 +140,7 @@ def parse_config(text):
             if not line.endswith("]"):
                 raise ParseError(f"line {ln}: unterminated section header")
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section != "scenario" and section not in SECTIONS:
                 raise ParseError(f"line {ln}: unknown section '{section}'")
             continue
         if "=" not in line:
@@ -108,100 +148,58 @@ def parse_config(text):
         if section is None:
             raise ParseError(f"line {ln}: key outside any [section]")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA[section]:
+        key, value = key.strip(), value.strip()
+        if (section, key) not in _KNOWN:
             raise ParseError(f"line {ln}: unknown key '{key}' in [{section}]")
-        if (section, key) in values:
+        if (section, key) in lines:
             raise ParseError(f"line {ln}: duplicate key '{key}'")
-        lines[(section, key)] = ln
-        if key in _STRING_KEYS:
-            values[(section, key)] = value
-        else:
+        if not _KNOWN[section, key]:
             try:
                 number = float(value)
             except ValueError:
                 raise ParseError(
-                    f"line {ln}: cannot parse numeric value '{value}' for '{key}'"
-                ) from None
+                    f"line {ln}: cannot parse numeric value '{value}' for '{key}'") from None
             if not math.isfinite(number):
                 raise ParseError(f"line {ln}: '{key}' must be finite, got '{value}'")
-            values[(section, key)] = number
-    name = values.get(("scenario", "name"))
-    if name is None:
+            value = number
+        lines[section, key] = ln, value
+    if ("scenario", "name") not in lines:
         raise MissingKey("missing [scenario] name")
+    name = lines["scenario", "name"][1]
     if name not in SCENARIOS:
         raise ParseError(f"unknown scenario '{name}'")
-    keys = {"name", *SCENARIOS[name][1]}
-    for (section, key), ln in lines.items():
-        if (key not in keys if section == "scenario"
-                else section in ("trap", "units") and name not in _PHYSICAL):
+    table = _KEYS[name]
+    values = {k: default for k, (default, _) in table.items()}
+    for (section, key), (ln, value) in lines.items():
+        if (section, key) not in table:
             raise ParseError(
                 f"line {ln}: [{section}] {key} is not read by scenario '{name}'")
-    cfg = ScenarioConfig(scenario=name, values=values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg):
-    for section, key in _POSITIVE_KEYS:
-        v = cfg.get(section, key)
-        if v is not None and v <= 0:
-            raise ParseError(f"[{section}] {key} must be positive")
-    # no 2-norm condition number is below 1; a negative floor is no guard
-    for key, low, rule in (("cond_limit", 1.0, "be at least 1"),
-                           ("depletion_floor", 0.0, "not be negative")):
-        v = cfg.get("scenario", key)
-        if v is not None and v < low:
-            raise ParseError(f"[scenario] {key} must {rule}")
-    steps = cfg.get("integrator", "max_steps")
-    if steps is not None and steps != int(steps):
-        raise ParseError("[integrator] max_steps must be a whole number")
-    wz = cfg.get("units", "w_z")
-    if wz is not None and wz <= 0:
-        raise UnitError(f"w_z must be positive, not {wz!r}")
-    for key in ("n_atoms", "a_scat_bohr"):
-        v = cfg.get("units", key)
-        if v is not None and v < 0:
-            raise UnitError(f"{key} must not be negative, not {v!r}")
-
-
-# numeric keys that only make sense above zero
-_POSITIVE_KEYS = (
-    ("scenario", "t_end"), ("integrator", "rel_tol"), ("integrator", "abs_tol"),
-    ("integrator", "max_step"), ("integrator", "max_steps"),
-    ("output", "stride"),
-)
+        test, rule = table[section, key][1] or FINITE  # a string is taken as it is
+        if not test(value):
+            if section == "units":
+                raise UnitError(f"line {ln}: {key} must {rule}, not {value!r}")
+            raise ParseError(f"line {ln}: [{section}] {key} must {rule}")
+        values[section, key] = value
+    return ScenarioConfig(name, values)
 
 
 def _integrator(cfg):
-    rel_default = SCENARIOS[cfg.scenario][0]
-    kwargs = {
-        "rel_tol": cfg.get("integrator", "rel_tol", rel_default),
-        "abs_tol": cfg.get("integrator", "abs_tol", rel_default * 1e-2),
-    }
-    ms = cfg.get("integrator", "max_step")
-    if ms is not None:
-        kwargs["max_step"] = ms
-    mn = cfg.get("integrator", "max_steps")
-    if mn is not None:
-        kwargs["max_steps"] = int(mn)
-    return IntegratorSettings(**kwargs)
+    settings = {key: cfg.get("integrator", key) for key in SECTIONS["integrator"]}
+    settings["max_steps"] = int(settings["max_steps"])
+    return IntegratorSettings(**settings)
 
 
 def _trap(cfg):
-    return dnlse.standard_four_well(
-        depth_outer=cfg.get("trap", "depth_outer", -60.0),
-        depth_inner=cfg.get("trap", "depth_inner", -45.0),
-        spacing=cfg.get("trap", "spacing", 1.8),
-    )
+    if cfg.scenario not in _PHYSICAL:
+        raise ParseError(f"scenario '{cfg.scenario}' has no [trap] to fit")
+    return dnlse.standard_four_well(**{key: cfg.get("trap", key) for key in SECTIONS["trap"]})
 
 
 def _units(cfg):
     return dnlse.UnitSystem.rubidium87(
-        w_z=cfg.get("units", "w_z", 1e-6),
-        N=cfg.get("units", "n_atoms", 1e5),
-        a_scat=cfg.get("units", "a_scat_bohr", 2.83) * dnlse.BOHR_RADIUS,
+        w_z=cfg.get("units", "w_z"),
+        N=cfg.get("units", "n_atoms"),
+        a_scat=cfg.get("units", "a_scat_bohr") * dnlse.BOHR_RADIUS,
     )
 
 
@@ -238,7 +236,7 @@ def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
     reads the controls at the accepted steps, where the integrator already
     evaluated the kernel without a breakdown."""
     traj = run.trajectory
-    ts = _sample_times(traj.t[-1], cfg.get("output", "stride", 0.02))
+    ts = _sample_times(traj.t[-1], cfg.get("output", "stride"))
     residuals = embedding.check_conditions(traj.y, run.controls_at(traj.t, traj.y))
     summary = {
         "t_final": float(traj.t[-1]),
@@ -530,7 +528,7 @@ def _cmd_run(args):
     cfg = _read_config(args.config)
     status, ts, cols, summary = run_scenario(cfg)
     summary["exit_status"] = status
-    out_dir = args.out or cfg.get("output", "dir", "out")
+    out_dir = args.out or cfg.get("output", "dir")
     csv_path = write_outputs(ts, cols, summary, out_dir, emit_plots=args.emit_plots)
     print(f"{cfg.scenario}: status {status}, {len(ts)} records -> {csv_path}")
     if summary.get("breakdown_time") is not None:

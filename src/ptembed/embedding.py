@@ -229,10 +229,10 @@ def pt_stationary_state(gamma, j12=1.0, c=0.0):
     """Middle-well amplitudes of the stationary gain/loss two-mode state.
 
     n1 = n2 = 1/2 with the relative phase set by gamma; exists for
-    gamma <= j12. psi2 is real (global phase convention).
+    |gamma| <= j12. psi2 is real (global phase convention).
     """
     if abs(gamma) > j12:
-        raise DegenerateInput("stationary state requires gamma <= J12")
+        raise DegenerateInput(f"stationary state requires |gamma| <= J12, got gamma = {gamma}, J12 = {j12}")
     theta = -math.asin(gamma / j12)
     return complex(math.cos(theta), math.sin(theta)) / math.sqrt(2.0), 1.0 / math.sqrt(2.0)
 

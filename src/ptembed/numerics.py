@@ -282,7 +282,10 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     ``t_fail``, the time of the last accepted step. A non-finite value
     raises :class:`NonFiniteDerivative` naming the time of the first
     non-finite stage, even when a later stage of the same step raised
-    another error on the non-finite input. ``rhs_evals`` counts every call
+    another error on the non-finite input; so does an ``ArithmeticError``
+    the right-hand side raises (Python float overflow, say), chained as the
+    cause. A starting step that underflows to 0 raises
+    :class:`StepSizeUnderflow` at ``t0``. ``rhs_evals`` counts every call
     made.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -337,6 +340,9 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
             evals += i - first + 1
             # a stage computed before the failing call may be what it failed on
             check_finite(first, i, t, h, t_new, exc)
+            # Python float arithmetic raises where numpy would return inf
+            if isinstance(exc, ArithmeticError):
+                non_finite(i, t, h, t_new, exc)
             if isinstance(exc, PtError):
                 _fail(exc, t)
             raise
@@ -350,22 +356,32 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
         with a non-finite value."""
         ok = np.isfinite(S[first + 1:stop + 1]).all(axis=1)
         if not ok.all():
-            i = first + int(np.argmin(ok))
-            exc = NonFiniteDerivative(
-                f"rhs not finite at t={t_new if i == 12 else t + _C[i] * h}")
-            exc.__cause__ = cause
-            _fail(exc, t)
+            non_finite(first + int(np.argmin(ok)), t, h, t_new, cause)
+
+    def non_finite(i, t, h, t_new, cause):
+        """Raise NonFiniteDerivative at stage i of the step from t."""
+        exc = NonFiniteDerivative(f"rhs not finite at t={t_new if i == 12 else t + _C[i] * h}")
+        exc.__cause__ = cause
+        _fail(exc, t)
+
+    def evaluate_outside_step(row, t, y):
+        """rhs(t, y) into S[row], for the first evaluation and the probe."""
+        nonlocal evals
+        evals += 1
+        try:
+            r = rhs(t, y)
+        except ArithmeticError as exc:
+            raise NonFiniteDerivative(f"rhs not finite at t={t}") from exc
+        if len(r) != n:
+            raise _wrong_length(r, n)
+        S[row] = r
+        if not np.isfinite(S[row]).all():
+            raise NonFiniteDerivative(f"rhs not finite at t={t}")
 
     rtol, atol = settings.rel_tol, settings.abs_tol
     max_step, max_steps = settings.max_step, settings.max_steps
     try:
-        evals += 1
-        r = rhs(t0, y)
-        if len(r) != n:
-            raise _wrong_length(r, n)
-        S[1] = r
-        if not np.isfinite(S[1]).all():
-            raise NonFiniteDerivative(f"rhs not finite at t={t0}")
+        evaluate_outside_step(1, t0, y)
         # starting step: an explicit Euler probe estimates the second
         # derivative, and the step is sized for order 8 on it
         ay = np.abs(y)
@@ -374,13 +390,9 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
         d1 = math.sqrt(np.vdot(S[1] / sc, S[1] / sc).real / n)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, t1 - t0, max_step)
-        evals += 1
-        r = rhs(t0 + h0, y + h0 * S[1])
-        if len(r) != n:
-            raise _wrong_length(r, n)
-        S[2] = r
-        if not np.isfinite(S[2]).all():
-            raise NonFiniteDerivative(f"rhs not finite at t={t0 + h0}")
+        if h0 == 0.0:  # underflowed; the probe divides by it
+            raise StepSizeUnderflow(f"step size underflow at t={t0}")
+        evaluate_outside_step(2, t0 + h0, y + h0 * S[1])
     except PtError as exc:
         _fail(exc, t0)
     probe = (S[2] - S[1]) / sc
@@ -554,11 +566,15 @@ def minimize_norm_constrained(energy, x0, tol=1e-6, max_iter=500):
     Stops when the gradient's max norm is at most ``tol``, after
     ``max_iter`` steps, or when the damped step no longer moves ``x``.
     Does not warn: the caller decides what a gradient above ``tol`` means.
+    Raises :class:`NonFiniteFunction` if the energy, gradient or Hessian at
+    an iterate is not finite.
 
     Returns ``(x, value, gradient)`` at the last accepted iterate.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     value, grad = energy(x)
+    if not (np.isfinite(value) and np.isfinite(grad).all()):
+        raise NonFiniteFunction(f"energy {value} or its gradient is not finite at the start")
     mu = 1e-6
     for _ in range(max_iter):
         gmax = np.max(np.abs(grad))
@@ -569,6 +585,8 @@ def minimize_norm_constrained(energy, x0, tol=1e-6, max_iter=500):
         xp = np.tile(x, (len(x), 1))
         xp.flat[::len(x) + 1] += h
         hess = ((energy(xp)[1] - grad) / h[:, None]).T
+        if not np.isfinite(hess).all():
+            raise NonFiniteFunction(f"Hessian not finite at energy {value}")
         lam, vec = np.linalg.eigh(0.5 * (hess + hess.T))
         scale = np.max(np.abs(lam))
         keep = np.abs(lam) > 1e-8 * scale

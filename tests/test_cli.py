@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptembed import dnlse, variational
+from ptembed import cli, dnlse, variational
 from ptembed.cli import (
     SCENARIOS,
+    SECTIONS,
     compare_runs,
     main,
     parse_config,
@@ -17,6 +24,24 @@ from ptembed.cli import (
 )
 from ptembed.errors import MissingKey, NoOverlap, ParseError, UnitError
 
+
+# the values a domain is probed with besides 0, -1 and +-1e300: its edges and
+# the floats just outside them, and for nonzero and > -1 the floats just
+# inside too. A positive value just above 0 is not drawn: a stride or trap
+# spacing of 5e-324 still ends in a traceback (ROADMAP item 4).
+TINY = 5e-324
+DOMAIN_PROBES = {
+    cli.POSITIVE: (-TINY,),
+    cli.NEGATIVE: (TINY,),
+    cli.NON_NEGATIVE: (-TINY,),
+    cli.AT_LEAST_1: (1.0, math.nextafter(1.0, 0.0)),
+    cli.WHOLE: (1.0, math.nextafter(1.0, 0.0), 1.5),
+    cli.NONZERO: (TINY, -TINY),
+    cli.FINITE: (),
+    cli.UNIT_INTERVAL: (1.0, -TINY, math.nextafter(1.0, 2.0)),
+    cli.ABOVE_MINUS_1: (math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0)),
+    cli.SYMMETRIC_UNIT: (-1.0, 1.0, math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0)),
+}
 
 STATIONARY_CFG = """
 [scenario]
@@ -81,7 +106,7 @@ class TestParseConfig:
                                "depletion_floor must not be negative")):
             with pytest.raises(ParseError) as err:
                 parse_config(f"[scenario]\nname = oscillatory\n{line}\n")
-            assert str(err.value) == f"[scenario] {message}"
+            assert str(err.value) == f"line 3: [scenario] {message}"
         cfg = parse_config("[scenario]\nname = oscillatory\ncond_limit = 1\n"
                            "depletion_floor = 0\n")
         assert cfg.get("scenario", "cond_limit") == 1.0
@@ -92,7 +117,7 @@ class TestParseConfig:
                               ("n_atoms = -1", "n_atoms must not be negative, not -1.0")):
             with pytest.raises(UnitError) as err:
                 parse_config(f"[scenario]\nname = adiabatic_fewmode\n[units]\n{line}\n")
-            assert str(err.value) == message
+            assert str(err.value) == f"line 4: {message}"
 
     def test_transverse_trap_widths_rejected(self):
         # the trap's transverse widths are fixed at 4 w_z, not settable
@@ -124,7 +149,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_every_key_of_a_scenario_parses(self, name):
-        _, keys = SCENARIOS[name]
+        keys = {key: default for key, (default, _) in SCENARIOS[name][1].items()}
         lines = [f"{key} = {default!r}" for key, default in keys.items()]
         sections = "[integrator]\nrel_tol = 1e-9\n[output]\nstride = 0.1\n"
         if name.startswith("adiabatic"):
@@ -349,6 +374,57 @@ class TestMain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ParseError: ")
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_run_never_ends_in_a_traceback(self, data):
+        # one key of one scenario at a domain edge, just outside it, 0, a
+        # negative or +-1e300, in a short run: t_end = 0.05 and max_steps =
+        # 200, and for the variational ramp one control interval, so that a
+        # huge t_end is bounded by max_steps too
+        name = data.draw(st.sampled_from(list(SCENARIOS)), label="scenario")
+        sections = ["integrator", "output"] + (["trap", "units"] if name.startswith("adiabatic") else [])
+        keys = [("scenario", key, domain) for key, (_, domain) in SCENARIOS[name][1].items()]
+        keys += [(section, key, domain) for section in sections
+                 for key, (_, domain) in SECTIONS[section].items() if domain is not None]
+        section, key, domain = data.draw(st.sampled_from(keys), label="key")
+        value = data.draw(st.sampled_from(DOMAIN_PROBES[domain] + (0.0, -1.0, 1e300, -1e300)),
+                          label="value")
+        config = {"scenario": {"name": name, "t_end": 0.05}, "integrator": {"max_steps": 200.0}}
+        if name == "adiabatic_variational":
+            config["scenario"]["control_dt"] = 1e300
+        config.setdefault(section, {})[key] = value
+        lines = []
+        for sec, entries in config.items():
+            lines.append(f"[{sec}]")
+            lines += [f"{k} = {v if k == 'name' else repr(v)}" for k, v in entries.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            err = io.StringIO()
+            # numpy's overflow warnings and the fit's ConvergenceWarning at
+            # the extremes are recorded apart from the error line, not raised
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+        err = err.getvalue()
+        assert rc in (0, 1, 2) and "Traceback" not in err, err
+        if rc == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        if not domain[0](value):
+            # refused by the config, on the value's line
+            ln = lines.index(f"{key} = {value!r}") + 1
+            kind = "UnitError" if section == "units" else "ParseError"
+            assert rc == 1 and err.startswith(f"error: {kind}: line {ln}: "), err
+
+    @pytest.mark.parametrize("command", ["fit", "params"])
+    def test_fit_needs_a_physical_scenario(self, tmp_path, capsys, command):
+        cfg = self._write(tmp_path, "[scenario]\nname = stationary\n")
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: ParseError: scenario 'stationary' has no [trap] to fit\n")
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])

@@ -56,8 +56,10 @@ def test_zero_coupling_rejected():
 
 
 def test_stationary_state_needs_gamma_below_coupling():
-    with pytest.raises(DegenerateInput):
-        pt_stationary_state(1.5, j12=1.0)
+    # the bound is on |gamma|, and the message states it
+    for gamma in (1.5, -1.5):
+        with pytest.raises(DegenerateInput, match=r"requires \|gamma\| <= J12"):
+            pt_stationary_state(gamma, j12=1.0)
 
 
 def test_negative_discriminant_has_no_closed_form():

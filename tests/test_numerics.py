@@ -179,6 +179,48 @@ class TestIntegrator:
         assert np.array_equal(traj.t, clean.t[:4]) and np.array_equal(traj.y, clean.y[:4])
         assert np.array_equal(traj.dense, clean.dense[:3])
 
+    def test_overflow_in_a_stage_is_nonfinite_with_partial_trajectory(self):
+        # stage 4 of the third step squares a Python float past the largest
+        # double, which raises OverflowError where numpy would return inf
+        rhs, y0 = forced_linear_rhs(2, 3, True)
+        settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
+        clean = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_)
+        bad, calls = self.failing_at_call(
+            rhs, 2 + 2 * 15 + 4, lambda t, y: [(1e200 * float(abs(y[0]))) ** 2] * 3)
+        with pytest.raises(NonFiniteDerivative) as exc:
+            integrate_adaptive(bad, y0, (0.0, 2.0), settings_)
+        assert str(exc.value) == f"rhs not finite at t={calls[-1]}"
+        assert isinstance(exc.value.__cause__, OverflowError)
+        traj = exc.value.trajectory
+        assert traj.rhs_evals == len(calls) == 2 + 2 * 15 + 4
+        assert traj.accepted_steps == 2 and exc.value.t_fail == traj.t[-1] == clean.t[2]
+        assert np.array_equal(traj.y, clean.y[:3])
+
+    @pytest.mark.parametrize("fail_call", [1, 2])
+    def test_overflow_before_the_first_step_is_nonfinite(self, fail_call):
+        # the first evaluation at t0, or the starting-step probe
+        def overflow(t, y):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        bad, calls = self.failing_at_call(lambda t, y: -y, fail_call, overflow)
+        with pytest.raises(NonFiniteDerivative) as exc:
+            integrate_adaptive(bad, np.array([1.0]), (0.5, 1.0), IntegratorSettings())
+        assert str(exc.value) == f"rhs not finite at t={calls[-1]}"
+        assert isinstance(exc.value.__cause__, OverflowError)
+        traj = exc.value.trajectory
+        assert exc.value.t_fail == 0.5 and traj.t.tolist() == [0.5]
+        assert traj.rhs_evals == len(calls) == fail_call
+
+    def test_starting_step_underflow_raises_before_the_probe(self):
+        # |f| / (abs_tol + rel_tol |y|) overflows the error norm, so the
+        # starting step 0.01 d0 / d1 is 0: no probe, and no division by it
+        with pytest.raises(StepSizeUnderflow, match="at t=0.5") as exc:
+            integrate_adaptive(lambda t, y: np.full(1, 1e200), np.array([1.0]), (0.5, 1.0),
+                               IntegratorSettings())
+        traj = exc.value.trajectory
+        assert exc.value.t_fail == 0.5 and traj.t.tolist() == [0.5]
+        assert traj.rhs_evals == 1
+
     def test_pt_error_in_dense_stage_keeps_sampleable_trajectory(self):
         rhs, y0 = forced_linear_rhs(6, 4, True)
         settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
@@ -409,6 +451,20 @@ class TestConstrainedMinimize:
         assert raised
         assert abs(grad[0]) <= 1e-12
         assert abs(x[0] - 1.0) < 1e-11
+
+    def test_non_finite_energy_at_the_start_raises(self):
+        with pytest.raises(NonFiniteFunction, match="at the start"):
+            minimize_norm_constrained(lambda v: (np.nan, 2.0 * v), np.array([1.0, 2.0]))
+
+    def test_non_finite_hessian_raises(self):
+        # finite at the iterate, infinite gradients on the Hessian stack:
+        # eigh would fail on the matrix with a LinAlgError
+        def f(v):
+            grad = 2.0 * v if v.ndim == 1 else np.full_like(v, np.inf)
+            return np.sum(v * v, axis=-1), grad
+
+        with pytest.raises(NonFiniteFunction, match="Hessian not finite"):
+            minimize_norm_constrained(f, np.array([1.0, 2.0]))
 
     def test_max_iter_exhausted_returns_best_iterate(self):
         def rosenbrock(v):
