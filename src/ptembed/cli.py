@@ -12,7 +12,8 @@ headers; unknown keys and non-finite numbers are rejected. ``SCENARIOS``
 lists the ``[scenario]`` keys each scenario reads and ``SECTIONS`` the
 others, each with its default and domain; a key the scenario does not read
 (a ``[trap]`` or ``[units]`` key in an abstract scenario among them), and a
-value outside its key's domain, are rejected by line number. Abstract
+value outside its key's domain, are rejected by line number, and a stride
+or control_dt too small for t_end (``_SIZE_BOUNDS``) by name. Abstract
 scenarios (stationary, oscillatory, collapse) use internal units with the
 middle coupling as the energy scale; physical scenarios (adiabatic_fewmode, adiabatic_variational)
 measure energies in E0 = hbar^2 / (m w_z^2) and times in t0 = hbar / E0.
@@ -93,6 +94,14 @@ SECTIONS = {
 # and [units]
 _PHYSICAL = ("adiabatic_fewmode", "adiabatic_variational")
 
+# Bounds on t_end over the key's value, checked before a run starts, so that
+# a tiny stride or control_dt is refused instead of exhausting memory or
+# time. On a 2-core x86-64 host 1e6 records take about 20 s, 0.65 GB of
+# memory and a 0.35 GB CSV (3,501 by default), and 1e5 control intervals,
+# at 4.5 ms or more each, 8 minutes to over an hour (140 by default).
+_SIZE_BOUNDS = {("output", "stride"): (1_000_000, "records"),
+                ("scenario", "control_dt"): (100_000, "control intervals")}
+
 
 def _key_table(name):
     """(section, key) -> (default, domain) of every key scenario ``name`` reads."""
@@ -129,7 +138,9 @@ class ScenarioConfig:
 def parse_config(text):
     """Strict ``key = value`` configuration with ``[section]`` headers. A key
     the named scenario does not read, or a value outside its key's domain, is
-    an error that names its line; a [units] value is refused as a UnitError."""
+    an error that names its line; a [units] value is refused as a UnitError.
+    A stride or control_dt that asks for more records or control intervals
+    over t_end than ``_SIZE_BOUNDS`` allows is an error that names the key."""
     lines = {}
     section = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -180,6 +191,11 @@ def parse_config(text):
                 raise UnitError(f"line {ln}: {key} must {rule}, not {value!r}")
             raise ParseError(f"line {ln}: [{section}] {key} must {rule}")
         values[section, key] = value
+    t_end = values["scenario", "t_end"]
+    for (section, key), (bound, what) in _SIZE_BOUNDS.items():
+        if (section, key) in values and t_end / values[section, key] > bound:
+            raise ParseError(f"[{section}] {key} = {values[section, key]!r} is too small for "
+                             f"t_end = {t_end!r}: it asks for more than {bound:,} {what}")
     return ScenarioConfig(name, values)
 
 
@@ -192,7 +208,12 @@ def _integrator(cfg):
 def _trap(cfg):
     if cfg.scenario not in _PHYSICAL:
         raise ParseError(f"scenario '{cfg.scenario}' has no [trap] to fit")
-    return dnlse.standard_four_well(**{key: cfg.get("trap", key) for key in SECTIONS["trap"]})
+    try:
+        return dnlse.standard_four_well(**{key: cfg.get("trap", key) for key in SECTIONS["trap"]})
+    except ValueError as exc:
+        # the depths' domains hold, so it is a spacing so small (a few
+        # subnormals) that the well positions round to equal values
+        raise ParseError(f"[trap] spacing = {cfg.get('trap', 'spacing')!r}: {exc}") from None
 
 
 def _units(cfg):
@@ -211,46 +232,53 @@ def _sample_times(t_grid_end, stride):
     return ts
 
 
-def _fewmode_columns(run, ts, j12, gauge_shift=0.0):
-    """Tabulate a controlled four-mode run at the sample times, with the
-    controls from one ``controls_at`` call over the whole grid."""
-    psi = run.trajectory.sample(ts)
-    cs = run.controls_at(ts, psi)
-    n = np.abs(psi) ** 2
-    jt = -2.0 * (psi[:, :-1] * np.conj(psi[:, 1:])).imag  # j~_{k,k+1}
+def _record(n, j, gamma, controls, run, t_final, norms, work, diagnostics=None):
+    """Columns and summary entries of a controlled run of either level:
+    populations ``n`` (a row of four per sample), currents ``j`` (a row of
+    three), the level's ``controls``, gamma, the breakdown flag and the
+    level's ``diagnostics``; the end time, ``run``'s breakdown, the drift of
+    the total norm between ``norms`` (the run's first and last populations)
+    and the ``work`` counters, among them the integrator's three."""
     cols = {
         "n0": n[:, 0], "n1": n[:, 1], "n2": n[:, 2], "n3": n[:, 3],
-        "j01": cs.J01 * jt[:, 0], "j12": j12 * jt[:, 1], "j23": cs.J23 * jt[:, 2],
-        "E0": cs.E0 - gauge_shift, "E3": cs.E3 - gauge_shift, "J01": cs.J01,
-        "J23": cs.J23, "gamma": cs.gamma, "breakdown": np.zeros(len(ts)),
-        "lgs_condition": cs.lgs_condition,
+        "j01": j[:, 0], "j12": j[:, 1], "j23": j[:, 2],
+        **controls, "gamma": gamma, "breakdown": np.zeros(len(n)), **(diagnostics or {}),
     }
     if run.broke_down:
         cols["breakdown"][-1] = 1.0
-    return cols
-
-
-def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
-    """Sample times, columns and the summary entries of a controlled
-    four-mode run, the integrator's work among them. The condition audit
-    reads the controls at the accepted steps, where the integrator already
-    evaluated the kernel without a breakdown."""
-    traj = run.trajectory
-    ts = _sample_times(traj.t[-1], cfg.get("output", "stride"))
-    residuals = embedding.check_conditions(traj.y, run.controls_at(traj.t, traj.y))
     summary = {
-        "t_final": float(traj.t[-1]),
+        "t_final": float(t_final),
         "breakdown_time": run.breakdown_time,
         "breakdown_reason": run.breakdown_reason,
         "breakdown_message": run.breakdown_message,
-        "total_norm_drift": float(abs(
-            np.sum(np.abs(traj.y[-1]) ** 2) - np.sum(np.abs(traj.y[0]) ** 2))),
-        "max_condition_residual": float(np.max(np.abs(residuals))),
-        "accepted_steps": traj.accepted_steps,
-        "rejected_steps": traj.rejected_steps,
-        "rhs_evals": traj.rhs_evals,
+        "total_norm_drift": float(abs(np.sum(norms[1]) - np.sum(norms[0]))),
+        **work,
     }
-    return ts, _fewmode_columns(run, ts, j12, gauge_shift), summary
+    return cols, summary
+
+
+def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
+    """Sample times, columns and summary entries of a controlled four-mode
+    run, with the controls from one ``controls_at`` call over the sample
+    grid. The condition audit reads the controls at the accepted steps,
+    where the integrator already evaluated the kernel without a breakdown."""
+    traj = run.trajectory
+    ts = _sample_times(traj.t[-1], cfg.get("output", "stride"))
+    psi = traj.sample(ts)
+    cs = run.controls_at(ts, psi)
+    jt = -2.0 * (psi[:, :-1] * np.conj(psi[:, 1:])).imag  # j~_{k,k+1}
+    cols, summary = _record(
+        np.abs(psi) ** 2,
+        np.column_stack([cs.J01 * jt[:, 0], j12 * jt[:, 1], cs.J23 * jt[:, 2]]), cs.gamma,
+        controls={"E0": cs.E0 - gauge_shift, "E3": cs.E3 - gauge_shift,
+                  "J01": cs.J01, "J23": cs.J23},
+        run=run, t_final=traj.t[-1], norms=np.abs(traj.y[[0, -1]]) ** 2,
+        work={"accepted_steps": traj.accepted_steps, "rejected_steps": traj.rejected_steps,
+              "rhs_evals": traj.rhs_evals},
+        diagnostics={"lgs_condition": cs.lgs_condition})
+    residuals = embedding.check_conditions(traj.y, run.controls_at(traj.t, traj.y))
+    summary["max_condition_residual"] = float(np.max(np.abs(residuals)))
+    return ts, cols, summary
 
 
 def _run_abstract(cfg):
@@ -350,41 +378,19 @@ def _run_adiabatic_variational(cfg):
     schedule = _ramp(cfg, eff)
     state = variational.VariationalState.from_basis(basis, d_amp)
     state = variational.relax_to_fixed_point(state, wells, units)
-    record, _ = variational.run_variational_scenario(
+    record = variational.run_variational_scenario(
         wells, units, embedding.ramp_gamma(schedule), cfg["t_end"],
         control_dt=cfg["control_dt"], state=state, settings=_integrator(cfg),
         control_tol=cfg["control_tol"],
     )
     ts = record.t
-    cols = {
-        "n0": record.n[:, 0], "n1": record.n[:, 1],
-        "n2": record.n[:, 2], "n3": record.n[:, 3],
-        "j01": record.j[:, 0], "j12": record.j[:, 1], "j23": record.j[:, 2],
-        "V0": record.depths[:, 0], "V3": record.depths[:, 3],
-        "delta0": record.delta[:, 0], "delta1": record.delta[:, 1],
-        "delta2": record.delta[:, 2], "delta3": record.delta[:, 3],
-        "gamma": record.gamma,
-        "breakdown": np.zeros(len(ts)),
-    }
-    if record.broke_down:
-        cols["breakdown"][-1] = 1.0
-    summary = {
-        **_ramp_summary(cfg, energy, schedule, ts, cols),
-        "t_final": float(ts[-1]),
-        "breakdown_time": record.breakdown_time,
-        "breakdown_reason": record.breakdown_reason,
-        "breakdown_message": record.breakdown_message,
-        "total_norm_drift": float(abs(record.n[-1].sum() - record.n[0].sum())),
-        "control_root_iterations": int(record.root_iterations.sum()),
-        "control_jacobian_refreshes": int(record.jacobian_refreshes.sum()),
-        "control_integrations": int(record.integrations.sum()),
-        # the integrator's work over every control integration, trials included
-        "rhs_evals": int(record.rhs_evals.sum()),
-        "accepted_steps": int(record.accepted_steps.sum()),
-        "rejected_steps": int(record.rejected_steps.sum()),
-        "metric_rcond_min": float(record.metric_rcond_min.min())
-        if len(record.metric_rcond_min) else None,
-    }
+    # the work tally holds the depth search's totals besides the integrator's
+    cols, shared = _record(
+        record.n, record.j, record.gamma,
+        controls={"V0": record.depths[:, 0], "V3": record.depths[:, 3],
+                  **{f"delta{k}": record.delta[:, k] for k in range(4)}},
+        run=record, t_final=ts[-1], norms=record.n[[0, -1]], work=record.work)
+    summary = {**_ramp_summary(cfg, energy, schedule, ts, cols), **shared}
     status = 2 if record.broke_down else 0
     return status, ts, cols, summary
 

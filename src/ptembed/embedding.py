@@ -259,7 +259,7 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
         n3 = p[3].real**2 + p[3].imag**2
         if n0 < depletion_floor or n3 < depletion_floor:
             raise ControlSingular(
-                f"reservoir depleted at t={t:.6g} (n0={n0:.3e}, n3={n3:.3e})"
+                f"reservoir depleted (n0={n0:.3e}, n3={n3:.3e})"
             )
         g, gd = gamma_fn(t)
         return kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]

@@ -719,37 +719,47 @@ def box_observables(state: VariationalState, partition: WallPartition):
     return n, j
 
 
+def _work_tally():
+    """The work counters of a controlled variational run, keyed like its
+    ``summary.json`` entries; ``metric_rcond_min`` stays None until a Gram
+    matrix has been solved."""
+    return dict(control_root_iterations=0, control_jacobian_refreshes=0,
+                control_integrations=0, rhs_evals=0, accepted_steps=0,
+                rejected_steps=0, metric_rcond_min=None)
+
+
+def _tally_integration(tally, traj, kernel):
+    """Add one end-of-interval integration, or the partial trajectory of
+    one that raised, to ``tally``."""
+    tally["control_integrations"] += 1
+    for key in ("rhs_evals", "accepted_steps", "rejected_steps"):
+        tally[key] += getattr(traj, key)
+    if kernel.metric_rcond_min < (tally["metric_rcond_min"] or math.inf):
+        tally["metric_rcond_min"] = float(kernel.metric_rcond_min)
+
+
 @dataclass
 class ControlledStepResult:
-    """One control interval: the end state, the accepted outer depths, the
-    end populations and currents, the root search's iterations and
-    finite-difference Jacobian builds, the end-of-interval integrations it
-    made, and ``jacobian``, the Broyden model of d(j_01, j_23) / d(V^0, V^3)
-    at the accepted depths (unscaled currents). ``rhs_evals``,
-    ``accepted_steps`` and ``rejected_steps`` sum the integrator's work over
-    all those integrations, the search's trials included, and
-    ``metric_rcond_min`` is the smallest reciprocal condition number of
-    the Gram matrix that they met."""
+    """One control interval: the end state, the end populations and
+    currents, the root search's iterations and finite-difference Jacobian
+    builds, the end-of-interval integrations it made, and ``jacobian``, the
+    Broyden model of d(j_01, j_23) / d(V^0, V^3) at the accepted depths
+    (unscaled currents)."""
 
     state: VariationalState
-    depths: tuple
     populations: np.ndarray
     currents: np.ndarray
     iterations: int
     jacobian_refreshes: int
     integrations: int
     jacobian: np.ndarray | None
-    rhs_evals: int
-    accepted_steps: int
-    rejected_steps: int
-    metric_rcond_min: float
 
 
 def controlled_step(state: VariationalState, wells: WellPotentialSpec,
                     units: UnitSystem, targets, dt,
                     settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
                     partition: WallPartition | None = None,
-                    tol=1e-8, jacobian=None):
+                    tol=1e-8, jacobian=None, tally=None):
     """Advance one control interval with (V^0, V^3) held constant.
 
     The two depths are found by a root search demanding that the outer wall
@@ -761,18 +771,28 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     the search stagnates, the Jacobian is built by finite differences.
     A search that stalls or tries a depth >= 0 raises
     :class:`ControlSearchFailed`.
+
+    ``tally`` (see :func:`_work_tally`) gains the work as it is done:
+    each integration when it ends, the partial one of an integration that
+    raises included, and the search's iterations and Jacobian builds when
+    it returns, converged or not. A search ended by an exception from an
+    integration or a trial depth adds its integrations but neither its
+    iterations nor its Jacobian builds.
     Returns the :class:`ControlledStepResult` and the well specification
     with the accepted depths.
     """
     if partition is None:
         partition = WallPartition.from_wells(wells)
+    if tally is None:
+        tally = _work_tally()
     x0 = state.to_vector()
     scale = max(abs(t) for t in targets) + 1e-4
 
-    cache, runs = {}, []
+    cache = {}
 
     def end_point(v):
-        """End state and its wall populations and currents at depths ``v``."""
+        """End state, its wall populations and currents, and the trap at
+        outer depths ``v``."""
         key = (float(v[0]), float(v[1]))
         if key not in cache:
             if max(key) >= 0.0:
@@ -782,51 +802,50 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
                 )
             depths = wells.depths.copy()
             depths[0], depths[-1] = v
-            wtrial = replace(wells, depths=depths)
-            kernel = TrapKernel(wtrial, units)
-            traj = integrate_adaptive(kernel.rhs, x0, (0.0, dt), settings,
-                                      dense_output=False)
-            runs.append((traj, kernel.metric_rcond_min))
+            kernel = TrapKernel(replace(wells, depths=depths), units)
+            try:
+                traj = integrate_adaptive(kernel.rhs, x0, (0.0, dt), settings,
+                                          dense_output=False)
+            except PtError as exc:
+                _tally_integration(tally, exc.trajectory, kernel)
+                raise
+            _tally_integration(tally, traj, kernel)
             st = VariationalState.from_vector(traj.y[-1])
-            cache[key] = (st, *box_observables(st, partition))
+            cache[key] = (st, *box_observables(st, partition), kernel.wells)
         return cache[key]
 
     def residual(v):
-        _, _, j = end_point(v)
+        j = end_point(v)[2]
         return np.array([(j[0] - targets[0]) / scale, (j[2] - targets[1]) / scale])
 
     v0 = np.array([wells.depths[0], wells.depths[-1]])
     # the search works on currents divided by this interval's scale
     report = root_find(residual, v0, tol=tol / scale, max_iter=40,
                        jac=None if jacobian is None else jacobian / scale)
+    tally["control_root_iterations"] += report.iterations
+    tally["control_jacobian_refreshes"] += report.jacobian_refreshes
     if not report.converged:
         raise ControlSearchFailed(
             f"depth search stalled (residual {report.residual_norm * scale:.3e})"
         )
-    v = report.solution
-    st, n, j = end_point(v)
-    depths = wells.depths.copy()
-    depths[0], depths[-1] = v
+    st, n, j, accepted_wells = end_point(report.solution)
     return ControlledStepResult(
-        state=st, depths=(v[0], v[1]), populations=n, currents=j,
+        state=st, populations=n, currents=j,
         iterations=report.iterations, jacobian_refreshes=report.jacobian_refreshes,
         integrations=len(cache),
         jacobian=None if report.jacobian is None else report.jacobian * scale,
-        rhs_evals=sum(traj.rhs_evals for traj, _ in runs),
-        accepted_steps=sum(traj.accepted_steps for traj, _ in runs),
-        rejected_steps=sum(traj.rejected_steps for traj, _ in runs),
-        metric_rcond_min=min(rcond for _, rcond in runs),
-    ), replace(wells, depths=depths)
+    ), accepted_wells
 
 
 @dataclass
 class VariationalRunRecord:
     """Sampled observables at the control-interval ends (``t[0] = 0``), and
-    per completed interval the depth search's root iterations,
-    finite-difference Jacobian builds, end-of-interval integrations, the
-    integrator's work on them and the smallest reciprocal condition
-    number of the Gram matrix (see :class:`ControlledStepResult`). A run ended
-    by an error records its time, type name (``breakdown_reason``) and text
+    ``work``, the run's totals of the depth search's root iterations,
+    finite-difference Jacobian builds and end-of-interval integrations, of
+    the integrator's work on them and the smallest reciprocal condition
+    number of the Gram matrix (see :func:`_work_tally`). The totals
+    include the interval that ends a run with an error. Such a run records
+    its time, type name (``breakdown_reason``) and text
     (``breakdown_message``)."""
 
     t: np.ndarray
@@ -835,13 +854,7 @@ class VariationalRunRecord:
     depths: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
-    root_iterations: np.ndarray
-    jacobian_refreshes: np.ndarray
-    integrations: np.ndarray
-    rhs_evals: np.ndarray
-    accepted_steps: np.ndarray
-    rejected_steps: np.ndarray
-    metric_rcond_min: np.ndarray
+    work: dict
     breakdown_time: float | None = None
     breakdown_reason: str | None = None
     breakdown_message: str | None = None
@@ -863,38 +876,20 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     Each interval's depth search starts from the Jacobian the previous
     interval ended with. Only the first interval that iterates builds one
     by finite differences; later ones rebuild it only when their search
-    stagnates.
+    stagnates. Every interval adds its work to one tally, the record's
+    ``work``, the interval that breaks down included.
     Returns a VariationalRunRecord; a failed control search terminates the
     run and is recorded as a breakdown, not raised.
     """
     partition = WallPartition.from_wells(wells)
-    times = [0.0]
-    n0, j0 = box_observables(state, partition)
-    ns, js = [n0], [j0]
-    depths = [wells.depths.copy()]
-    gammas = [gamma_fn(0.0)[0]]
-    deltas = [state.q_z - wells.positions]
-    iterations, refreshes, integrations = [], [], []
-    rhs_evals, accepted, rejected, rconds = [], [], [], []
+    n_now, j_now = box_observables(state, partition)
+    # one row per interval end: t, n, j, depths, gamma and the well offsets
+    rows = [(0.0, n_now, j_now, wells.depths, gamma_fn(0.0)[0], state.q_z - wells.positions)]
+    work = _work_tally()
+    breakdown = {}
     jacobian = None
     t = 0.0
     current_wells = wells
-    n_now = n0
-
-    def record(**breakdown):
-        return VariationalRunRecord(
-            t=np.array(times), n=np.array(ns), j=np.array(js),
-            depths=np.array(depths), gamma=np.array(gammas),
-            delta=np.array(deltas),
-            root_iterations=np.array(iterations, dtype=int),
-            jacobian_refreshes=np.array(refreshes, dtype=int),
-            integrations=np.array(integrations, dtype=int),
-            rhs_evals=np.array(rhs_evals, dtype=int),
-            accepted_steps=np.array(accepted, dtype=int),
-            rejected_steps=np.array(rejected, dtype=int),
-            metric_rcond_min=np.array(rconds),
-            **breakdown,
-        )
 
     while t < t_end - 1e-12:
         dt = min(control_dt, t_end - t)
@@ -904,26 +899,14 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
             result, current_wells = controlled_step(
                 state, current_wells, units, targets, dt,
                 settings=settings, partition=partition, tol=control_tol,
-                jacobian=jacobian,
+                jacobian=jacobian, tally=work,
             )
         except PtError as exc:
-            return record(breakdown_time=t, breakdown_reason=type(exc).__name__,
-                          breakdown_message=str(exc)), state
-        state = result.state
-        jacobian = result.jacobian
+            breakdown = dict(breakdown_time=t, breakdown_reason=type(exc).__name__,
+                             breakdown_message=str(exc))
+            break
+        state, jacobian, n_now = result.state, result.jacobian, result.populations
         t += dt
-        times.append(t)
-        n_now = result.populations
-        ns.append(n_now)
-        js.append(result.currents)
-        depths.append(current_wells.depths.copy())
-        gammas.append(g_end)
-        deltas.append(state.q_z - wells.positions)
-        iterations.append(result.iterations)
-        refreshes.append(result.jacobian_refreshes)
-        integrations.append(result.integrations)
-        rhs_evals.append(result.rhs_evals)
-        accepted.append(result.accepted_steps)
-        rejected.append(result.rejected_steps)
-        rconds.append(result.metric_rcond_min)
-    return record(), state
+        rows.append((t, n_now, result.currents, current_wells.depths, g_end,
+                     state.q_z - wells.positions))
+    return VariationalRunRecord(*map(np.array, zip(*rows)), work=work, **breakdown)

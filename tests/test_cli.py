@@ -26,13 +26,11 @@ from ptembed.errors import MissingKey, NoOverlap, ParseError, UnitError
 
 
 # the values a domain is probed with besides 0, -1 and +-1e300: its edges and
-# the floats just outside them, and for nonzero and > -1 the floats just
-# inside too. A positive value just above 0 is not drawn: a stride or trap
-# spacing of 5e-324 still ends in a traceback (ROADMAP item 4).
+# the floats just outside them, and for an open edge the float just inside
 TINY = 5e-324
 DOMAIN_PROBES = {
-    cli.POSITIVE: (-TINY,),
-    cli.NEGATIVE: (TINY,),
+    cli.POSITIVE: (-TINY, TINY),
+    cli.NEGATIVE: (TINY, -TINY),
     cli.NON_NEGATIVE: (-TINY,),
     cli.AT_LEAST_1: (1.0, math.nextafter(1.0, 0.0)),
     cli.WHOLE: (1.0, math.nextafter(1.0, 0.0), 1.5),
@@ -320,7 +318,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert f"breakdown at t = {summary['breakdown_time']:.6g} (StepSizeUnderflow): {message}" in out
 
-    def test_variational_breakdown_exit_two(self, tmp_path, capsys):
+    def test_variational_breakdown_exit_two(self, tmp_path, capsys, monkeypatch):
+        # every right-hand side call goes through variational.assemble_eom
+        calls = []
+        assemble = variational.assemble_eom
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "assemble_eom", counting)
         # gamma reaches 100 J12 within one 1e-3 control interval: the wall
         # current it asks for would need a repulsive outer well
         cfg = self._write(tmp_path, (
@@ -334,9 +341,13 @@ class TestMain:
         assert summary["breakdown_reason"] == "ControlSearchFailed"
         assert summary["breakdown_message"].startswith("depth search ")
         assert summary["control_root_iterations"] == 0
+        # the interval that broke down counts its work: the start point and
+        # the two finite-difference trials of the depth search
+        assert summary["control_integrations"] >= 3
+        assert summary["rhs_evals"] == len(calls) > 0
 
     @pytest.mark.parametrize("line, prefix", [
-        ("depletion_floor = 0.05", "reservoir depleted at t="),
+        ("depletion_floor = 0.05", "reservoir depleted (n0="),
         ("cond_limit = 1e3", "onsite control system singular"),
     ])
     def test_control_breakdown_exit_two(self, tmp_path, capsys, line, prefix):
@@ -373,6 +384,22 @@ class TestMain:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ParseError: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, lines, key", [
+        ("stationary", "[output]\nstride = 1e-8", "[output] stride = 1e-08"),
+        ("stationary", "[output]\nstride = 5e-324", "[output] stride = 5e-324"),
+        ("adiabatic_variational", "control_dt = 1e-12", "[scenario] control_dt = 1e-12"),
+        ("adiabatic_fewmode", "[trap]\nspacing = 5e-324", "[trap] spacing = 5e-324"),
+    ])
+    def test_tiny_positive_value_is_one_error_line(self, tmp_path, capsys, name, lines, key):
+        # over t_end = 5: 5e8 or more records, 5e12 control intervals, or four
+        # wells at equal positions
+        cfg = self._write(tmp_path, f"[scenario]\nname = {name}\nt_end = 5\n{lines}\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {key}") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=60)

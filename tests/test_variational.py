@@ -17,6 +17,7 @@ from ptembed.errors import (
     ControlSearchFailed,
     NoConvergence,
     NonNormalizable,
+    PtError,
     SingularMetric,
     SizeMismatch,
 )
@@ -208,7 +209,11 @@ def test_run_record_counts_every_integration(trap_system, monkeypatch):
     integrate, solve = variational.integrate_adaptive, variational._solve_metric
 
     def counting_integrate(*args, **kwargs):
-        trajectories.append(integrate(*args, **kwargs))
+        try:
+            trajectories.append(integrate(*args, **kwargs))
+        except PtError as exc:
+            trajectories.append(exc.trajectory)
+            raise
         return trajectories[-1]
 
     def recording_solve(*args):
@@ -218,17 +223,25 @@ def test_run_record_counts_every_integration(trap_system, monkeypatch):
 
     monkeypatch.setattr(variational, "integrate_adaptive", counting_integrate)
     monkeypatch.setattr(variational, "_solve_metric", recording_solve)
-    record, _ = run_variational_scenario(
-        wells, units, lambda t: (2e-3 * t, 2e-3), t_end=1.0, control_dt=0.5,
-        state=state, settings=IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9))
-    assert not record.broke_down
-    # the root search's trial integrations count with the accepted ones
-    assert len(trajectories) == record.integrations.sum() > len(record.integrations)
-    assert record.rhs_evals.sum() == sum(t.rhs_evals for t in trajectories) == len(rconds)
-    assert record.accepted_steps.sum() == sum(t.accepted_steps for t in trajectories)
-    assert record.rejected_steps.sum() == sum(t.rejected_steps for t in trajectories)
-    assert record.metric_rcond_min.min() == min(rconds)
-    assert 1e-12 <= min(rconds) < 1.0
+    # a run that completes, and one whose fourth integration runs out of
+    # steps after three complete
+    for max_steps, reason in ((1_000_000, None), (8, "StepLimitExceeded")):
+        trajectories.clear()
+        rconds.clear()
+        record = run_variational_scenario(
+            wells, units, lambda t: (2e-3 * t, 2e-3), t_end=1.0, control_dt=0.5, state=state,
+            settings=IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9, max_steps=max_steps))
+        assert record.breakdown_reason == reason
+        work = record.work
+        # the root search's trial integrations count with the accepted ones,
+        # and the interval that breaks down with the completed ones
+        assert len(trajectories) == work["control_integrations"] > len(record.t) - 1
+        assert work["rhs_evals"] == sum(t.rhs_evals for t in trajectories) == len(rconds)
+        assert work["accepted_steps"] == sum(t.accepted_steps for t in trajectories)
+        assert work["rejected_steps"] == sum(t.rejected_steps for t in trajectories)
+        assert work["metric_rcond_min"] == min(rconds)
+        assert 1e-12 <= min(rconds) < 1.0
+    assert len(trajectories) == 4 and trajectories[-1].rejected_steps > 0
 
 
 def test_unreachable_targets_fail_the_search(trap_system):
@@ -237,15 +250,18 @@ def test_unreachable_targets_fail_the_search(trap_system):
     # j_01 = 1 within dt = 1e-3 would need a repulsive outer well
     with pytest.raises(ControlSearchFailed):
         controlled_step(state, wells, units, (1.0, 1.0), dt=1e-3, settings=settings)
-    record, final = run_variational_scenario(
+    record = run_variational_scenario(
         wells, units, lambda t: (2.0, 0.0), t_end=1e-3, control_dt=1e-3,
         state=state, settings=settings)
     assert record.broke_down
     assert record.breakdown_time == 0.0
     assert record.breakdown_reason == "ControlSearchFailed"
     assert record.breakdown_message.startswith("depth search ")
-    assert len(record.t) == 1 and len(record.root_iterations) == 0
-    assert final is state
+    assert len(record.t) == 1
+    # the start point and the two finite-difference trials ran; the Newton
+    # step's depth was refused before its iteration completed
+    assert record.work["control_integrations"] == 3
+    assert record.work["control_root_iterations"] == 0
 
 
 def test_wall_partition_from_wells():
