@@ -87,73 +87,111 @@ def ramp_gamma(schedule: RampSchedule):
     return fn
 
 
-def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit):
+def _control_kernel(psi, g, gd, d, nl, j12, e1, e2, cond_limit, depletion_floor=None):
     """Reservoir controls and the controlled derivative, from four Python
     complex amplitudes (the RHS: on vectors this short, scalar arithmetic is
     several times faster than numpy) or four arrays over samples, with
     ``g``, ``gd`` arrays too. ``nl`` holds four float nonlinearities.
+
+    The body works on the real and imaginary parts of the amplitudes, in
+    plain float products, and builds complex numbers only for the
+    derivative it returns. It squares by multiplication (``x * x``: Python
+    squares a float ``x ** 2`` by ``pow``, numpy an array by
+    multiplication), so both paths do the same IEEE operations and the
+    tables over samples equal the RHS's controls bit for bit.
+
     Returns ``(dpsi, J01, J23, E0, E3, condition)`` with ``dpsi`` a 4-tuple.
     Raises ControlSingular, naming the worst condition number, when the
-    onsite system degenerates at any sample."""
+    onsite system's 2-norm condition number reaches ``cond_limit`` at any
+    sample. The RHS passes its ``depletion_floor``: a reservoir occupation
+    n0 or n3 below it then raises ControlSingular first, and the condition
+    number, which the RHS does not read, is None when the cheap regularity
+    test below settles it.
+    """
     p0, p1, p2, p3 = psi
+    x0, y0, x1, y1 = p0.real, p0.imag, p1.real, p1.imag
+    x2, y2, x3, y3 = p2.real, p2.imag, p3.real, p3.imag
+    n0, n3 = x0 * x0 + y0 * y0, x3 * x3 + y3 * y3
+    if depletion_floor is not None and (n0 < depletion_floor or n3 < depletion_floor):
+        raise ControlSingular(f"reservoir depleted (n0={n0:.3e}, n3={n3:.3e})")
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     c0, c1, c2, c3 = nl
-    n0, n1, n2, n3 = abs(p0) ** 2, abs(p1) ** 2, abs(p2) ** 2, abs(p3) ** 2
-    p1c, p2c, p3c = p1.conjugate(), p2.conjugate(), p3.conjugate()
-    # C_kl = 2 Re m_kl and j~_kl = -2 Im m_kl with m_kl = psi_k psi_l*
-    m01, m02, m12 = p0 * p1c, p0 * p2c, p1 * p2c
-    m13, m23 = p1 * p3c, p2 * p3c
-    cc01, cc02, cc13, cc23 = 2.0 * m01.real, 2.0 * m02.real, 2.0 * m13.real, 2.0 * m23.real
-    jt01, jt02, jt12 = -2.0 * m01.imag, -2.0 * m02.imag, -2.0 * m12.imag
-    jt13, jt23 = -2.0 * m13.imag, -2.0 * m23.imag
-    j01c, j23c = d * cc13, d * cc02
+    # u_kl = C_kl / 2 = Re(psi_k psi_l*) and v_kl = j~_kl / 2 = -Im(psi_k psi_l*).
+    # The factors 2 and 4 that C and j~ bring into the formulas sit in d2, d4
+    # and g4: scaling by a power of 2 is exact, so every value below equals,
+    # bit for bit, the one computed from C and j~, in fewer operations
+    u01, u02 = x0 * x1 + y0 * y1, x0 * x2 + y0 * y2
+    u13, u23 = x1 * x3 + y1 * y3, x2 * x3 + y2 * y3
+    v01, v02 = x0 * y1 - y0 * x1, x0 * y2 - y0 * x2
+    v12, v13 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3
+    v23 = x2 * y3 - y2 * x3
+    d2 = 2.0 * d
+    d4 = 2.0 * d2
+    j01c, j23c = d2 * u13, d2 * u02
 
     # coefficient matrix of the onsite-energy system (affine in E0, E3)
-    a11 = d * cc01 * cc13
-    a12 = d * jt01 * jt13
-    a21 = -d * jt02 * jt23
-    a22 = -d * cc02 * cc23
+    a11 = d4 * u01 * u13
+    a12 = d4 * v01 * v13
+    a21 = -d4 * v02 * v23
+    a22 = -d4 * u02 * u23
     det = a11 * a22 - a12 * a21
     # 2-norm condition number of the 2x2 matrix: the squared singular values
     # are (sq +- root) / 2, whose product is det^2, so cond = (sq + root) /
     # (2 |det|). root = sqrt(sq^2 - 4 det^2) is taken in its product form,
     # which does not cancel when the singular values are close, and the
     # difference sq - root, which cancels when they are far apart, is avoided.
-    sq = a11**2 + a12**2 + a21**2 + a22**2
-    sqrt = np.sqrt if isinstance(sq, np.ndarray) else math.sqrt
-    root = sqrt(((a11 - a22) ** 2 + (a12 + a21) ** 2)
-                * ((a11 + a22) ** 2 + (a12 - a21) ** 2))
-    top, bottom = sq + root, 2.0 * abs(det)
-    # cond < cond_limit as a product: False where det = 0 or a value is NaN,
-    # with no division by zero. A Python bool is the scalar path's answer.
-    regular = top < cond_limit * bottom
-    if regular is not True and not np.all(regular):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.max(np.where(bottom == 0.0, np.inf, np.divide(top, bottom)))
-        raise ControlSingular(
-            f"onsite control system singular (condition {worst:.3e}); "
-            "reservoir cannot supply the demanded current"
-        )
-    cond = top / bottom
+    # As root <= sq, sq < cond_limit |det| implies cond < cond_limit: on the
+    # RHS that cheap test settles regularity, and only a state that fails it
+    # takes the square root for the exact test. The tables run both tests
+    # and accept a sample that passes either, so they decide as the RHS
+    # does. Each test compares products: False where det = 0 or a value is
+    # NaN, with no division by zero. A Python bool is the scalar path's
+    # answer.
+    sq = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
+    adet = abs(det)
+    regular = sq < cond_limit * adet
+    cond = None
+    if regular is not True or depletion_floor is None:
+        sqrt = np.sqrt if isinstance(sq, np.ndarray) else math.sqrt
+        s11, s22, s12, s21 = a11 - a22, a11 + a22, a12 + a21, a12 - a21
+        top = sq + sqrt((s11 * s11 + s12 * s12) * (s22 * s22 + s21 * s21))
+        bottom = 2.0 * adet
+        regular = regular | (top < cond_limit * bottom)
+        if regular is not True and not np.all(regular):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                worst = np.max(np.where(bottom == 0.0, np.inf, np.divide(top, bottom)))
+            raise ControlSingular(
+                f"onsite control system singular (condition {worst:.3e}); "
+                "reservoir cannot supply the demanded current"
+            )
+        cond = top / bottom
 
-    # d psi/dt = -i H psi at E0 = E3 = 0, and the current derivatives
-    # d/dt (d C13 j~01), d/dt (d C02 j~23) it gives
-    q0 = -1j * (c0 * n0 * p0 - j01c * p1)
-    q1 = -1j * ((e1 + c1 * n1) * p1 - j12 * p2 - j01c * p0)
-    q2 = -1j * ((e2 + c2 * n2) * p2 - j23c * p3 - j12 * p1)
-    q3 = -1j * (c3 * n3 * p3 - j23c * p2)
-    q3c = q3.conjugate()
-    b1 = 2.0 * d * ((q1 * p3c + p1 * q3c).real * jt01
-                    - cc13 * (q0 * p1c + p0 * q1.conjugate()).imag)
-    b2 = 2.0 * d * ((q0 * p2c + p0 * q2.conjugate()).real * jt23
-                    - cc02 * (q2 * p3c + p2 * q3c).imag)
+    # d psi/dt = -i H psi at E0 = E3 = 0, as (real, imaginary) parts, and
+    # the current derivatives d/dt (d C13 j~01), d/dt (d C02 j~23) it gives
+    h0, h1, h2, h3 = c0 * n0, e1 + c1 * n1, e2 + c2 * n2, c3 * n3
+    q0r, q0i = h0 * y0 - j01c * y1, j01c * x1 - h0 * x0
+    q1r = h1 * y1 - j12 * y2 - j01c * y0
+    q1i = j12 * x2 + j01c * x0 - h1 * x1
+    q2r = h2 * y2 - j23c * y3 - j12 * y1
+    q2i = j23c * x3 + j12 * x1 - h2 * x2
+    q3r, q3i = h3 * y3 - j23c * y2, j23c * x2 - h3 * x3
+    # d/dt of Re(psi1 psi3*), Im(psi0 psi1*), Re(psi0 psi2*), Im(psi2 psi3*)
+    dre13 = q1r * x3 + q1i * y3 + x1 * q3r + y1 * q3i
+    dim01 = q0i * x1 - q0r * y1 + y0 * q1r - x0 * q1i
+    dre02 = q0r * x2 + q0i * y2 + x0 * q2r + y0 * q2i
+    dim23 = q2i * x3 - q2r * y3 + y2 * q3r - x2 * q3i
+    b1 = d4 * (dre13 * v01 - u13 * dim01)
+    b2 = d4 * (dre02 * v23 - u02 * dim23)
 
     # target current derivatives d/dt (2 gamma n_k), occupation rates expanded
-    r1 = 2.0 * gd * n1 + 2.0 * g * (j01c * jt01 - j12 * jt12) - b1
-    r2 = 2.0 * gd * n2 + 2.0 * g * (j12 * jt12 - j23c * jt23) - b2
+    gd2, g4 = 2.0 * gd, 4.0 * g
+    r1 = gd2 * n1 + g4 * (j01c * v01 - j12 * v12) - b1
+    r2 = gd2 * n2 + g4 * (j12 * v12 - j23c * v23) - b2
     e0 = (r1 * a22 - a12 * r2) / det
     e3 = (a11 * r2 - r1 * a21) / det
     # the onsite energies act on the reservoir amplitudes only
-    dpsi = (q0 - 1j * e0 * p0, q1, q2, q3 - 1j * e3 * p3)
+    dpsi = ((q0r + e0 * y0) + (q0i - e0 * x0) * 1j, q1r + q1i * 1j,
+            q2r + q2i * 1j, (q3r + e3 * y3) + (q3i - e3 * x3) * 1j)
     return dpsi, j01c, j23c, e0, e3, cond
 
 
@@ -254,15 +292,9 @@ def make_controlled_rhs(gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,
     kernel = _control_kernel
 
     def rhs(t, psi):
-        p = psi.tolist()
-        n0 = p[0].real**2 + p[0].imag**2
-        n3 = p[3].real**2 + p[3].imag**2
-        if n0 < depletion_floor or n3 < depletion_floor:
-            raise ControlSingular(
-                f"reservoir depleted (n0={n0:.3e}, n3={n3:.3e})"
-            )
         g, gd = gamma_fn(t)
-        return kernel(p, g, gd, d, nl, j12, e1, e2, cond_limit)[0]
+        return kernel(psi.tolist(), g, gd, d, nl, j12, e1, e2, cond_limit,
+                      depletion_floor)[0]
 
     return rhs
 

@@ -7,11 +7,13 @@ class PtError(Exception):
     Errors raised inside an ODE right-hand side are annotated by the
     integrator with the partial trajectory accumulated so far (attributes
     ``trajectory`` and ``t_fail``), so callers can recover the run up to
-    the failure point.
+    the failure point. Errors that end a root search carry the search's
+    partial report (attribute ``report``).
     """
 
     trajectory = None
     t_fail = None
+    report = None
 
 
 # --- numerics ---

@@ -44,7 +44,8 @@ class RootFindReport:
     ``jacobian`` is the Broyden model at ``solution`` after the last step's
     update (the ``jac`` passed in when no step was taken, possibly None);
     pass it as ``jac`` to a nearby search to skip the finite-difference
-    build. ``jacobian_refreshes`` counts the finite-difference builds.
+    build. ``jacobian_refreshes`` counts the finite-difference builds
+    begun. A search that raised attaches its partial report to the error.
     """
 
     solution: np.ndarray
@@ -257,13 +258,18 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     a row of the tableau (scaled by h once per step, in the state's dtype)
     with the rows before it. The stages' values are checked for finiteness
     once per step (and once for the dense-output stages), not after each
-    evaluation.
+    evaluation, by one reduction: their sum of squares (``np.vdot``). It is
+    finite when every value is and no value exceeds about 1e154; when it
+    is not, the exact per-stage check names the first non-finite stage, or
+    finds none and lets the step go on.
 
     The error norm combines the embedded 5th- and 3rd-order estimates
     (RMS over components, scaled by ``abs_tol + rel_tol * |y|``); a step is
     accepted at norm <= 1, and the next step is the last one times
     0.9 norm^(-1/8), clamped to [0.2, 10], without growth on the step
-    after a rejection. The first step comes from Hairer's starting-step
+    after a rejection (a NaN norm, from an estimate that overflows, rejects
+    the step with the factor 0.2). The norm, the factor and the step size
+    are Python floats. The first step comes from Hairer's starting-step
     rule for order 8, which probes the right-hand side once. Each attempted
     step evaluates the right-hand side 12 times: 11 stages and the
     derivative at the new state, which is the next step's first stage.
@@ -309,6 +315,7 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
     # the stages of a step and of the dense output, with their rows of S
     step_stages, dense_stages = (stage_in[1:13], S[2:14]), (stage_in[13:], S[14:])
     k_step, k_all, f_new = S[1:13], S[1:], S[13]
+    vdot, isfinite = np.vdot, math.isfinite
 
     ts, ys = [t0], [y]
     fs, dks = [], []  # f at each accepted time, _D . k of each accepted step
@@ -347,7 +354,9 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
                 _fail(exc, t)
             raise
         evals += len(stages)
-        if not np.isfinite(values).all():
+        # the sum of squares is NaN or inf if a value is; a huge finite
+        # value overflows it too, and the exact check then finds nothing
+        if not isfinite(vdot(values, values).real):
             check_finite(first, i + 1, t, h, t_new)
         return yi
 
@@ -427,8 +436,10 @@ def integrate_adaptive(rhs, y0, t_span, settings: IntegratorSettings = Integrato
         est = err_weights.dot(k_step)
         ay_new = np.abs(y_new)
         est /= atol + rtol * np.maximum(ay, ay_new)
-        e5 = np.vdot(est[0], est[0]).real
-        denom = e5 + 0.01 * np.vdot(est[1], est[1]).real
+        # Python floats from here: numpy scalar arithmetic costs several
+        # times more per operation
+        e5 = float(vdot(est[0], est[0]).real)
+        denom = e5 + 0.01 * float(vdot(est[1], est[1]).real)
         err = h * e5 / math.sqrt(denom * n) if denom > 0.0 else 0.0
         if err <= 1.0:
             if dense_output:
@@ -475,15 +486,26 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
     backtracked below 1e-6) rebuilds it by forward differences.
 
     Deterministic: same inputs give the same iterates. Returns a
-    :class:`RootFindReport`; convergence is measured in the max norm.
+    :class:`RootFindReport`; convergence is measured in the max norm. A
+    :class:`PtError` from ``f``, or :class:`NonFiniteFunction` for a
+    non-finite value outside the backtracking, ends the search and is
+    raised with the partial report attached as ``report``: the last
+    accepted iterate, the iteration in progress (0 before the first) and
+    the finite-difference builds begun, the one that raised included.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     refreshes = 0
+    fx = None
+    it = 0
 
     def feval(xv):
-        fv = np.atleast_1d(np.asarray(f(xv), dtype=float))
-        if not np.all(np.isfinite(fv)):
-            raise NonFiniteFunction(f"f({xv}) is not finite")
+        try:
+            fv = np.atleast_1d(np.asarray(f(xv), dtype=float))
+            if not np.all(np.isfinite(fv)):
+                raise NonFiniteFunction(f"f({xv}) is not finite")
+        except PtError as exc:
+            exc.report = report(it, False)
+            raise
         return fv
 
     def newton_step(jac_m, fx_v):
@@ -495,15 +517,15 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
             return np.linalg.lstsq(jac_m, -fx_v, rcond=None)[0]
 
     def report(iterations, converged):
-        return RootFindReport(x, float(np.max(np.abs(fx))), iterations, converged,
-                              jac, refreshes)
+        residual = math.inf if fx is None else float(np.max(np.abs(fx)))
+        return RootFindReport(x, residual, iterations, converged, jac, refreshes)
 
     fx = feval(x)
     if np.max(np.abs(fx)) <= tol:
         return report(0, True)
     if jac is None:
-        jac = _fd_jacobian(feval, x, fx)
         refreshes += 1
+        jac = _fd_jacobian(feval, x, fx)
     for it in range(1, max_iter + 1):
         dx = newton_step(jac, fx)
         if not np.all(np.isfinite(dx)) or np.max(np.abs(dx)) == 0.0:
@@ -534,8 +556,8 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
             return report(it, True)
         if lam < 1e-6:
             # stagnation: refresh the Jacobian
-            jac = _fd_jacobian(feval, x, fx)
             refreshes += 1
+            jac = _fd_jacobian(feval, x, fx)
     return report(max_iter, False)
 
 

@@ -775,9 +775,9 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     ``tally`` (see :func:`_work_tally`) gains the work as it is done:
     each integration when it ends, the partial one of an integration that
     raises included, and the search's iterations and Jacobian builds when
-    it returns, converged or not. A search ended by an exception from an
-    integration or a trial depth adds its integrations but neither its
-    iterations nor its Jacobian builds.
+    it returns, converged or not, or when an exception from an integration
+    or a trial depth ends it (from the partial report ``root_find``
+    attaches).
     Returns the :class:`ControlledStepResult` and the well specification
     with the accepted depths.
     """
@@ -820,10 +820,17 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
 
     v0 = np.array([wells.depths[0], wells.depths[-1]])
     # the search works on currents divided by this interval's scale
-    report = root_find(residual, v0, tol=tol / scale, max_iter=40,
-                       jac=None if jacobian is None else jacobian / scale)
-    tally["control_root_iterations"] += report.iterations
-    tally["control_jacobian_refreshes"] += report.jacobian_refreshes
+    def count(search):
+        tally["control_root_iterations"] += search.iterations
+        tally["control_jacobian_refreshes"] += search.jacobian_refreshes
+
+    try:
+        report = root_find(residual, v0, tol=tol / scale, max_iter=40,
+                           jac=None if jacobian is None else jacobian / scale)
+    except PtError as exc:
+        count(exc.report)
+        raise
+    count(report)
     if not report.converged:
         raise ControlSearchFailed(
             f"depth search stalled (residual {report.residual_norm * scale:.3e})"

@@ -340,10 +340,12 @@ class TestMain:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["breakdown_reason"] == "ControlSearchFailed"
         assert summary["breakdown_message"].startswith("depth search ")
-        assert summary["control_root_iterations"] == 0
         # the interval that broke down counts its work: the start point and
-        # the two finite-difference trials of the depth search
+        # the two finite-difference trials of the depth search, the Jacobian
+        # they built, and the iteration whose trial depth left the domain
         assert summary["control_integrations"] >= 3
+        assert summary["control_jacobian_refreshes"] == 1
+        assert summary["control_root_iterations"] == 1
         assert summary["rhs_evals"] == len(calls) > 0
 
     @pytest.mark.parametrize("line, prefix", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oracle import BranchViolation, ClosedFormSigns, closed_form_observables, signs_from_state
 from ptembed.embedding import (
     ControlState,
+    EmbeddingRun,
     RampSchedule,
     build_initial_state,
     check_conditions,
@@ -17,7 +20,7 @@ from ptembed.embedding import (
     run_controlled,
     synth_onsite,
 )
-from ptembed.errors import ControlSingular, DegenerateInput, ZeroCoupling
+from ptembed.errors import ControlSingular, DegenerateInput, PtError, ZeroCoupling
 from ptembed.fewmode import (
     TridiagonalComplexModel,
     cross_moments,
@@ -308,32 +311,90 @@ def test_replication_holds_along_controlled_runs(inp):
         assert np.max(res[:, 3]) < 1e-8
 
 
+# A draw that breaks down within its first step: its stage amplitudes grow
+# to 1e40, where the derivative overflows.
+FIRST_STEP_BREAKDOWN_DRAW = dict(
+    psi=np.array([1.5 - 3.42024257j, 0.60340395 - 0.59841857j, 0.52706631,
+                  1.40625 + 0.55555556j]),
+    gamma=0.5, gamma_dot=0.5, d=0.3, nonlinear=np.zeros(4), j12=0.5, e1=0.8125, e2=1.0)
+
+
 @PROPERTY_SETTINGS
 @given(controlled_inputs())
 @example(GRINDING_DRAW)
+@example(FIRST_STEP_BREAKDOWN_DRAW)
 def test_controls_over_a_grid_match_the_scalar_kernel(inp):
     assume(reference_controls(**inp)[3] < 1e3)
     g, gd = inp["gamma"], inp["gamma_dot"]
-    run = run_controlled(
-        inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
-        j12=inp["j12"], e1=inp["e1"], e2=inp["e2"], settings=RUN_SETTINGS,
-    )
+    try:
+        run = run_controlled(
+            inp["psi"], 0.5, lambda t: (g + gd * t, gd), inp["d"], inp["nonlinear"],
+            j12=inp["j12"], e1=inp["e1"], e2=inp["e2"], settings=RUN_SETTINGS,
+        )
+    except PtError:
+        # run_controlled raises only for a run that breaks down within its
+        # first step, which leaves no accepted step to tabulate
+        assume(False)
     grid = run.controls_at(run.trajectory.t, run.trajectory.y)
-    eps = np.finfo(float).eps
     for k, (t, psi) in enumerate(zip(run.trajectory.t, run.trajectory.y)):
         one = run.controls_at(t, psi)
-        assert (grid.gamma[k], grid.gamma_dot[k]) == (one.gamma, one.gamma_dot)
-        # numpy's complex products differ from Python's in the last bit of
-        # their terms: J01 = 2 d Re(psi1 psi3*) to 4 eps of |2 d psi1 psi3|
-        # (it may be a cancelled remainder), and the onsite solve amplifies
-        # that by the condition number, relative to the size of its solution
-        assert abs(grid.J01[k] - one.J01) <= 4 * eps * abs(2.0 * run.d * psi[1] * psi[3])
-        assert abs(grid.J23[k] - one.J23) <= 4 * eps * abs(2.0 * run.d * psi[0] * psi[2])
-        tol = 64 * eps * max(1.0, one.lgs_condition)
-        scale = max(abs(one.E0), abs(one.E3))
-        assert abs(grid.E0[k] - one.E0) <= tol * scale
-        assert abs(grid.E3[k] - one.E3) <= tol * scale
-        assert abs(grid.lgs_condition[k] - one.lgs_condition) <= tol * one.lgs_condition
+        # the kernel does the same IEEE operations on arrays as on Python
+        # floats, so the tables equal the RHS's controls bit for bit
+        for field in ("gamma", "gamma_dot", "J01", "J23", "E0", "E3", "lgs_condition"):
+            assert getattr(grid, field)[k] == getattr(one, field), field
+
+
+@PROPERTY_SETTINGS
+@given(controlled_inputs(), st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]))
+def test_rhs_and_tables_share_the_condition_limit(inp, factor):
+    g, gd, psi = inp["gamma"], inp["gamma_dot"], inp["psi"]
+    params = dict(j12=inp["j12"], e1=inp["e1"], e2=inp["e2"])
+    cond = synth_onsite(psi, ControlState(gamma=g, gamma_dot=gd, d=inp["d"]),
+                        inp["nonlinear"], cond_limit=1e300, **params).lgs_condition
+    limit = cond * factor
+    rhs = make_controlled_rhs(lambda t: (g, gd), inp["d"], inp["nonlinear"],
+                              cond_limit=limit, **params)
+    run = EmbeddingRun(trajectory=None, gamma_fn=lambda t: (g, gd), d=inp["d"],
+                       nonlinear=inp["nonlinear"], cond_limit=limit, **params)
+    # the RHS settles most states without the square root; where it cannot,
+    # it runs the exact test of the tables, so all three agree at the limit
+    calls = (lambda: rhs(0.0, psi), lambda: run.controls_at(0.0, psi),
+             lambda: run.controls_at(np.zeros(2), np.array([psi, psi])))
+    for call in calls:
+        if factor < 1.0:
+            with pytest.raises(ControlSingular, match="singular"):
+                call()
+        else:
+            call()
+
+
+def test_depletion_message_just_below_the_floor():
+    psi = stationary_initial_state()
+    p0, p3 = complex(psi[0]), complex(psi[3])
+    n0, n3 = p0.real * p0.real + p0.imag * p0.imag, p3.real * p3.real + p3.imag * p3.imag
+    assert n3 < n0
+
+    def rhs(floor):
+        return make_controlled_rhs(constant_gamma(STATIONARY["gamma"]), STATIONARY["d"],
+                                   np.zeros(4), depletion_floor=floor)
+
+    rhs(n3)(0.0, psi)  # n3 at the floor is not below it
+    with pytest.raises(ControlSingular) as exc:
+        rhs(math.nextafter(n3, math.inf))(0.0, psi)
+    assert str(exc.value) == f"reservoir depleted (n0={n0:.3e}, n3={n3:.3e})"
+
+
+def test_kernel_overflow_ends_as_a_named_breakdown():
+    # from t = 0.2 on, gamma = 1e308 makes the demanded current derivative
+    # overflow: the kernel's Python floats return a non-finite derivative,
+    # and the run ends as a named breakdown there. The next stage's numpy
+    # RuntimeWarning, an error under this suite's filter, ends the same way
+    psi0 = stationary_initial_state()
+    run = run_controlled(psi0, 1.0, lambda t: (STATIONARY["gamma"] if t < 0.2 else 1e308, 0.0),
+                         STATIONARY["d"], np.zeros(4))
+    assert run.broke_down and run.breakdown_reason == "NonFiniteDerivative"
+    assert 0.0 < run.breakdown_time <= 0.2
+    assert np.isfinite(run.trajectory.y).all()
 
 
 @PROPERTY_SETTINGS

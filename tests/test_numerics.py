@@ -211,6 +211,20 @@ class TestIntegrator:
         assert exc.value.t_fail == 0.5 and traj.t.tolist() == [0.5]
         assert traj.rhs_evals == len(calls) == fail_call
 
+    def test_huge_finite_stage_is_not_non_finite(self):
+        # stage 5 of the third step returns 1e200: finite, but its square
+        # overflows the one-reduction check, so the exact per-stage check runs
+        # and finds nothing; the step is rejected and the run goes on
+        rhs, y0 = forced_linear_rhs(2, 3, True)
+        settings_ = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10, max_step=0.1)
+        clean = integrate_adaptive(rhs, y0, (0.0, 2.0), settings_)
+        assert clean.rejected_steps == 0
+        bad, calls = self.failing_at_call(rhs, 2 + 2 * 15 + 5, lambda t, y: np.full(3, 1e200))
+        traj = integrate_adaptive(bad, y0, (0.0, 2.0), settings_)
+        assert traj.rejected_steps >= 1 and traj.rhs_evals == len(calls)
+        assert np.array_equal(traj.y[:3], clean.y[:3])
+        assert traj.t[-1] == 2.0 and np.isfinite(traj.y).all()
+
     def test_starting_step_underflow_raises_before_the_probe(self):
         # |f| / (abs_tol + rel_tol |y|) overflows the error norm, so the
         # starting step 0.01 d0 / d1 is 0: no probe, and no division by it
@@ -396,9 +410,31 @@ class TestRootFind:
         assert rep.jacobian_refreshes >= 1  # the stagnation refresh rebuilt it
         assert np.allclose(sorted(rep.solution), [1.0, 2.0], atol=1e-8)
 
+    @pytest.mark.parametrize("fail_call, iterations, refreshes", [(1, 0, 0), (2, 0, 1), (8, 2, 1)])
+    def test_error_from_f_carries_the_partial_report(self, fail_call, iterations, refreshes):
+        # calls: the start point, two forward differences, four trials of
+        # the first iteration (the last accepted), then the second's
+        def f(x):
+            calls.append(x.copy())
+            if len(calls) == fail_call:
+                raise NonNormalizable("trial point outside the domain")
+            return np.array([x[0] + x[1] - 3.0, x[0] * x[1] - 2.0])
+
+        calls = []
+        with pytest.raises(NonNormalizable) as exc:
+            root_find(f, np.array([0.4, 0.6]))
+        rep = exc.value.report
+        assert (rep.iterations, rep.jacobian_refreshes, rep.converged) == (iterations, refreshes, False)
+        # the last accepted iterate and its residual
+        last = calls[0] if fail_call < 8 else calls[6]
+        assert np.array_equal(rep.solution, last)
+        expected = np.inf if fail_call == 1 else np.max(np.abs(f(last)))
+        assert rep.residual_norm == expected
+
     def test_nan_at_start_raises(self):
-        with pytest.raises(NonFiniteFunction):
+        with pytest.raises(NonFiniteFunction) as exc:
             root_find(lambda x: np.array([np.nan, x[1]]), np.array([0.4, 0.6]))
+        assert exc.value.report.iterations == 0 and exc.value.report.residual_norm == np.inf
 
 
 class TestConstrainedMinimize:

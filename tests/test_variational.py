@@ -258,10 +258,12 @@ def test_unreachable_targets_fail_the_search(trap_system):
     assert record.breakdown_reason == "ControlSearchFailed"
     assert record.breakdown_message.startswith("depth search ")
     assert len(record.t) == 1
-    # the start point and the two finite-difference trials ran; the Newton
-    # step's depth was refused before its iteration completed
+    # the start point and the two finite-difference trials ran; the first
+    # iteration's Newton step tried a depth >= 0, and the partial report of
+    # the search counts that iteration and the Jacobian build
     assert record.work["control_integrations"] == 3
-    assert record.work["control_root_iterations"] == 0
+    assert record.work["control_root_iterations"] == 1
+    assert record.work["control_jacobian_refreshes"] == 1
 
 
 def test_wall_partition_from_wells():
