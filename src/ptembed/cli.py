@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dnlse, embedding, variational
-from .errors import IoError, MissingKey, NoOverlap, ParseError, PtError, UnitError
+from .errors import (DegenerateInput, IoError, MissingKey, NoOverlap, ParseError, PtError,
+                     UnitError)
 from .numerics import IntegratorSettings
 
 # A key's domain: a test of its (finite) value and the rule an error states.
@@ -257,7 +258,7 @@ def _record(n, j, gamma, controls, run, t_final, norms, work, diagnostics=None):
     return cols, summary
 
 
-def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
+def _fewmode_record(cfg, run, gauge_shift=0.0):
     """Sample times, columns and summary entries of a controlled four-mode
     run, with the controls from one ``controls_at`` call over the sample
     grid. The condition audit reads the controls at the accepted steps,
@@ -269,7 +270,7 @@ def _fewmode_record(cfg, run, j12, gauge_shift=0.0):
     jt = -2.0 * (psi[:, :-1] * np.conj(psi[:, 1:])).imag  # j~_{k,k+1}
     cols, summary = _record(
         np.abs(psi) ** 2,
-        np.column_stack([cs.J01 * jt[:, 0], j12 * jt[:, 1], cs.J23 * jt[:, 2]]), cs.gamma,
+        np.column_stack([cs.J01 * jt[:, 0], run.j12 * jt[:, 1], cs.J23 * jt[:, 2]]), cs.gamma,
         controls={"E0": cs.E0 - gauge_shift, "E3": cs.E3 - gauge_shift,
                   "J01": cs.J01, "J23": cs.J23},
         run=run, t_final=traj.t[-1], norms=np.abs(traj.y[[0, -1]]) ** 2,
@@ -299,7 +300,7 @@ def _run_abstract(cfg):
         np.array([0.0, c, c, 0.0]), settings=_integrator(cfg),
         cond_limit=cfg["cond_limit"], depletion_floor=cfg["depletion_floor"],
     )
-    ts, cols, record = _fewmode_record(cfg, run, 1.0)
+    ts, cols, record = _fewmode_record(cfg, run)
     summary = {"scenario": name, "gamma": gamma, "c": c, "d": d, **record}
     if name == "stationary":
         summary["slope_n0"] = float(np.polyfit(ts, cols["n0"], 1)[0])
@@ -308,14 +309,25 @@ def _run_abstract(cfg):
         n1 = cols["n1"]
         summary["n1_growth_factor"] = float(n1[-1] / n1[0])
         summary["n1_monotone"] = bool(np.all(np.diff(n1) > -1e-12))
-    status = 2 if run.broke_down else 0
-    return status, ts, cols, summary
+    return ts, cols, summary
 
 
 def _fitted_system(cfg):
+    """The trap and units of ``cfg``, its ground-state fit and the effective
+    model. A fit whose overlap matrix K is singular, or less well
+    conditioned than the Gram solve accepts, stacks the wells: it is refused."""
     wells = _trap(cfg)
     units = _units(cfg)
     basis, d_amp, energy = dnlse.fit_ground_state(wells, units)
+    try:
+        rcond = variational.inverse_and_rcond(variational.gaussian_overlaps(basis))[1]
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    if not rcond >= variational.METRIC_RCOND_MIN:
+        raise DegenerateInput(
+            f"[trap] spacing = {cfg.get('trap', 'spacing')!r} stacks the wells: the fitted "
+            f"overlap matrix has reciprocal condition number {rcond:.3e} "
+            f"< {variational.METRIC_RCOND_MIN:g}")
     eff = dnlse.effective_model(basis, wells, units)
     return wells, units, basis, d_amp, energy, eff
 
@@ -356,11 +368,11 @@ def _run_adiabatic_fewmode(cfg):
     # fast common phase, which speeds up the integration enormously
     shift = -(e1 + c[1] * x[1] ** 2)
     run = embedding.run_controlled(
-        x.astype(complex), cfg["t_end"], embedding.ramp_gamma(schedule), d,
+        x.astype(complex), cfg["t_end"], schedule, d,
         c, j12=j12, e1=e1 + shift, e2=e2 + shift, settings=_integrator(cfg),
         cond_limit=cfg["cond_limit"], depletion_floor=cfg["depletion_floor"],
     )
-    ts, cols, record = _fewmode_record(cfg, run, j12, gauge_shift=shift)
+    ts, cols, record = _fewmode_record(cfg, run, gauge_shift=shift)
     summary = {
         **_ramp_summary(cfg, energy, schedule, ts, cols),
         "effective_tunneling": [float(v) for v in eff.tunneling],
@@ -369,8 +381,7 @@ def _run_adiabatic_fewmode(cfg):
         "d": float(d),
         **record,
     }
-    status = 2 if run.broke_down else 0
-    return status, ts, cols, summary
+    return ts, cols, summary
 
 
 def _run_adiabatic_variational(cfg):
@@ -379,7 +390,7 @@ def _run_adiabatic_variational(cfg):
     state = variational.VariationalState.from_basis(basis, d_amp)
     state = variational.relax_to_fixed_point(state, wells, units)
     record = variational.run_variational_scenario(
-        wells, units, embedding.ramp_gamma(schedule), cfg["t_end"],
+        wells, units, schedule, cfg["t_end"],
         control_dt=cfg["control_dt"], state=state, settings=_integrator(cfg),
         control_tol=cfg["control_tol"],
     )
@@ -390,20 +401,18 @@ def _run_adiabatic_variational(cfg):
         controls={"V0": record.depths[:, 0], "V3": record.depths[:, 3],
                   **{f"delta{k}": record.delta[:, k] for k in range(4)}},
         run=record, t_final=ts[-1], norms=record.n[[0, -1]], work=record.work)
-    summary = {**_ramp_summary(cfg, energy, schedule, ts, cols), **shared}
-    status = 2 if record.broke_down else 0
-    return status, ts, cols, summary
+    return ts, cols, {**_ramp_summary(cfg, energy, schedule, ts, cols), **shared}
 
 
 def run_scenario(cfg: ScenarioConfig):
-    """Dispatch a scenario; returns (status, times, columns, summary)."""
-    if cfg.scenario in ("stationary", "oscillatory", "collapse"):
-        return _run_abstract(cfg)
-    if cfg.scenario == "adiabatic_fewmode":
-        return _run_adiabatic_fewmode(cfg)
-    if cfg.scenario == "adiabatic_variational":
-        return _run_adiabatic_variational(cfg)
-    raise ParseError(f"unknown scenario '{cfg.scenario}'")
+    """Dispatch a scenario; returns (status, times, columns, summary), with
+    status 2 for a run that broke down and 0 for one that completed."""
+    if cfg.scenario not in SCENARIOS:
+        raise ParseError(f"unknown scenario '{cfg.scenario}'")
+    runner = {"adiabatic_fewmode": _run_adiabatic_fewmode,
+              "adiabatic_variational": _run_adiabatic_variational}.get(cfg.scenario, _run_abstract)
+    ts, cols, summary = runner(cfg)
+    return (0 if summary["breakdown_time"] is None else 2), ts, cols, summary
 
 
 def write_outputs(ts, cols, summary, out_dir, emit_plots=False):
@@ -551,10 +560,7 @@ def _cmd_compare(args):
 
 
 def _cmd_fit(args):
-    cfg = _read_config(args.config)
-    wells = _trap(cfg)
-    units = _units(cfg)
-    basis, d_amp, energy = dnlse.fit_ground_state(wells, units)
+    _, _, basis, d_amp, energy, _ = _fitted_system(_read_config(args.config))
     out = {
         "energy": float(energy),
         "A_x": [complex(v).real for v in basis.A_x],

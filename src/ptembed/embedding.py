@@ -53,7 +53,9 @@ class ControlState:
 
 @dataclass(frozen=True)
 class RampSchedule:
-    """Cosine ramp gamma(t) = gamma_f [1 - cos(pi t / t_f)] / 2 for t <= t_f."""
+    """Cosine ramp gamma(t) = gamma_f [1 - cos(pi t / t_f)] / 2 for t <= t_f,
+    gamma_f after; a call at time t returns gamma and its analytic time
+    derivative, so the schedule is itself a ``gamma_fn``."""
 
     gamma_f: float
     t_f: float
@@ -62,28 +64,19 @@ class RampSchedule:
         if self.t_f <= 0:
             raise ValueError("t_f must be positive")
 
-
-def gamma_ramp(t, schedule: RampSchedule):
-    """Ramp value and its analytic time derivative at time t."""
-    if t >= schedule.t_f:
-        return schedule.gamma_f, 0.0
-    g = schedule.gamma_f * (1.0 - math.cos(math.pi * t / schedule.t_f)) / 2.0
-    gd = schedule.gamma_f * math.pi / (2.0 * schedule.t_f) * math.sin(
-        math.pi * t / schedule.t_f
-    )
-    return g, gd
+    def __call__(self, t):
+        gamma_f, t_f = self.gamma_f, self.t_f
+        if t >= t_f:
+            return gamma_f, 0.0
+        phase = math.pi * t / t_f
+        return (gamma_f * (1.0 - math.cos(phase)) / 2.0,
+                gamma_f * math.pi / (2.0 * t_f) * math.sin(phase))
 
 
 def constant_gamma(gamma):
     """Gamma schedule for the fixed-parameter scenarios."""
     def fn(t):
         return gamma, 0.0
-    return fn
-
-
-def ramp_gamma(schedule: RampSchedule):
-    def fn(t):
-        return gamma_ramp(t, schedule)
     return fn
 
 
@@ -204,12 +197,16 @@ def synth_onsite(psi, controls: ControlState, nonlinear, j12=1.0,
     conditions. The occupation rates are expanded through the instantaneous
     state, which keeps the controlled system a self-contained ODE.
 
+    ``psi`` holds four amplitudes, or has shape (m, 4) with ``controls``
+    holding gamma and gamma_dot as arrays over the m states; one kernel call
+    then makes the table, equal bit for bit to the state-by-state results.
     Returns a completed ControlState (J01, J23, E0, E3, lgs_condition).
-    Raises ControlSingular when the coefficient matrix degenerates, which
-    physically signals a depleted reservoir.
+    Raises ControlSingular when the coefficient matrix degenerates at any
+    state, which physically signals a depleted reservoir.
     """
+    psi = np.asarray(psi, dtype=complex)
     _, j01, j23, e0, e3, cond = _control_kernel(
-        np.asarray(psi, dtype=complex).tolist(), controls.gamma,
+        psi.tolist() if psi.ndim == 1 else psi.T, controls.gamma,
         controls.gamma_dot, controls.d, np.asarray(nonlinear, dtype=float).tolist(),
         j12, e1, e2, cond_limit,
     )
@@ -323,21 +320,15 @@ class EmbeddingRun:
 
     def controls_at(self, t, psi):
         """Controls under the run's ``cond_limit`` at time ``t`` and four
-        amplitudes ``psi``, or at m times and ``psi`` of shape (m, 4) with one
-        kernel call, giving fields that are arrays over the samples."""
-        psi = np.asarray(psi, dtype=complex)
-        if psi.ndim == 1:
-            (g, gd), amps = self.gamma_fn(t), psi.tolist()
+        amplitudes ``psi``, or at m times and ``psi`` of shape (m, 4), giving
+        fields that are arrays over the samples (see :func:`synth_onsite`)."""
+        if np.ndim(psi) == 1:
+            g, gd = self.gamma_fn(t)
         else:
             g, gd = np.array([self.gamma_fn(s) for s in np.asarray(t).tolist()],
                              dtype=float).reshape(-1, 2).T
-            amps = psi.T
-        _, j01, j23, e0, e3, cond = _control_kernel(
-            amps, g, gd, self.d, self.nonlinear.tolist(),
-            self.j12, self.e1, self.e2, self.cond_limit,
-        )
-        return ControlState(gamma=g, gamma_dot=gd, d=self.d, J01=j01, J23=j23,
-                            E0=e0, E3=e3, lgs_condition=cond)
+        return synth_onsite(psi, ControlState(gamma=g, gamma_dot=gd, d=self.d),
+                            self.nonlinear, self.j12, self.e1, self.e2, self.cond_limit)
 
 
 def run_controlled(psi0, t_end, gamma_fn, d, nonlinear, j12=1.0, e1=0.0, e2=0.0,

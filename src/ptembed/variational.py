@@ -165,21 +165,6 @@ class VariationalState:
 
 
 @dataclass(frozen=True)
-class WallPartition:
-    walls: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "walls", np.asarray(self.walls, dtype=float))
-        if np.any(np.diff(self.walls) <= 0):
-            raise ValueError("walls must be strictly increasing")
-
-    @classmethod
-    def from_wells(cls, wells: WellPotentialSpec):
-        p = wells.positions
-        return cls(walls=0.5 * (p[:-1] + p[1:]))
-
-
-@dataclass(frozen=True)
 class VariationalSystem:
     """The variational Gram system G c = -i k of :func:`assemble_eom`.
 
@@ -534,23 +519,30 @@ def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
     return VariationalSystem(metric=gram, rhs_vector=k), _velocities(x, c)
 
 
+def inverse_and_rcond(matrix):
+    """The inverse of a small square ``matrix`` and its reciprocal 1-norm
+    condition number 1 / (|M|_1 |M^-1|_1), exact from that inverse.
+    Raises numpy's LinAlgError where the inversion fails."""
+    inverse = np.linalg.inv(matrix)
+    return inverse, 1.0 / (np.abs(matrix).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
+
+
 def _solve_metric(gram, rhs):
     """Solve ``gram @ c = rhs`` for the Hermitian Gram matrix through its
     inverse.
 
-    Returns c and the reciprocal condition number 1 / (|G|_1 |G^-1|_1),
-    exact for this small matrix. Raises SingularMetric when the inversion
-    fails (G is singular to working precision) or when that number is
-    below ``METRIC_RCOND_MIN``: the velocities along near-redundant
-    directions would then be roundoff. The matrix is never regularised."""
+    Returns c and the reciprocal condition number of :func:`inverse_and_rcond`.
+    Raises SingularMetric when the inversion fails (G is singular to
+    working precision) or when that number is below ``METRIC_RCOND_MIN``:
+    the velocities along near-redundant directions would then be roundoff.
+    The matrix is never regularised."""
     try:
-        inverse = np.linalg.inv(gram)
+        inverse, rcond = inverse_and_rcond(gram)
     except np.linalg.LinAlgError:
         raise SingularMetric(
             f"variational metric is singular (inversion of the {len(gram)}x{len(gram)} "
             f"Gram matrix fails)"
         ) from None
-    rcond = 1.0 / (np.abs(gram).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
     if not rcond >= METRIC_RCOND_MIN:
         raise SingularMetric(
             f"variational metric is singular to working precision "
@@ -689,10 +681,11 @@ def relax_to_fixed_point(state: VariationalState, wells, units, tol=1e-5,
     return VariationalState.from_vector(x)
 
 
-def box_observables(state: VariationalState, partition: WallPartition):
+def box_observables(state: VariationalState, wells: WellPotentialSpec):
     """Slab particle numbers and wall currents of the four-well picture.
 
-    n_k integrates |psi|^2 between neighboring walls (outer slabs reach
+    The walls sit midway between neighbouring wells of ``wells``. n_k
+    integrates |psi|^2 between neighboring walls (outer slabs reach
     infinity); j_{k,k+1} integrates the z-current density over the wall
     plane. Both are sums over the pair Gaussians conj(G_l) G_k, whose
     widths, centres and overlaps K_lk come from one ``_pair_moments`` call:
@@ -700,6 +693,8 @@ def box_observables(state: VariationalState, partition: WallPartition):
     about mu_lk, so its slab integral is the complex error function
     (:func:`ptembed.special.erf`).
     """
+    p = wells.positions
+    walls = 0.5 * (p[:-1] + p[1:])
     gauss = _gaussians(state)
     out = _moment_buffers(state.size, state.size)
     mx, my, mz = _pair_moments(np.conj(gauss), gauss, out, 0)
@@ -707,14 +702,14 @@ def box_observables(state: VariationalState, partition: WallPartition):
     # the pair Gaussians conj(G_l) G_k, rows (A_x, A_y, A_z, b, C)
     sz, bz = out[0][2], out[0][3]
     # each wall's offset from every pair centre, (walls, NG, NG)
-    dz = partition.walls[:, None, None] - bz / (2.0 * sz)
+    dz = walls[:, None, None] - bz / (2.0 * sz)
     ends = np.ones((1, *sz.shape))
     cdf = np.concatenate([-ends, erf(np.sqrt(sz) * dz), ends])
     n = (0.5 * overlap * np.diff(cdf, axis=0)).sum(axis=(1, 2)).real
     # Im(psi* dpsi/dz) over the wall plane: the pair density at the wall
     # times the ket exponent's slope -2 A_z z + b there
     density = overlap * np.sqrt(sz / math.pi) * np.exp(-sz * dz**2)
-    slope = gauss[3] - 2.0 * gauss[2] * partition.walls[:, None]
+    slope = gauss[3] - 2.0 * gauss[2] * walls[:, None]
     j = (density * slope[:, None, :]).sum(axis=(1, 2)).imag
     return n, j
 
@@ -741,24 +736,20 @@ def _tally_integration(tally, traj, kernel):
 @dataclass
 class ControlledStepResult:
     """One control interval: the end state, the end populations and
-    currents, the root search's iterations and finite-difference Jacobian
-    builds, the end-of-interval integrations it made, and ``jacobian``, the
-    Broyden model of d(j_01, j_23) / d(V^0, V^3) at the accepted depths
-    (unscaled currents)."""
+    currents, the root search's iterations, and ``jacobian``, the Broyden
+    model of d(j_01, j_23) / d(V^0, V^3) at the accepted depths (unscaled
+    currents). The interval's other work goes to the run's tally."""
 
     state: VariationalState
     populations: np.ndarray
     currents: np.ndarray
     iterations: int
-    jacobian_refreshes: int
-    integrations: int
     jacobian: np.ndarray | None
 
 
 def controlled_step(state: VariationalState, wells: WellPotentialSpec,
                     units: UnitSystem, targets, dt,
                     settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
-                    partition: WallPartition | None = None,
                     tol=1e-8, jacobian=None, tally=None):
     """Advance one control interval with (V^0, V^3) held constant.
 
@@ -781,8 +772,6 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     Returns the :class:`ControlledStepResult` and the well specification
     with the accepted depths.
     """
-    if partition is None:
-        partition = WallPartition.from_wells(wells)
     if tally is None:
         tally = _work_tally()
     x0 = state.to_vector()
@@ -811,7 +800,7 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
                 raise
             _tally_integration(tally, traj, kernel)
             st = VariationalState.from_vector(traj.y[-1])
-            cache[key] = (st, *box_observables(st, partition), kernel.wells)
+            cache[key] = (st, *box_observables(st, kernel.wells), kernel.wells)
         return cache[key]
 
     def residual(v):
@@ -837,9 +826,7 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
         )
     st, n, j, accepted_wells = end_point(report.solution)
     return ControlledStepResult(
-        state=st, populations=n, currents=j,
-        iterations=report.iterations, jacobian_refreshes=report.jacobian_refreshes,
-        integrations=len(cache),
+        state=st, populations=n, currents=j, iterations=report.iterations,
         jacobian=None if report.jacobian is None else report.jacobian * scale,
     ), accepted_wells
 
@@ -888,8 +875,7 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
     Returns a VariationalRunRecord; a failed control search terminates the
     run and is recorded as a breakdown, not raised.
     """
-    partition = WallPartition.from_wells(wells)
-    n_now, j_now = box_observables(state, partition)
+    n_now, j_now = box_observables(state, wells)
     # one row per interval end: t, n, j, depths, gamma and the well offsets
     rows = [(0.0, n_now, j_now, wells.depths, gamma_fn(0.0)[0], state.q_z - wells.positions)]
     work = _work_tally()
@@ -905,8 +891,7 @@ def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
         try:
             result, current_wells = controlled_step(
                 state, current_wells, units, targets, dt,
-                settings=settings, partition=partition, tol=control_tol,
-                jacobian=jacobian, tally=work,
+                settings=settings, tol=control_tol, jacobian=jacobian, tally=work,
             )
         except PtError as exc:
             breakdown = dict(breakdown_time=t, breakdown_reason=type(exc).__name__,

@@ -322,8 +322,7 @@ def test_criterion_9_variational_conservation(fitted_system):
 def test_criterion_10_box_vs_effective_numbers(fitted_system):
     wells, units, basis, d, energy = fitted_system
     state = variational.VariationalState.from_basis(basis, d)
-    part = variational.WallPartition.from_wells(wells)
-    n_box, _ = variational.box_observables(state, part)
+    n_box, _ = variational.box_observables(state, wells)
     # the amplitudes orthogonalized by the exact Loewdin transform
     d_eff = np.linalg.solve(lowdin_exact(variational.gaussian_overlaps(basis)),
                             np.asarray(d, dtype=complex))

@@ -404,6 +404,18 @@ class TestMain:
         assert err.startswith(f"error: ParseError: {key}") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_stacked_wells_are_a_degenerate_trap(self, tmp_path, capsys, command):
+        # the four positions stay distinct, but the fitted Gaussians lie on
+        # one another: their overlap matrix is singular to working precision
+        cfg = self._write(tmp_path, "[scenario]\nname = adiabatic_fewmode\n[trap]\nspacing = 1e-12\n")
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "--config", cfg, *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateInput: [trap] spacing = 1e-12 ") and \
+            len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=60)
     @given(data=st.data())
     def test_run_never_ends_in_a_traceback(self, data):

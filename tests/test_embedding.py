@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from ptembed.embedding import (
     build_initial_state,
     check_conditions,
     constant_gamma,
-    gamma_ramp,
     make_controlled_rhs,
     pt_stationary_state,
-    ramp_gamma,
     run_controlled,
     synth_onsite,
 )
@@ -42,15 +41,21 @@ def stationary_initial_state(c=0.0):
 
 def test_ramp_endpoints_and_derivative():
     sched = RampSchedule(gamma_f=0.8, t_f=10.0)
-    g0, gd0 = gamma_ramp(0.0, sched)
-    gf, gdf = gamma_ramp(10.0, sched)
+    g0, gd0 = sched(0.0)
+    gf, gdf = sched(10.0)
     assert g0 == 0.0 and gd0 == 0.0
     assert gf == 0.8 and gdf == 0.0
-    g, gd = gamma_ramp(5.0, sched)
+    g, gd = sched(5.0)
     assert abs(g - 0.4) < 1e-14
     eps = 1e-7
-    fd = (gamma_ramp(5.0 + eps, sched)[0] - gamma_ramp(5.0 - eps, sched)[0]) / (2 * eps)
+    fd = (sched(5.0 + eps)[0] - sched(5.0 - eps)[0]) / (2 * eps)
     assert abs(gd - fd) < 1e-7
+    # the formula written out, bit for bit, on and past the ramp
+    for t in np.linspace(0.0, 12.0, 97).tolist():
+        expected = (0.8, 0.0) if t >= 10.0 else (
+            0.8 * (1.0 - math.cos(math.pi * t / 10.0)) / 2.0,
+            0.8 * math.pi / (2.0 * 10.0) * math.sin(math.pi * t / 10.0))
+        assert sched(t) == expected
 
 
 def test_zero_coupling_rejected():
@@ -166,6 +171,22 @@ def test_gauge_shift_invariance():
     ca = runs[0].controls_at(1.5, runs[0].trajectory.sample(1.5))
     cb = runs[1].controls_at(1.5, runs[1].trajectory.sample(1.5))
     assert abs((cb.E0 - ca.E0) - 2.5) < 1e-6
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 7])
+def test_synth_onsite_over_a_grid_matches_each_row(m):
+    # m = 4 gives a square grid, whose rows must not be read as the four wells
+    rng = np.random.default_rng(m)
+    psi = stationary_initial_state() * (1.0 + 0.05 * (rng.standard_normal((m, 4))
+                                                      + 1j * rng.standard_normal((m, 4))))
+    g, gd = 0.5 + 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(m)
+    d, params = STATIONARY["d"], dict(nonlinear=[0.0, 0.3, -0.2, 0.1], j12=0.9, e1=0.1, e2=-0.2)
+    grid = synth_onsite(psi, ControlState(gamma=g, gamma_dot=gd, d=d), **params)
+    for k in range(m):
+        one = synth_onsite(psi[k], ControlState(gamma=g[k], gamma_dot=gd[k], d=d), **params)
+        for field in fields(ControlState):
+            value = np.broadcast_to(getattr(grid, field.name), (m,))[k]
+            assert value == getattr(one, field.name), field.name
 
 
 def test_condition_limit_triggers_control_singular():

@@ -25,7 +25,6 @@ from ptembed.numerics import IntegratorSettings, integrate_adaptive
 from ptembed.variational import (
     TrapKernel,
     VariationalState,
-    WallPartition,
     assemble_eom,
     box_observables,
     controlled_step,
@@ -132,8 +131,7 @@ def test_metric_is_hermitian_positive(trap_system):
 
 def test_box_numbers_sum_to_norm(trap_system):
     wells, units, state = trap_system
-    part = WallPartition.from_wells(wells)
-    n, j = box_observables(state, part)
+    n, j = box_observables(state, wells)
     nrm, _ = norm_and_energy(state, wells, units)
     assert abs(n.sum() - nrm) < 1e-10
     # the fitted ground state is real: all wall currents vanish
@@ -145,10 +143,9 @@ def test_relaxed_state_is_stationary(trap_system):
     gs = relax_to_fixed_point(state, wells, units)
     nrm, e0 = norm_and_energy(gs, wells, units)
     assert abs(nrm - 1.0) < 1e-10
-    part = WallPartition.from_wells(wells)
-    n0, _ = box_observables(gs, part)
+    n0, _ = box_observables(gs, wells)
     stf = end_state(gs, wells, units, (0.0, 2.0))
-    n1, _ = box_observables(stf, part)
+    n1, _ = box_observables(stf, wells)
     _, e1 = norm_and_energy(stf, wells, units)
     assert np.max(np.abs(n1 - n0)) < 1e-6
     assert abs(e1 - e0) < 1e-8
@@ -166,8 +163,7 @@ def test_relaxation_out_of_steps_raises(trap_system):
 def test_controlled_step_meets_current_targets(trap_system):
     wells, units, state = trap_system
     gs = relax_to_fixed_point(state, wells, units)
-    part = WallPartition.from_wells(wells)
-    n, _ = box_observables(gs, part)
+    n, _ = box_observables(gs, wells)
     gamma = 1e-3
     targets = (2.0 * gamma * n[1], 2.0 * gamma * n[2])
     result, wells2 = controlled_step(
@@ -183,24 +179,25 @@ def test_controlled_step_meets_current_targets(trap_system):
 def test_warm_started_step_skips_finite_differences(trap_system):
     wells, units, state = trap_system
     gs = relax_to_fixed_point(state, wells, units)
-    part = WallPartition.from_wells(wells)
     settings = IntegratorSettings(rel_tol=1e-7, abs_tol=1e-9)
-    n, _ = box_observables(gs, part)
+    tally = variational._work_tally()
+    n, _ = box_observables(gs, wells)
     first, wells1 = controlled_step(gs, wells, units, (2e-4 * n[1], 2e-4 * n[2]),
-                                    dt=0.5, settings=settings)
-    assert first.jacobian_refreshes == 1
-    n, j = box_observables(first.state, part)
+                                    dt=0.5, settings=settings, tally=tally)
+    assert tally["control_jacobian_refreshes"] == 1
+    before = dict(tally)
+    n, j = box_observables(first.state, wells)
     # the step reports the end state's observables: the next targets use them
     assert np.array_equal(first.populations, n) and np.array_equal(first.currents, j)
     targets = (4e-4 * n[1], 4e-4 * n[2])
     second, _ = controlled_step(first.state, wells1, units, targets, dt=0.5,
-                                settings=settings, jacobian=first.jacobian)
+                                settings=settings, jacobian=first.jacobian, tally=tally)
     assert abs(second.currents[0] - targets[0]) < 1e-8
     assert abs(second.currents[2] - targets[1]) < 1e-8
     # the start point and one Newton step; a cold search adds two
     # finite-difference integrations
-    assert second.jacobian_refreshes == 0
-    assert second.integrations == 2
+    assert tally["control_jacobian_refreshes"] - before["control_jacobian_refreshes"] == 0
+    assert tally["control_integrations"] - before["control_integrations"] == 2
 
 
 def test_run_record_counts_every_integration(trap_system, monkeypatch):
@@ -266,12 +263,15 @@ def test_unreachable_targets_fail_the_search(trap_system):
     assert record.work["control_jacobian_refreshes"] == 1
 
 
-def test_wall_partition_from_wells():
+def test_walls_sit_midway_between_the_wells():
     wells = standard_four_well()
-    part = WallPartition.from_wells(wells)
-    assert np.allclose(part.walls, [-1.8, 0.0, 1.8])
-    with pytest.raises(ValueError):
-        WallPartition(walls=[1.0, 0.0])
+    # a narrow Gaussian centred on the wall at z = -1.8, midway between the
+    # wells at -2.7 and -0.9, splits its norm equally between slabs 0 and 1
+    one = np.ones(1)
+    state = VariationalState(A_x=one, A_y=one, A_z=50.0 * one, q_z=[-1.8])
+    n, _ = box_observables(state, wells)
+    assert abs(n[0] - n[1]) < 1e-14 * n.sum()
+    assert np.all(np.abs(n[2:]) < 1e-14 * n.sum())
 
 
 # ------------------------------------------------- brackets, object by object
