@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dnlse, embedding, variational
 from .errors import (DegenerateInput, IoError, MissingKey, NoOverlap, ParseError, PtError,
-                     UnitError)
+                     SingularMetric, UnitError)
 from .numerics import IntegratorSettings
 
 # A key's domain: a test of its (finite) value and the rule an error states.
@@ -389,6 +389,12 @@ def _run_adiabatic_variational(cfg):
     schedule = _ramp(cfg, eff)
     state = variational.VariationalState.from_basis(basis, d_amp)
     state = variational.relax_to_fixed_point(state, wells, units)
+    try:
+        variational.assemble_eom(state, wells, units)
+    except SingularMetric as exc:
+        raise DegenerateInput(
+            f"[trap] spacing = {cfg.get('trap', 'spacing')!r} stacks the wells: at the "
+            f"relaxed initial state, the {exc}") from None
     record = variational.run_variational_scenario(
         wells, units, schedule, cfg["t_end"],
         control_dt=cfg["control_dt"], state=state, settings=_integrator(cfg),
@@ -611,7 +617,9 @@ def main(argv=None):
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_params(args)
-    except PtError as exc:
+    except (PtError, Warning) as exc:
+        # a Warning arrives here raised, where the warnings filter (say,
+        # PYTHONWARNINGS=error::RuntimeWarning) makes it an error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -33,17 +33,17 @@ currents of ``box_observables``. The module runs on numpy alone.
 
 The brackets run on a per-trap kernel, :class:`TrapKernel`. It builds once
 what depends on the trap alone: the potential kets' shift columns, the
-indices that gather every ket object (the state's Gaussians, the potential
-kets and the interaction triples) with one indexed sum from one array,
-their weights and the constant entries of the centring matrix. Each call
-then reads the state straight from the packed parameter vector and fills
-in only what depends on it. An integration builds one kernel per trap and
-takes its :meth:`TrapKernel.rhs`, which calls :func:`assemble_eom` with it
-on every evaluation; the ground-state fit and :func:`relax_to_fixed_point`
-share one kernel over their energy evaluations. The brackets and
-:func:`normalized_energy` also take a stack of packed vectors, so the
-minimizer builds each Hessian from one call; every point of a stack gets
-the same bits as that point alone.
+weights of the potential and interaction kets and the constant entries of
+the centring matrix. Each call then reads the state's Gaussians straight
+from the packed parameter vector (``_gaussians``) and forms every ket
+object from them (``_kets``, shared with ``gaussian_matrices``): the
+Gaussians, the potential kets and the interaction triples. An integration
+builds one kernel per trap and takes its :meth:`TrapKernel.rhs`, which
+calls :func:`assemble_eom` with it on every evaluation; the ground-state
+fit and :func:`relax_to_fixed_point` share one kernel over their energy
+evaluations. The brackets and :func:`normalized_energy` also take a stack
+of packed vectors, so the minimizer builds each Hessian from one call;
+every point of a stack gets the same bits as that point alone.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
@@ -191,13 +191,23 @@ def _triples(n):
     return out
 
 
-def _gaussians(state: VariationalState):
-    """The state's Gaussians exp(-A_x x^2 - A_y y^2 - A_z z^2 + b z + C) as
-    rows (A_x, A_y, A_z, b, C) of a (5, NG) array."""
-    gauss = np.empty((5, state.size), dtype=complex)
-    gauss[0], gauss[1], gauss[2] = state.A_x, state.A_y, state.A_z
-    gauss[3] = 2.0 * state.A_z * state.q_z + 1j * state.p_z
-    gauss[4] = -state.A_z * state.q_z**2 - 1j * state.p_z * state.q_z - state.gamma
+def _gaussians(x):
+    """The Gaussians exp(-A_x x^2 - A_y y^2 - A_z z^2 + b z + C) of the
+    packed vector ``x`` (10 NG,) (see ``VariationalState.to_vector``), or
+    of each of a stack (..., 10 NG), as rows (A_x, A_y, A_z, b, C) of a
+    (5, ..., NG) array: the stack's axes follow the row axis, so the moment
+    code indexes rows as for one vector."""
+    x = np.ascontiguousarray(x, dtype=float)
+    lead = x.shape[:-1]
+    # A_x, A_y, A_z, q + ip, gamma as rows (5, ..., NG)
+    packed = x.view(complex).reshape(*lead, -1, PARAMS_PER_WELL // 2).transpose(
+        len(lead) + 1, *range(len(lead) + 1))
+    q, p, az = x[..., 6::10], x[..., 7::10], packed[2]
+    ip = 1j * p
+    gauss = np.empty(packed.shape, dtype=complex)
+    gauss[:3] = packed[:3]
+    gauss[3] = 2.0 * az * q + ip
+    gauss[4] = -az * (q * q) - ip * q - packed[4]
     return gauss
 
 
@@ -213,33 +223,40 @@ def _well_shifts(wells: WellPotentialSpec):
     return shift
 
 
-def _moment_buffers(n, m, lead=()):
-    """Output arrays of ``_pair_moments`` for NG bra Gaussians and m kets
-    per point of a stack of shape ``lead``: the pair Gaussians
-    (5, *lead, NG, m), the x and y moments by order (3, 3, *lead, NG, m)
-    and the z moments (5, *lead, NG, m)."""
-    return (np.empty((5, *lead, n, m), dtype=complex),
-            np.empty((3, 3, *lead, n, m), dtype=complex),
-            np.empty((5, *lead, n, m), dtype=complex))
+def _kets(gauss, conj, shifts, triples):
+    """Every ket object of H psi over the Gaussians ``gauss`` (5, ..., NG),
+    whose conjugates are ``conj``, in the layout of ``_gaussians``: the
+    Gaussians G_k themselves, the potential kets G_k + shift_m for the
+    shift columns ``shifts`` (5, N_wells) of ``_well_shifts``, well-major
+    (column NG + m NG + k), and the interaction kets (G_a + conj G_b) + G_c
+    for the index arrays ``triples`` = (a, b, c). Returns the columns
+    (5, ..., NG + N_wells NG + len(a))."""
+    a, b, c = triples
+    shifts = shifts.reshape(5, *(1,) * (gauss.ndim - 2), -1, 1)
+    pot = (gauss[..., None, :] + shifts).reshape(*gauss.shape[:-1], -1)
+    return np.concatenate([gauss, pot, gauss.take(a, -1) + conj.take(b, -1) + gauss.take(c, -1)],
+                          axis=-1)
 
 
-def _pair_moments(conj_bra, kets, out, n_table):
+def _pair_moments(conj_bra, kets, n_table):
     """Per-axis moment tables between every bra Gaussian and every ket object.
 
     ``conj_bra`` (5, *lead, NG), the conjugated bra Gaussians, and ``kets``
     (5, *lead, M) hold (A_x, A_y, A_z, b, C) per Gaussian, for each point
-    of a stack of shape ``lead`` (empty for one state); ``out`` is
-    ``_moment_buffers(NG, M, lead)``, written in place. Returns (MX (3,
-    *lead, NG, M), MY (3, *lead, NG, M), MZ (5, *lead, NG, M)): orders x^0,
-    x^2, x^4 and z^0..z^4; the scalar prefactor exp(b^2/4S + C) is folded
-    into MZ. The orders x^4, z^3 and z^4 are filled in for the first
-    ``n_table`` kets only; the others carry a constant monomial and need
-    only orders up to 2. Every entry is computed elementwise, so a point of
-    a stack gets the same bits as the point alone.
+    of a stack of shape ``lead`` (empty for one state); a pair Gaussian is
+    the sum of its bra's and its ket's rows. Returns (MX (3, *lead, NG, M),
+    MY (3, *lead, NG, M), MZ (5, *lead, NG, M)): orders x^0, x^2, x^4 and
+    z^0..z^4; the scalar prefactor exp(b^2/4S + C) is folded into MZ. The
+    orders x^4, z^3 and z^4 are filled in for the first ``n_table`` kets
+    only; the others carry a constant monomial and need only orders up to
+    2. Every entry is computed elementwise, so a point of a stack gets the
+    same bits as the point alone.
     """
-    pair, M, MZ = out
-    np.add(conj_bra[..., :, None], kets[..., None, :], out=pair)
+    pair = conj_bra[..., :, None] + kets[..., None, :]
     b, c = pair[3], pair[4]
+    # the moments by order and axis, and the z moments
+    M = np.empty((3, 3, *pair.shape[1:]), dtype=complex)
+    MZ = np.empty(pair.shape, dtype=complex)
 
     # sqrt(pi / S) and 1 / (2 S) for the three widths S at once: for x and
     # y the order-0 moment and the variance, for z the same two factors
@@ -280,26 +297,22 @@ class TrapKernel:
     first call for a Gaussian count NG it lays out what depends on NG and
     the trap only, and keeps it until NG changes:
 
-    - ``_ext`` (5, 2 NG + N_wells + 1): columns for the state's Gaussians,
-      their conjugates, the shift columns and a zero column;
-    - the gather indices (3, NG + M) that form every ket object of H psi as
-      one indexed sum of three ``_ext`` columns: the state's own Gaussians,
-      the N_wells * NG potential kets (well-major) and the a <= c
-      interaction triples (see ``_triples``);
+    - the a <= c interaction triples (see ``_triples``), none without
+      interaction, which ``_kets`` forms after the state's own Gaussians
+      and the N_wells * NG potential kets (well-major);
     - the weights (M, 2) of the M scalar kets: the well depth V_m for the
       potential kets (the linear part), g times the multiplicity for the
       triples (the cubic part);
-    - the buffers of ``_pair_moments``, which serve one state; a stack of
-      states gets fresh ones per call, dropped when it returns;
     - the centring matrix C (5 NG, 5 NG) of :func:`assemble_eom`, real
       and block-diagonal, whose row 5 w + a holds the centred monomial n_a of
       Gaussian w over the plain ones; its constant entries are filled in,
       and :meth:`centring` rewrites the q-dependent ones.
 
     :meth:`brackets` then reads the state straight from the packed vector
-    (or each of a stack of them) and does only the work that depends on
-    it. ``metric_rcond_min`` is the smallest reciprocal condition number
-    of the Gram matrix that :func:`assemble_eom` met with this kernel.
+    (or each of a stack of them), forms its ket objects and does only the
+    work that depends on it, in arrays of its own. ``metric_rcond_min`` is
+    the smallest reciprocal condition number of the Gram matrix that
+    :func:`assemble_eom` met with this kernel.
     """
 
     def __init__(self, wells: WellPotentialSpec | None, units: UnitSystem):
@@ -309,31 +322,18 @@ class TrapKernel:
         self._packed_len = None
 
     def _lay_out(self, n):
-        n_wells = self._shifts.shape[1]
-        zero = 2 * n + n_wells
-        self._ext = np.zeros((5, zero + 1), dtype=complex)
-        self._ext[:, 2 * n:zero] = self._shifts
-        own = np.arange(n)
-        gather = [(own, np.full(n, zero), np.full(n, zero))]
-        lin, cubic = [], []
-        if self.wells is not None:
-            gather.append((np.tile(own, n_wells), 2 * n + np.repeat(np.arange(n_wells), n),
-                           np.full(n_wells * n, zero)))
-            lin = np.repeat(self.wells.depths, n)
-        if self.units.g != 0.0:
-            a_i, b_i, c_i, mult = _triples(n)
-            gather.append((a_i, n + b_i, c_i))
-            cubic = self.units.g * mult
-        self._gather = np.concatenate(gather, axis=1)
-        m = self._gather.shape[1] - n
-        self._weights = np.zeros((m, 2), dtype=complex)
+        a, b, c, mult = _triples(n)
+        if self.units.g == 0.0:
+            a, b, c, mult = a[:0], b[:0], c[:0], mult[:0]
+        lin = [] if self.wells is None else np.repeat(self.wells.depths, n)
+        self._triples = a, b, c
+        self._weights = np.zeros((len(lin) + len(mult), 2), dtype=complex)
         self._weights[:len(lin), 0] = lin
-        self._weights[len(lin):, 1] = cubic
-        self._kets = np.empty((5, n + m), dtype=complex)
-        self._moments = _moment_buffers(n, n + m)
+        self._weights[len(lin):, 1] = self.units.g * mult
         # C[w, a, w, :] = n_a over {1, x^2, y^2, z, z^2}: the identity but for
         # z - q = z - q 1 and (z - q)^2 = z^2 - 2q z + q^2 1. Its entries are
         # real; held complex, it enters the products with the table uncast
+        own = np.arange(n)
         self._centring = np.zeros((n, _N_MONO, n, _N_MONO), dtype=complex)
         self._centring[own, :, own, :] = np.eye(_N_MONO)
         self._n, self._packed_len = n, PARAMS_PER_WELL * n
@@ -346,15 +346,6 @@ class TrapKernel:
         C[own, 4, own, 0] = q * q
         C[own, 4, own, 3] = -2.0 * q
         return C.reshape(_N_MONO * self._n, _N_MONO * self._n)
-
-    def _stack_scratch(self, lead):
-        """(ext, kets, moment buffers) for a stack of shape ``lead``: fresh
-        arrays holding the constants of the kernel's own buffers, which
-        serve one state; they are dropped when the call returns."""
-        n, (_, cols), m = self._n, self._ext.shape, self._kets.shape[1]
-        ext = np.empty((5, *lead, cols), dtype=complex)
-        ext[..., 2 * n:] = np.expand_dims(self._ext[:, 2 * n:], tuple(range(1, len(lead) + 1)))
-        return ext, np.empty((5, *lead, m), dtype=complex), _moment_buffers(n, m, lead)
 
     def brackets(self, x):
         """The Gaussians' moment table and H psi for the packed vector ``x``
@@ -375,34 +366,18 @@ class TrapKernel:
         <P G_w | H | psi> = sum_i conj(P_i) (lin + nl)[i, w]. A width with
         Re A <= 0 at any point raises NonNormalizable.
         """
-        x = np.ascontiguousarray(x, dtype=float)
-        if x.shape[-1] != self._packed_len:
-            self._lay_out(x.shape[-1] // PARAMS_PER_WELL)
-        n, lead = self._n, x.shape[:-1]
-        s = len(lead)
-        # A_x, A_y, A_z, q + ip, gamma as rows (5, *lead, NG): inside, the
-        # stack's axes follow the first (component or order) axis of every
-        # array, so the moment code indexes components as for one vector
-        packed = x.view(complex).reshape(*lead, n, PARAMS_PER_WELL // 2).transpose(
-            s + 1, *range(s + 1))
-        if (packed[:3].real <= 0).any():
+        if np.shape(x)[-1] != self._packed_len:
+            self._lay_out(np.shape(x)[-1] // PARAMS_PER_WELL)
+        n = self._n
+        # inside, the stack's axes follow the first (component or order)
+        # axis of every array, as in _gaussians
+        gauss = _gaussians(x)
+        s = gauss.ndim - 2
+        if (gauss[:3].real <= 0).any():
             # as the pair of that Gaussian with itself has: checked once here
             raise NonNormalizable("pair Gaussian with nonpositive real width")
-        ext, kets, moments = (self._stack_scratch(lead) if s else
-                              (self._ext, self._kets, self._moments))
-        q, p, az = x[..., 6::10], x[..., 7::10], packed[2]
-        ip = 1j * p
-        ext[:3, ..., :n] = packed[:3]
-        np.add(2.0 * az * q, ip, out=ext[3, ..., :n])
-        ext[4, ..., :n] = -az * (q * q) - ip * q - packed[4]
-        gauss = ext[..., :n]
-        np.conjugate(gauss, out=ext[..., n:2 * n])
-
-        # every ket object as one indexed sum over the columns of ext
-        g = ext[..., self._gather]
-        np.add(g[..., 0, :], g[..., 1, :], out=kets)
-        kets += g[..., 2, :]
-        moments = _pair_moments(ext[..., n:2 * n], kets, moments, n)
+        conj = np.conjugate(gauss)
+        moments = _pair_moments(conj, _kets(gauss, conj, self._shifts, self._triples), n)
         mx, my, mz = (m[..., :n] for m in moments)
         table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
         lin = np.einsum("j...m,ij...wm->...iw", _kinetic_polys(gauss), table)
@@ -442,30 +417,25 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     interaction tensor without its strength g.
     """
     n = state.size
-    gauss = _gaussians(state)
-    if wells is None:
-        pot = np.empty((5, 0))
-    else:
-        pot = (gauss[:, None, :] + _well_shifts(wells)[:, :, None]).reshape(5, -1)
-    k, j, i = np.indices((n, n, n)).reshape(3, -1)
-    triples = gauss[:, k] + np.conj(gauss)[:, j] + gauss[:, i]
-    kets = np.concatenate([gauss, pot, triples], axis=1)
-    mx, my, mz = _pair_moments(np.conj(gauss), kets, _moment_buffers(n, kets.shape[1]), 0)
+    gauss = _gaussians(state.to_vector())
+    conj = np.conj(gauss)
+    shifts = np.empty((5, 0)) if wells is None else _well_shifts(wells)
+    kets = _kets(gauss, conj, shifts, np.indices((n, n, n)).reshape(3, -1))
+    mx, my, mz = _pair_moments(conj, kets, 0)
     # <G_l| m G_k> for the ket monomials m; row 0 is <G_l|ket> for every object
     column = mx[_XDEG] * my[_YDEG] * mz[_ZDEG]
     T = np.einsum("jk,jlk->lk", _kinetic_polys(gauss), column[:, :, :n])
-    flat, m = column[0], pot.shape[1]
-    return (flat[:, :n], T, flat[:, n:n + m].reshape(n, m // n, n),
-            flat[:, n + m:].reshape(n, n, n, n))
+    flat = column[0]
+    return (flat[:, :n], T, flat[:, n:-n**3].reshape(n, shifts.shape[1], n),
+            flat[:, -n**3:].reshape(n, n, n, n))
 
 
 def gaussian_overlaps(state: VariationalState):
     """K_lk = <G_l|G_k> between the state's Gaussians, from the moments of
     their own pairs alone: ``gaussian_matrices(state, wells)[0]`` bit for
     bit, without the potential kets and the interaction triples."""
-    n = state.size
-    gauss = _gaussians(state)
-    mx, my, mz = _pair_moments(np.conj(gauss), gauss, _moment_buffers(n, n), 0)
+    gauss = _gaussians(state.to_vector())
+    mx, my, mz = _pair_moments(np.conj(gauss), gauss, 0)
     return mx[0] * my[0] * mz[0]
 
 
@@ -695,12 +665,13 @@ def box_observables(state: VariationalState, wells: WellPotentialSpec):
     """
     p = wells.positions
     walls = 0.5 * (p[:-1] + p[1:])
-    gauss = _gaussians(state)
-    out = _moment_buffers(state.size, state.size)
-    mx, my, mz = _pair_moments(np.conj(gauss), gauss, out, 0)
+    gauss = _gaussians(state.to_vector())
+    conj = np.conj(gauss)
+    mx, my, mz = _pair_moments(conj, gauss, 0)
     overlap = mx[0] * my[0] * mz[0]
-    # the pair Gaussians conj(G_l) G_k, rows (A_x, A_y, A_z, b, C)
-    sz, bz = out[0][2], out[0][3]
+    # the z width and slope of the pair Gaussians conj(G_l) G_k, summed as
+    # in _pair_moments
+    sz, bz = conj[2:4, :, None] + gauss[2:4, None, :]
     # each wall's offset from every pair centre, (walls, NG, NG)
     dz = walls[:, None, None] - bz / (2.0 * sz)
     ends = np.ones((1, *sz.shape))

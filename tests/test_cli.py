@@ -22,7 +22,7 @@ from ptembed.cli import (
     run_scenario,
     write_outputs,
 )
-from ptembed.errors import MissingKey, NoOverlap, ParseError, UnitError
+from ptembed.errors import ConvergenceWarning, MissingKey, NoOverlap, ParseError, UnitError
 
 
 # the values a domain is probed with besides 0, -1 and +-1e300: its edges and
@@ -319,7 +319,8 @@ class TestMain:
         assert f"breakdown at t = {summary['breakdown_time']:.6g} (StepSizeUnderflow): {message}" in out
 
     def test_variational_breakdown_exit_two(self, tmp_path, capsys, monkeypatch):
-        # every right-hand side call goes through variational.assemble_eom
+        # every right-hand side call goes through variational.assemble_eom,
+        # and so does the one Gram check of the initial state before the ramp
         calls = []
         assemble = variational.assemble_eom
 
@@ -346,7 +347,7 @@ class TestMain:
         assert summary["control_integrations"] >= 3
         assert summary["control_jacobian_refreshes"] == 1
         assert summary["control_root_iterations"] == 1
-        assert summary["rhs_evals"] == len(calls) > 0
+        assert summary["rhs_evals"] == len(calls) - 1 > 0
 
     @pytest.mark.parametrize("line, prefix", [
         ("depletion_floor = 0.05", "reservoir depleted (n0="),
@@ -439,26 +440,53 @@ class TestMain:
         for sec, entries in config.items():
             lines.append(f"[{sec}]")
             lines += [f"{k} = {v if k == 'name' else repr(v)}" for k, v in entries.items()]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "run.cfg")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            err = io.StringIO()
-            # numpy's overflow warnings and the fit's ConvergenceWarning at
-            # the extremes are recorded apart from the error line, not raised
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings(record=True):
-                warnings.simplefilter("always")
-                rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
-        err = err.getvalue()
-        assert rc in (0, 1, 2) and "Traceback" not in err, err
-        if rc == 1:
-            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        if not domain[0](value):
-            # refused by the config, on the value's line
-            ln = lines.index(f"{key} = {value!r}") + 1
-            kind = "UnitError" if section == "units" else "ParseError"
-            assert rc == 1 and err.startswith(f"error: {kind}: line {ln}: "), err
+        # numpy's overflow warnings and the fit's ConvergenceWarning at the
+        # extremes are recorded apart from the error line, or raised under
+        # the test suite's own rule, where main reports them as that line
+        for raised in (False, True):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "run.cfg")
+                with open(path, "w") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings(record=True):
+                    warnings.simplefilter("always")
+                    if raised:
+                        warnings.simplefilter("error", RuntimeWarning)
+                    rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+            err = err.getvalue()
+            assert rc in (0, 1, 2) and "Traceback" not in err, err
+            if rc == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            if not domain[0](value):
+                # refused by the config, on the value's line
+                ln = lines.index(f"{key} = {value!r}") + 1
+                kind = "UnitError" if section == "units" else "ParseError"
+                assert rc == 1 and err.startswith(f"error: {kind}: line {ln}: "), err
+
+    def test_warning_raised_as_an_error_is_one_error_line(self, tmp_path, capsys):
+        # the fit at spacing 0.2 stops short of its tolerance and warns
+        cfg = self._write(tmp_path, "[scenario]\nname = adiabatic_fewmode\nt_end = 0.05\n"
+                                    "[trap]\nspacing = 0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConvergenceWarning: ") and len(err.splitlines()) == 1, err
+
+    def test_singular_initial_gram_matrix_is_a_degenerate_trap(self, tmp_path, capsys):
+        # the fitted overlap matrix passes (reciprocal condition number
+        # 2.5e-6), but the Gram matrix of the relaxed state at t = 0 is
+        # singular to working precision: an input error, not a breakdown
+        cfg = self._write(tmp_path, "[scenario]\nname = adiabatic_variational\nt_end = 0.05\n"
+                                    "[trap]\nspacing = 0.2\n")
+        with pytest.warns(ConvergenceWarning):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateInput: [trap] spacing = 0.2 ") and \
+            len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fit", "params"])
     def test_fit_needs_a_physical_scenario(self, tmp_path, capsys, command):
@@ -540,7 +568,8 @@ class TestPhysicalSubcommands:
         assert summary["control_integrations"] == 6
 
     def test_variational_summary_reports_integrator_work(self, tmp_path, monkeypatch):
-        # every right-hand side call goes through variational.assemble_eom
+        # every right-hand side call goes through variational.assemble_eom,
+        # and so does the one Gram check of the initial state before the ramp
         calls = []
         assemble = variational.assemble_eom
 
@@ -557,7 +586,7 @@ class TestPhysicalSubcommands:
         # one interval: the start point and the two finite-difference
         # trials of the depth search are counted with the accepted one
         assert summary["control_integrations"] >= 3
-        assert summary["rhs_evals"] == len(calls) > 0
+        assert summary["rhs_evals"] == len(calls) - 1 > 0
         assert summary["accepted_steps"] >= summary["control_integrations"]
         assert summary["rejected_steps"] >= 0
         assert 1e-12 <= summary["metric_rcond_min"] < 1.0

@@ -406,8 +406,8 @@ def test_velocities_solve_the_packed_real_metric_system(seed, n, n_wells):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4),
        trapped=st.booleans(), interacting=st.booleans())
 def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapped, interacting):
-    # one kernel serves a whole integration; its buffers must carry nothing
-    # from one state to the next
+    # one kernel serves a whole integration; its laid-out constants and its
+    # centring buffer must carry nothing from one state to the next
     first, wells, units = random_system(seed, n, n_wells)
     second, _, _ = random_system(seed + 1, n, n_wells)
     wells = wells if trapped else None
