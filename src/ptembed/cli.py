@@ -79,7 +79,8 @@ SCENARIOS = {
 }
 
 # section -> {key: (default, domain)} outside [scenario]; domain None marks a
-# string. Every scenario reads [integrator] and [output], and the physical
+# string. Every scenario reads [integrator] and [output] (adiabatic_variational,
+# which records at its control-interval ends, no stride), and the physical
 # ones [trap] and [units]. rel_tol and abs_tol default to the scenario's.
 SECTIONS = {
     "integrator": dict(rel_tol=(None, POSITIVE), abs_tol=(None, POSITIVE),
@@ -112,6 +113,8 @@ def _key_table(name):
     for section in ("integrator", "output", *(("trap", "units") if name in _PHYSICAL else ())):
         for key, (default, domain) in SECTIONS[section].items():
             table[section, key] = (tolerances.get(key, default), domain)
+    if name == "adiabatic_variational":
+        del table["output", "stride"]
     return table
 
 
@@ -390,7 +393,7 @@ def _run_adiabatic_variational(cfg):
     state = variational.VariationalState.from_basis(basis, d_amp)
     state = variational.relax_to_fixed_point(state, wells, units)
     try:
-        variational.assemble_eom(state, wells, units)
+        variational.assemble_eom(state, variational.TrapKernel(wells, units))
     except SingularMetric as exc:
         raise DegenerateInput(
             f"[trap] spacing = {cfg.get('trap', 'spacing')!r} stacks the wells: at the "

@@ -206,7 +206,7 @@ def mean_field_energy(d, basis: VariationalState, wells: WellPotentialSpec,
     matrices: the energy of psi = sum_k d_k g^k by
     :func:`ptembed.variational.norm_and_energy`. A zero amplitude raises
     NonNormalizable (the amplitudes enter as exp(-gamma))."""
-    return norm_and_energy(VariationalState.from_basis(basis, d), wells, units)[1]
+    return norm_and_energy(VariationalState.from_basis(basis, d), TrapKernel(wells, units))[1]
 
 
 def _default_seed(wells: WellPotentialSpec):
@@ -311,7 +311,7 @@ def fit_ground_state(wells: WellPotentialSpec, units: UnitSystem,
     kernel = TrapKernel(wells, units)
 
     def energy(x):
-        return normalized_energy(packed(x), wells, units, directions, kernel=kernel)
+        return normalized_energy(packed(x), kernel, directions)
 
     x, _, grad = minimize_norm_constrained(energy, x0, tol=tol, max_iter=max_iter)
     gmax = np.max(np.abs(grad))

@@ -41,11 +41,11 @@ class IntegratorSettings:
 class RootFindReport:
     """Outcome of :func:`root_find`.
 
-    ``jacobian`` is the Broyden model at ``solution`` after the last step's
-    update (the ``jac`` passed in when no step was taken, possibly None);
-    pass it as ``jac`` to a nearby search to skip the finite-difference
-    build. ``jacobian_refreshes`` counts the finite-difference builds
-    begun. A search that raised attaches its partial report to the error.
+    ``jacobian`` is the model Jacobian at ``solution`` (the ``jac`` passed
+    in, possibly None, when the search neither stepped nor rebuilt it); pass
+    it as ``jac`` to a nearby search to skip the finite-difference build.
+    ``jacobian_refreshes`` counts the finite-difference builds begun. A
+    search that raised attaches its partial report to the error.
     """
 
     solution: np.ndarray
@@ -482,8 +482,10 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
 
     ``jac``, when given, is the starting model Jacobian (for example the
     ``jacobian`` of a previous report on a nearby problem); otherwise it is
-    built by forward differences at ``x0``. A search that stagnates (a step
-    backtracked below 1e-6) rebuilds it by forward differences.
+    built by forward differences at ``x0``. Each Newton step is halved, down
+    to 1e-6 of itself, until the residual's max norm drops. An iteration
+    without a drop takes no step: it rebuilds the Jacobian at the same
+    point, or, with a Jacobian just built, ends the search unconverged.
 
     Deterministic: same inputs give the same iterates. Returns a
     :class:`RootFindReport`; convergence is measured in the max norm. A
@@ -523,7 +525,8 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
     fx = feval(x)
     if np.max(np.abs(fx)) <= tol:
         return report(0, True)
-    if jac is None:
+    fresh = jac is None
+    if fresh:
         refreshes += 1
         jac = _fd_jacobian(feval, x, fx)
     for it in range(1, max_iter + 1):
@@ -533,18 +536,22 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
         # backtracking on the residual norm
         lam = 1.0
         norm0 = np.max(np.abs(fx))
-        f_new = None
-        for _ in range(40):
+        while lam >= 1e-6:
             try:
                 f_new = feval(x + lam * dx)
+                if np.max(np.abs(f_new)) < norm0:
+                    break
             except NonFiniteFunction:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(f_new)) < norm0 or lam < 1e-8:
-                break
+                pass
             lam *= 0.5
-        if f_new is None:
-            return report(it, False)
+        else:
+            # no descent along the model's step: stalled
+            if fresh:
+                return report(it, False)
+            refreshes += 1
+            jac, fresh = _fd_jacobian(feval, x, fx), True
+            continue
+        fresh = False
         step = lam * dx
         x = x + step
         df = f_new - fx
@@ -554,10 +561,6 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
             jac = jac + np.outer((df - jac @ step) / denom, step)
         if np.max(np.abs(fx)) <= tol:
             return report(it, True)
-        if lam < 1e-6:
-            # stagnation: refresh the Jacobian
-            refreshes += 1
-            jac = _fd_jacobian(feval, x, fx)
     return report(max_iter, False)
 
 

@@ -396,7 +396,7 @@ class TrapKernel:
     def rhs(self, t, x):
         """Time-derivative of the packed vector ``x``, through
         :func:`assemble_eom` with this kernel: the ODE right-hand side."""
-        return assemble_eom(x, self.wells, self.units, self)[1]
+        return assemble_eom(x, self)[1]
 
 
 def _packed(state):
@@ -446,21 +446,19 @@ def _project(D, wells_of, ket):
     return np.einsum("...di,...id->...d", np.conj(D), ket[..., wells_of])
 
 
-def norm_and_energy(state: VariationalState, wells: WellPotentialSpec | None,
-                    units: UnitSystem):
-    """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>)."""
-    table, lin, nl = TrapKernel(wells, units).brackets(state.to_vector())
+def norm_and_energy(state: VariationalState, kernel: TrapKernel):
+    """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>) on ``kernel``'s trap."""
+    table, lin, nl = kernel.brackets(state.to_vector())
     nrm = float(table[0, 0].sum().real)
     return nrm, float((lin[0].sum() + 0.5 * nl[0].sum()).real)
 
 
-def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
-                 kernel: TrapKernel | None = None):
+def assemble_eom(state, kernel: TrapKernel):
     """Variational system and parameter velocities xdot (real vector).
 
-    ``state`` is a VariationalState or its packed vector. ``kernel`` is the
-    trap's ``TrapKernel(wells, units)``: its :meth:`TrapKernel.rhs` passes
-    it on every call; without it one is built for this call.
+    ``state`` is a VariationalState or its packed vector; ``kernel`` is the
+    ``TrapKernel(wells, units)`` of the trap and units, which
+    :meth:`TrapKernel.rhs` passes on every call.
 
     Solves the Gram system G c = -i k (see :class:`VariationalSystem`) for
     the coefficients c of d psi / dt over each Gaussian's centred
@@ -476,8 +474,6 @@ def assemble_eom(state, wells: WellPotentialSpec | None, units: UnitSystem,
     A singular or ill-conditioned Gram matrix (near-redundant Gaussians) is
     a breakdown of the ansatz, raised as SingularMetric; nothing is floored
     (see ``_solve_metric``)."""
-    if kernel is None:
-        kernel = TrapKernel(wells, units)
     x = _packed(state)
     table, lin, nl = kernel.brackets(x)
     n = table.shape[-1]
@@ -579,14 +575,13 @@ def _derivative_polys(x):
     return D.reshape(*x.shape, _N_MONO)
 
 
-def normalized_energy(state, wells, units, directions=None,
-                      kernel: TrapKernel | None = None):
+def normalized_energy(state, kernel: TrapKernel, directions=None):
     """Mean-field energy of the normalized state, E[psi]/<psi|psi>, and its
     analytic gradient with respect to the packed real parameters.
 
     ``state`` is a VariationalState or its packed vector, or a stack of
-    packed vectors (..., 10 NG) with leading axes; ``kernel`` is the trap's
-    ``TrapKernel(wells, units)``, built here when not given.
+    packed vectors (..., 10 NG) with leading axes; ``kernel`` is the
+    ``TrapKernel(wells, units)`` of the trap and units.
     ``directions``, when given, selects the entries of the packed vector
     (see ``to_vector``) whose derivatives are returned, in that order.
     Returns ``(energy, gradient)``: for one state a scalar and a vector,
@@ -594,11 +589,9 @@ def normalized_energy(state, wells, units, directions=None,
     each point's bits the same as for that point alone. A width with
     Re A <= 0 at any point raises NonNormalizable.
     """
-    if kernel is None:
-        kernel = TrapKernel(wells, units)
     x = _packed(state)
     if np.ndim(x) > 1 and len(x) > STACK_BLOCK:
-        parts = [normalized_energy(x[i:i + STACK_BLOCK], wells, units, directions, kernel)
+        parts = [normalized_energy(x[i:i + STACK_BLOCK], kernel, directions)
                  for i in range(0, len(x), STACK_BLOCK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
     table, lin, nl = kernel.brackets(x)
@@ -635,7 +628,7 @@ def relax_to_fixed_point(state: VariationalState, wells, units, tol=1e-5,
     kernel = TrapKernel(wells, units)
 
     def energy_and_grad(x):
-        return normalized_energy(x, wells, units, kernel=kernel)
+        return normalized_energy(x, kernel)
 
     x, _, grad = minimize_norm_constrained(energy_and_grad, state.to_vector(),
                                            tol=tol, max_iter=max_steps)
@@ -645,7 +638,7 @@ def relax_to_fixed_point(state: VariationalState, wells, units, tol=1e-5,
             f"energy minimization stalled (gradient {grad_norm:.3e})"
         )
     st = VariationalState.from_vector(x)
-    nrm, _ = norm_and_energy(st, wells, units)
+    nrm, _ = norm_and_energy(st, kernel)
     # exact renormalization through a uniform shift of the gamma real parts
     x[8::10] += 0.5 * math.log(nrm)
     return VariationalState.from_vector(x)
@@ -708,8 +701,8 @@ def _tally_integration(tally, traj, kernel):
 class ControlledStepResult:
     """One control interval: the end state, the end populations and
     currents, the root search's iterations, and ``jacobian``, the Broyden
-    model of d(j_01, j_23) / d(V^0, V^3) at the accepted depths (unscaled
-    currents). The interval's other work goes to the run's tally."""
+    model of d(j_01, j_23) / d(V^0, V^3) at the accepted depths. The
+    interval's other work goes to the run's tally."""
 
     state: VariationalState
     populations: np.ndarray
@@ -719,20 +712,21 @@ class ControlledStepResult:
 
 
 def controlled_step(state: VariationalState, wells: WellPotentialSpec,
-                    units: UnitSystem, targets, dt,
-                    settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
+                    units: UnitSystem, targets, dt, settings: IntegratorSettings,
                     tol=1e-8, jacobian=None, tally=None):
     """Advance one control interval with (V^0, V^3) held constant.
 
     The two depths are found by a root search demanding that the outer wall
-    currents at the end of the step equal ``targets``. ``jacobian`` is the
+    currents at the end of the step, integrated with ``settings``, equal
+    ``targets`` to ``tol`` in the max norm. ``jacobian`` is the
     previous interval's ``ControlledStepResult.jacobian``: the
     depth-to-current map changes little from one interval to the next, so
     the search starts from it instead of building a finite-difference
     Jacobian (two extra end-of-interval integrations); without it, or when
-    the search stagnates, the Jacobian is built by finite differences.
-    A search that stalls or tries a depth >= 0 raises
-    :class:`ControlSearchFailed`.
+    an iteration finds no descent, the Jacobian is built by finite
+    differences. A search that stalls with a freshly built Jacobian (see
+    :func:`ptembed.numerics.root_find`), runs out of its 40 iterations or
+    tries a depth >= 0 raises :class:`ControlSearchFailed`.
 
     ``tally`` (see :func:`_work_tally`) gains the work as it is done:
     each integration when it ends, the partial one of an integration that
@@ -746,8 +740,6 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
     if tally is None:
         tally = _work_tally()
     x0 = state.to_vector()
-    scale = max(abs(t) for t in targets) + 1e-4
-
     cache = {}
 
     def end_point(v):
@@ -776,29 +768,28 @@ def controlled_step(state: VariationalState, wells: WellPotentialSpec,
 
     def residual(v):
         j = end_point(v)[2]
-        return np.array([(j[0] - targets[0]) / scale, (j[2] - targets[1]) / scale])
+        return np.array([j[0] - targets[0], j[2] - targets[1]])
 
     v0 = np.array([wells.depths[0], wells.depths[-1]])
-    # the search works on currents divided by this interval's scale
+
     def count(search):
         tally["control_root_iterations"] += search.iterations
         tally["control_jacobian_refreshes"] += search.jacobian_refreshes
 
     try:
-        report = root_find(residual, v0, tol=tol / scale, max_iter=40,
-                           jac=None if jacobian is None else jacobian / scale)
+        report = root_find(residual, v0, tol=tol, max_iter=40, jac=jacobian)
     except PtError as exc:
         count(exc.report)
         raise
     count(report)
     if not report.converged:
         raise ControlSearchFailed(
-            f"depth search stalled (residual {report.residual_norm * scale:.3e})"
+            f"depth search stalled (residual {report.residual_norm:.3e})"
         )
     st, n, j, accepted_wells = end_point(report.solution)
     return ControlledStepResult(
         state=st, populations=n, currents=j, iterations=report.iterations,
-        jacobian=None if report.jacobian is None else report.jacobian * scale,
+        jacobian=report.jacobian,
     ), accepted_wells
 
 
@@ -830,14 +821,14 @@ class VariationalRunRecord:
 
 
 def run_variational_scenario(wells: WellPotentialSpec, units: UnitSystem,
-                             gamma_fn, t_end, state: VariationalState, control_dt=0.05,
-                             settings: IntegratorSettings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
-                             control_tol=1e-8):
+                             gamma_fn, t_end, state: VariationalState, control_dt,
+                             settings: IntegratorSettings, control_tol=1e-8):
     """Drive the trap through a gain/loss schedule with depth control.
 
     ``gamma_fn(t) -> (gamma, gamma_dot)`` sets the target currents
-    j_01 = 2 gamma n_1 and j_23 = 2 gamma n_2 (enforced at step ends);
-    ``state`` is the initial (relaxed) state.
+    j_01 = 2 gamma n_1 and j_23 = 2 gamma n_2, met to ``control_tol`` at
+    the end of each interval of ``control_dt`` integrated with ``settings``
+    (:func:`controlled_step`); ``state`` is the initial (relaxed) state.
     Each interval's depth search starts from the Jacobian the previous
     interval ended with. Only the first interval that iterates builds one
     by finite differences; later ones rebuild it only when their search

@@ -158,6 +158,7 @@ def test_criterion_4_implied_condition(stationary_run, oscillatory_run):
     _report(4, worst < 1e-8)
 
 
+@pytest.mark.slow
 def test_criterion_5_norm_conservation(stationary_run_tight, oscillatory_run,
                                        collapse_run, adiabatic_pair):
     drifts = []
@@ -179,6 +180,7 @@ def test_criterion_6_collapse_property(collapse_run):
     _report(6, ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_quadrature_oracle():
     rng = np.random.default_rng(7)
     inf = (-np.inf, np.inf)
@@ -309,10 +311,11 @@ def test_criterion_9_variational_conservation(fitted_system):
 
     gs = variational.relax_to_fixed_point(
         variational.VariationalState.from_basis(basis, d), wells, units)
-    n0, e0 = variational.norm_and_energy(gs, wells, units)
+    kernel = variational.TrapKernel(wells, units)
+    n0, e0 = variational.norm_and_energy(gs, kernel)
     stf = end_state(gs, wells, units, 10.0,
                     IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11))
-    n1, e1 = variational.norm_and_energy(stf, wells, units)
+    n1, e1 = variational.norm_and_energy(stf, kernel)
     ok = (disp_err < 1e-8
           and abs(n1 - n0) < 1e-8
           and abs(e1 - e0) / abs(e0) < 1e-7)
@@ -331,6 +334,7 @@ def test_criterion_10_box_vs_effective_numbers(fitted_system):
     _report(10, np.max(rel) < 0.01)
 
 
+@pytest.mark.slow
 def test_criterion_11_adiabatic_comparison(adiabatic_pair):
     few, var, elapsed = adiabatic_pair
     ok = True

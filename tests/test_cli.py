@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ptembed import cli, dnlse, variational
 from ptembed.cli import (
     SCENARIOS,
-    SECTIONS,
     compare_runs,
     main,
     parse_config,
@@ -127,14 +126,17 @@ class TestParseConfig:
         ("stationary", "control_dt"), ("oscillatory", "perturbation"),
         ("collapse", "psi1_abs2"), ("adiabatic_fewmode", "gamma"),
         ("adiabatic_variational", "cond_limit"),
+        # its records sit at the control-interval ends
+        ("adiabatic_variational", "[output] stride"),
     ])
     def test_key_of_another_scenario_rejected_by_line(self, name, key):
-        # the key is read by some scenario, just not by this one
-        assert any(key in keys for _, keys in SCENARIOS.values())
+        # the key is read by some scenario, just not by this one; a key
+        # outside [scenario] is given with its section
+        section, key = key.split() if " " in key else ("[scenario]", key)
+        assert any((section[1:-1], key) in table for table in cli._KEYS.values())
         with pytest.raises(ParseError) as err:
-            parse_config(f"[scenario]\nname = {name}\nt_end = 1\n{key} = 0.1\n")
-        assert str(err.value) == (
-            f"line 4: [scenario] {key} is not read by scenario '{name}'")
+            parse_config(f"{section}\n{key} = 0.1\n[scenario]\nname = {name}\nt_end = 1\n")
+        assert str(err.value) == f"line 2: {section} {key} is not read by scenario '{name}'"
 
     @pytest.mark.parametrize("name", ["stationary", "oscillatory", "collapse"])
     @pytest.mark.parametrize("section, line", [("trap", "spacing = 1.8"),
@@ -149,7 +151,9 @@ class TestParseConfig:
     def test_every_key_of_a_scenario_parses(self, name):
         keys = {key: default for key, (default, _) in SCENARIOS[name][1].items()}
         lines = [f"{key} = {default!r}" for key, default in keys.items()]
-        sections = "[integrator]\nrel_tol = 1e-9\n[output]\nstride = 0.1\n"
+        sections = "[integrator]\nrel_tol = 1e-9\n[output]\ndir = out\n"
+        if name != "adiabatic_variational":
+            sections += "stride = 0.1\n"
         if name.startswith("adiabatic"):
             sections += "[trap]\nspacing = 1.8\n[units]\nw_z = 1e-6\n"
         cfg = parse_config("[scenario]\nname = {}\n{}\n{}".format(
@@ -425,10 +429,8 @@ class TestMain:
         # 200, and for the variational ramp one control interval, so that a
         # huge t_end is bounded by max_steps too
         name = data.draw(st.sampled_from(list(SCENARIOS)), label="scenario")
-        sections = ["integrator", "output"] + (["trap", "units"] if name.startswith("adiabatic") else [])
-        keys = [("scenario", key, domain) for key, (_, domain) in SCENARIOS[name][1].items()]
-        keys += [(section, key, domain) for section in sections
-                 for key, (_, domain) in SECTIONS[section].items() if domain is not None]
+        keys = [(section, key, domain) for (section, key), (_, domain) in cli._KEYS[name].items()
+                if domain is not None]
         section, key, domain = data.draw(st.sampled_from(keys), label="key")
         value = data.draw(st.sampled_from(DOMAIN_PROBES[domain] + (0.0, -1.0, 1e300, -1e300)),
                           label="value")

@@ -298,7 +298,7 @@ class TestGroundStateFit(object):
         packed = np.tile(basis.to_vector(), (3, 1))
         packed[:, 8::10] = x
         directions = np.arange(8, packed.shape[1], 10)
-        e_ref, g_ref = dnlse.normalized_energy(packed, wells, units, directions)
+        e_ref, g_ref = dnlse.normalized_energy(packed, dnlse.TrapKernel(wells, units), directions)
         for e, g in (closed(x), [np.array(v) for v in zip(*map(closed, x))]):
             assert np.allclose(e, e_ref, rtol=1e-12, atol=0.0)
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(e_ref))

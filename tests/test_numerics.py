@@ -366,9 +366,21 @@ class TestRootFind:
         assert np.allclose(sorted(rep.solution), [1.0, 2.0], atol=1e-8)
 
     def test_reports_failure(self):
-        rep = root_find(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([1.0]),
-                        max_iter=25)
+        # x^2 + 1 > 0 has its least residual at 0, which the first step
+        # reaches; from there no step descends. The Broyden model is rebuilt
+        # by finite differences once, and the fresh one stalls too: the
+        # start, two builds and two stalled iterations of 20 halvings each,
+        # well short of max_iter
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.array([x[0] ** 2 + 1.0])
+
+        rep = root_find(f, np.array([1.0]), max_iter=25)
         assert not rep.converged
+        assert (rep.iterations, rep.jacobian_refreshes, len(calls)) == (3, 2, 44)
+        assert abs(rep.solution[0]) < 1e-6 and rep.residual_norm == pytest.approx(1.0)
 
     def test_supplied_jacobian_skips_finite_differences(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])

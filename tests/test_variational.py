@@ -78,7 +78,7 @@ class TestState:
         st = single_packet()
         rhs = TrapKernel(None, FREE_UNITS).rhs
         x = st.to_vector()
-        assert np.array_equal(rhs(0.0, x), assemble_eom(st, None, FREE_UNITS)[1])
+        assert np.array_equal(rhs(0.0, x), assemble_eom(st, TrapKernel(None, FREE_UNITS))[1])
         x[4] = -0.1  # Re A_z
         with pytest.raises(NonNormalizable):
             rhs(0.0, x)
@@ -108,18 +108,18 @@ class TestFreeMotion:
 
     def test_norm_and_energy_conserved(self):
         st = single_packet()
-        n0, e0 = norm_and_energy(st, None, FREE_UNITS)
+        n0, e0 = norm_and_energy(st, TrapKernel(None, FREE_UNITS))
         stf = end_state(
             st, None, FREE_UNITS, (0.0, 1.0),
             IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13))
-        n1, e1 = norm_and_energy(stf, None, FREE_UNITS)
+        n1, e1 = norm_and_energy(stf, TrapKernel(None, FREE_UNITS))
         assert abs(n1 - n0) < 1e-10
         assert abs(e1 - e0) < 1e-10
 
 
 def test_metric_is_hermitian_positive(trap_system):
     wells, units, state = trap_system
-    system, xdot = assemble_eom(state, wells, units)
+    system, xdot = assemble_eom(state, TrapKernel(wells, units))
     m = system.metric
     assert m.shape == (5 * state.size, 5 * state.size)
     assert np.allclose(m, m.conj().T, atol=1e-10 * np.max(np.abs(m)))
@@ -132,7 +132,7 @@ def test_metric_is_hermitian_positive(trap_system):
 def test_box_numbers_sum_to_norm(trap_system):
     wells, units, state = trap_system
     n, j = box_observables(state, wells)
-    nrm, _ = norm_and_energy(state, wells, units)
+    nrm, _ = norm_and_energy(state, TrapKernel(wells, units))
     assert abs(n.sum() - nrm) < 1e-10
     # the fitted ground state is real: all wall currents vanish
     assert np.max(np.abs(j)) < 1e-12
@@ -141,12 +141,13 @@ def test_box_numbers_sum_to_norm(trap_system):
 def test_relaxed_state_is_stationary(trap_system):
     wells, units, state = trap_system
     gs = relax_to_fixed_point(state, wells, units)
-    nrm, e0 = norm_and_energy(gs, wells, units)
+    kernel = TrapKernel(wells, units)
+    nrm, e0 = norm_and_energy(gs, kernel)
     assert abs(nrm - 1.0) < 1e-10
     n0, _ = box_observables(gs, wells)
     stf = end_state(gs, wells, units, (0.0, 2.0))
     n1, _ = box_observables(stf, wells)
-    _, e1 = norm_and_energy(stf, wells, units)
+    _, e1 = norm_and_energy(stf, kernel)
     assert np.max(np.abs(n1 - n0)) < 1e-6
     assert abs(e1 - e0) < 1e-8
 
@@ -381,7 +382,7 @@ def reference_brackets(state, wells, units, polys):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
 def test_assembly_matches_object_by_object_reference(seed, n, n_wells):
     state, wells, units = random_system(seed, n, n_wells)
-    system, _ = assemble_eom(state, wells, units)
+    system, _ = assemble_eom(state, TrapKernel(wells, units))
     gram, k = reference_brackets(state, wells, units, centred_polys(state))
     assert np.max(np.abs(system.metric - gram)) <= 1e-11 * np.max(np.abs(gram))
     assert np.max(np.abs(system.rhs_vector - k)) <= 1e-11 * np.max(np.abs(k))
@@ -394,7 +395,7 @@ def test_velocities_solve_the_packed_real_metric_system(seed, n, n_wells):
     # M = <D|D> and h = <D|H|psi> over the directions D, symmetrized and
     # solved densely: the Gram solve must give the same velocities
     state, wells, units = random_system(seed, n, n_wells)
-    _, xdot = assemble_eom(state, wells, units)
+    _, xdot = assemble_eom(state, TrapKernel(wells, units))
     metric, h = reference_brackets(state, wells, units, packed_polys(state))
     sym, rhs = metric.real + metric.real.T, 2.0 * h.imag
     reference = np.linalg.solve(sym, rhs)
@@ -417,14 +418,15 @@ def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapp
     results = []
     for state in (first, second):
         x = state.to_vector()
-        fresh_system, fresh_xdot = assemble_eom(VariationalState.from_vector(x), wells, units)
+        fresh_system, fresh_xdot = assemble_eom(VariationalState.from_vector(x),
+                                                TrapKernel(wells, units))
         assert np.array_equal(rhs(0.0, x), fresh_xdot)
-        system, xdot = assemble_eom(x, wells, units, kernel)
+        system, xdot = assemble_eom(x, kernel)
         assert np.array_equal(xdot, fresh_xdot)
         assert np.array_equal(system.metric, fresh_system.metric)
         assert np.array_equal(system.rhs_vector, fresh_system.rhs_vector)
-        e, grad = normalized_energy(x, wells, units, kernel=kernel)
-        fresh_e, fresh_grad = normalized_energy(state, wells, units)
+        e, grad = normalized_energy(x, kernel)
+        fresh_e, fresh_grad = normalized_energy(state, TrapKernel(wells, units))
         assert e == fresh_e and np.array_equal(grad, fresh_grad)
         results.append((system, xdot, fresh_system, fresh_xdot))
     # what the kernel returned for the first state is not overwritten
@@ -447,16 +449,16 @@ def test_stacked_brackets_match_row_by_row_bit_for_bit(seed, n, n_wells, trapped
     kernel = TrapKernel(wells, units)
     stacked = [a.copy() for a in kernel.brackets(stack)]
     picked = np.arange(2, len(stack[0]), 3)
-    energies, grads = normalized_energy(stack, wells, units, kernel=kernel)
-    sub_energies, sub_grads = normalized_energy(stack, wells, units, picked, kernel=kernel)
+    energies, grads = normalized_energy(stack, kernel)
+    sub_energies, sub_grads = normalized_energy(stack, kernel, picked)
     assert energies.shape == (rows,) and grads.shape == stack.shape
     assert sub_grads.shape == (rows, len(picked))
     for k, x in enumerate(stack):
         for whole, alone in zip(stacked, kernel.brackets(x)):
             assert np.array_equal(whole[k], alone)
-        e, grad = normalized_energy(x, wells, units, kernel=kernel)
+        e, grad = normalized_energy(x, kernel)
         assert energies[k] == e and np.array_equal(grads[k], grad)
-        e, grad = normalized_energy(x, wells, units, picked, kernel=kernel)
+        e, grad = normalized_energy(x, kernel, picked)
         assert sub_energies[k] == e and np.array_equal(sub_grads[k], grad)
     # further leading axes are the same stack
     for whole, nested in zip(stacked, kernel.brackets(stack[None])):
@@ -468,10 +470,10 @@ def test_long_stack_is_evaluated_in_blocks_with_the_same_bits():
     x = state.to_vector()
     rows = variational.STACK_BLOCK * 2 + 3
     stack = x + 1e-3 * np.random.default_rng(0).standard_normal((rows, len(x)))
-    energies, grads = normalized_energy(stack, wells, units)
+    energies, grads = normalized_energy(stack, TrapKernel(wells, units))
     assert energies.shape == (rows,) and grads.shape == stack.shape
     for k, point in enumerate(stack):
-        e, grad = normalized_energy(point, wells, units)
+        e, grad = normalized_energy(point, TrapKernel(wells, units))
         assert energies[k] == e and np.array_equal(grads[k], grad)
 
 
@@ -481,12 +483,12 @@ def test_stack_with_one_nonpositive_width_raises():
     stack[2, 10 + 4] = -0.1  # Re A_z of the second Gaussian in the third row
     kernel = TrapKernel(wells, units)
     for call in (lambda: kernel.brackets(stack),
-                 lambda: normalized_energy(stack, wells, units, kernel=kernel)):
+                 lambda: normalized_energy(stack, kernel)):
         with pytest.raises(NonNormalizable):
             call()
     # the kernel still serves the valid rows
-    e, grad = normalized_energy(stack[:2], wells, units, kernel=kernel)
-    assert np.array_equal(e, normalized_energy(stack[0], wells, units)[0] * np.ones(2))
+    e, grad = normalized_energy(stack[:2], kernel)
+    assert np.array_equal(e, normalized_energy(stack[0], TrapKernel(wells, units))[0] * np.ones(2))
 
 
 @settings(max_examples=10)
@@ -503,8 +505,9 @@ def test_overlap_matrix_from_own_pairs_matches_the_full_evaluation(seed, n, n_we
 def test_energy_gradient_matches_central_differences(seed, n):
     state, wells, units = random_system(seed, n, 4)
     x = state.to_vector()
-    energy = lambda y: normalized_energy(VariationalState.from_vector(y), wells, units)[0]
-    e, grad = normalized_energy(state, wells, units)
+    kernel = TrapKernel(wells, units)
+    energy = lambda y: normalized_energy(VariationalState.from_vector(y), kernel)[0]
+    e, grad = normalized_energy(state, kernel)
     step = 1e-5
     fd = np.empty_like(x)
     for i in range(len(x)):
@@ -514,7 +517,7 @@ def test_energy_gradient_matches_central_differences(seed, n):
     # central differences: truncation ~ step^2 |E'''|, roundoff ~ eps |E| / step
     assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, abs(e))
     picked = np.arange(3, len(x), 4)
-    _, sub = normalized_energy(state, wells, units, directions=picked)
+    _, sub = normalized_energy(state, kernel, directions=picked)
     assert np.allclose(sub, grad[picked], rtol=1e-13, atol=0.0)
 
 
@@ -530,12 +533,13 @@ class TestSingularMetric:
     def test_identical_gaussians_raise(self):
         for wells in (None, standard_four_well()):
             with pytest.raises(SingularMetric):
-                assemble_eom(self.pair(0.0), wells, UnitSystem.rubidium87())
+                assemble_eom(self.pair(0.0), TrapKernel(wells, UnitSystem.rubidium87()))
 
     def test_near_dependent_metric_reports_its_condition_estimate(self):
         # factorizable, but the two packets' centres differ by 1e-2
         with pytest.raises(SingularMetric, match="reciprocal condition estimate"):
-            assemble_eom(self.pair(1e-2), standard_four_well(), UnitSystem.rubidium87())
+            assemble_eom(self.pair(1e-2),
+                         TrapKernel(standard_four_well(), UnitSystem.rubidium87()))
 
     def test_propagation_stops_at_the_singular_metric(self):
         with pytest.raises(SingularMetric):
