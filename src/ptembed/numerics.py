@@ -483,9 +483,9 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
     ``jac``, when given, is the starting model Jacobian (for example the
     ``jacobian`` of a previous report on a nearby problem); otherwise it is
     built by forward differences at ``x0``. Each Newton step is halved, down
-    to 1e-6 of itself, until the residual's max norm drops. An iteration
-    without a drop takes no step: it rebuilds the Jacobian at the same
-    point, or, with a Jacobian just built, ends the search unconverged.
+    to 1/16 of itself (five trials of a costly residual), until the residual's
+    max norm drops. An iteration without a drop takes no step: it rebuilds the
+    Jacobian at the same point, or, with one just built, ends unconverged.
 
     Deterministic: same inputs give the same iterates. Returns a
     :class:`RootFindReport`; convergence is measured in the max norm. A
@@ -536,7 +536,7 @@ def root_find(f, x0, tol=1e-10, max_iter=200, jac=None):
         # backtracking on the residual norm
         lam = 1.0
         norm0 = np.max(np.abs(fx))
-        while lam >= 1e-6:
+        while lam >= 0.0625:
             try:
                 f_new = feval(x + lam * dx)
                 if np.max(np.abs(f_new)) < norm0:

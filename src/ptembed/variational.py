@@ -17,33 +17,35 @@ and Wunner, PRA 82, 023610, 2010),
                     k_(a w) = <n_a G_w | H | psi>,
 
 whose solution c holds the coefficients of d psi / dt; the packed
-parameter velocities follow from c in closed form. Every bracket reduces
-to moments of pair Gaussians over the plain monomials {1, x^2, y^2, z,
-z^2}, from per-axis Gaussian moments (orders 0/2/4 transverse, 0..4
-longitudinal); a real block-diagonal centring matrix C maps them onto the
-centred ones, G = C T C^T and k = C (<m_i G_w | H | psi>). Only the kinetic
-ket carries a polynomial; the potential and interaction kets carry a
-constant, so they need one bra-monomial column each and are summed before
-they meet C. The Gram matrix is inverted with numpy; a (near-)singular one
-raises SingularMetric instead of being regularised. ``gaussian_matrices``
-reads the Gaussian-basis matrices K, T, W~ and each well's potential matrix
-off the same moment tables; the dnlse module builds on them, with its basis
-a state at rest (p = gamma = 0), and so do the slab populations and wall
-currents of ``box_observables``. The module runs on numpy alone.
+parameter velocities follow from c in closed form. Every bracket is a
+moment of a pair Gaussian conj(G_w) o, under which x and y are centred
+normal and z is normal about the pair mean: <n_a G_w | o> is the pair's
+integral times (1, s_x, s_y, d_w, s_z + d_w^2), for its variances s and
+its mean's offset d_w from q_w, and G is the outer product of these rows
+over the own pairs plus fourth-moment terms. The potential and interaction
+kets carry a constant and are summed against their weights (k_sc); the
+kinetic ket is -Delta/2 G_v = Q_v G_v for a polynomial Q_v in the centred
+monomials, so c = -i (Q + G^-1 k_sc). The Gram matrix is inverted with
+numpy; a (near-)singular one raises SingularMetric instead of being
+regularised. ``gaussian_matrices`` reads the Gaussian-basis matrices K, T,
+W~ and each well's potential matrix off the same pair moments; the dnlse
+module builds on them, with its basis a state at rest (p = gamma = 0), and
+so do the slab populations and wall currents of ``box_observables``. The
+module runs on numpy alone.
 
 The brackets run on a per-trap kernel, :class:`TrapKernel`. It builds once
-what depends on the trap alone: the potential kets' shift columns, the
-weights of the potential and interaction kets and the constant entries of
-the centring matrix. Each call then reads the state's Gaussians straight
-from the packed parameter vector (``_gaussians``) and forms every ket
-object from them (``_kets``, shared with ``gaussian_matrices``): the
-Gaussians, the potential kets and the interaction triples. An integration
-builds one kernel per trap and takes its :meth:`TrapKernel.rhs`, which
-calls :func:`assemble_eom` with it on every evaluation; the ground-state
-fit and :func:`relax_to_fixed_point` share one kernel over their energy
-evaluations. The brackets and :func:`normalized_energy` also take a stack
-of packed vectors, so the minimizer builds each Hessian from one call;
-every point of a stack gets the same bits as that point alone.
+what depends on the trap alone: the potential kets' shift columns and the
+weights of the potential and interaction kets. Each call then reads the
+state's Gaussians straight from the packed parameter vector
+(``_gaussians``) and forms every ket object from them (``_kets``, shared
+with ``gaussian_matrices``): the Gaussians, the potential kets and the
+interaction triples. An integration builds one kernel per trap and takes
+its :meth:`TrapKernel.rhs`, which calls :func:`assemble_eom` with it on
+every evaluation; the ground-state fit and :func:`relax_to_fixed_point`
+share one kernel over their energy evaluations. The brackets and
+:func:`normalized_energy` also take a stack of packed vectors, so the
+minimizer builds each Hessian from one call; every point of a stack gets
+the same bits as that point alone.
 
 Box-integrated particle numbers and wall currents discretize the
 condensate into the four-well picture; a root search on the outer well
@@ -83,14 +85,13 @@ if TYPE_CHECKING:
 PARAMS_PER_WELL = 10
 PARAM_NAMES = ("AxR", "AxI", "AyR", "AyI", "AzR", "AzI", "q", "p", "gR", "gI")
 
-# monomial basis for derivative polynomials and operator actions
-_N_MONO = 5  # 1, x^2, y^2, z, z^2; centred: 1, x^2, y^2, z - q, (z - q)^2
-_XDEG = np.array([0, 1, 0, 0, 0])
-_YDEG = np.array([0, 0, 1, 0, 0])
-_ZDEG = np.array([0, 0, 0, 1, 2])
-_IXTAB = _XDEG[:, None] + _XDEG[None, :]
-_IYTAB = _YDEG[:, None] + _YDEG[None, :]
-_IZTAB = _ZDEG[:, None] + _ZDEG[None, :]
+# each Gaussian's centred monomials 1, x^2, y^2, z - q, (z - q)^2: the basis
+# of its derivative polynomials and of the Gram system
+_N_MONO = 5
+
+# the factors (1, 2) (1, 2)^T of the fourth-moment block of the Gram matrix
+# over z - q and (z - q)^2 (see TrapKernel.brackets)
+_Z_BLOCK = np.array([[1.0, 2.0], [2.0, 4.0]])
 
 # smallest reciprocal condition number (1-norm, exact from the inverse) of
 # the Gram matrix G that the equations of motion accept; below this the
@@ -199,15 +200,17 @@ def _gaussians(x):
     code indexes rows as for one vector."""
     x = np.ascontiguousarray(x, dtype=float)
     lead = x.shape[:-1]
-    # A_x, A_y, A_z, q + ip, gamma as rows (5, ..., NG)
-    packed = x.view(complex).reshape(*lead, -1, PARAMS_PER_WELL // 2).transpose(
-        len(lead) + 1, *range(len(lead) + 1))
-    q, p, az = x[..., 6::10], x[..., 7::10], packed[2]
-    ip = 1j * p
-    gauss = np.empty(packed.shape, dtype=complex)
-    gauss[:3] = packed[:3]
-    gauss[3] = 2.0 * az * q + ip
-    gauss[4] = -az * (q * q) - ip * q - packed[4]
+    # A_x, A_y, A_z, q + ip, gamma as rows (5, ..., NG); b = 2 A_z q + ip
+    # and C = -(A_z q + ip) q - gamma replace the last two
+    gauss = x.view(complex).reshape(*lead, -1, PARAMS_PER_WELL // 2).transpose(
+        len(lead) + 1, *range(len(lead) + 1)).copy()
+    q = x[..., 6::10]
+    aq = gauss[2] * q
+    h = aq + 1j * x[..., 7::10]
+    np.add(aq, h, out=gauss[3])
+    h *= q
+    gauss[4] += h
+    np.negative(gauss[4], out=gauss[4])
     return gauss
 
 
@@ -238,55 +241,57 @@ def _kets(gauss, conj, shifts, triples):
                           axis=-1)
 
 
-def _pair_moments(conj_bra, kets, n_table):
-    """Per-axis moment tables between every bra Gaussian and every ket object.
+def _pair_moments(conj_bra, kets):
+    """The pair Gaussians of every bra Gaussian with every ket object.
 
     ``conj_bra`` (5, *lead, NG), the conjugated bra Gaussians, and ``kets``
     (5, *lead, M) hold (A_x, A_y, A_z, b, C) per Gaussian, for each point
     of a stack of shape ``lead`` (empty for one state); a pair Gaussian is
-    the sum of its bra's and its ket's rows. Returns (MX (3, *lead, NG, M),
-    MY (3, *lead, NG, M), MZ (5, *lead, NG, M)): orders x^0, x^2, x^4 and
-    z^0..z^4; the scalar prefactor exp(b^2/4S + C) is folded into MZ. The
-    orders x^4, z^3 and z^4 are filled in for the first ``n_table`` kets
-    only; the others carry a constant monomial and need only orders up to
-    2. Every entry is computed elementwise, so a point of a stack gets the
-    same bits as the point alone.
+    the sum of its bra's and its ket's rows. Returns each pair's integral
+    pref (*lead, NG, M), its variances s = 1/(2 S) along x, y and z (3,
+    *lead, NG, M) and its z mean mu = b s_z, each entry elementwise, so a
+    point of a stack gets the same bits as the point alone.
     """
     pair = conj_bra[..., :, None] + kets[..., None, :]
-    b, c = pair[3], pair[4]
-    # the moments by order and axis, and the z moments
-    M = np.empty((3, 3, *pair.shape[1:]), dtype=complex)
-    MZ = np.empty(pair.shape, dtype=complex)
-
-    # sqrt(pi / S) and 1 / (2 S) for the three widths S at once: for x and
-    # y the order-0 moment and the variance, for z the same two factors
-    i0 = np.sqrt(math.pi / pair[:3], out=M[0])
-    s = 1.0 / (2.0 * pair[:3])
-    sxy, s2 = s[:2], s[2]
-    np.multiply(i0[:2], sxy, out=M[1, :2])
-    mu = b * s2
-    iz0 = np.multiply(i0[2], np.exp(0.5 * b * mu + c), out=MZ[0])
-    mu2 = mu**2
-    np.multiply(iz0, mu, out=MZ[1])
-    np.multiply(iz0, mu2 + s2, out=MZ[2])
-    k = n_table
-    if k:
-        i0, sxy = i0[:2, ..., :k], sxy[..., :k]
-        np.multiply(3.0 * i0, sxy**2, out=M[2, :2, ..., :k])
-        iz0, mu, mu2, s2 = iz0[..., :k], mu[..., :k], mu2[..., :k], s2[..., :k]
-        np.multiply(iz0 * mu, mu2 + 3.0 * s2, out=MZ[3, ..., :k])
-        np.multiply(iz0, mu2 * (mu2 + 6.0 * s2) + 3.0 * s2**2, out=MZ[4, ..., :k])
-    return M[:, 0], M[:, 1], MZ
+    b = pair[3]
+    s = np.divide(0.5, pair[:3])
+    mu = b * s[2]
+    # pi^(3/2) / sqrt(S_x S_y S_z) exp(b^2 / 4S_z + C): Re S > 0 keeps each
+    # |arg s| below pi/2, so two arguments under one root stay off its
+    # branch cut, where three could cross it
+    pref = np.sqrt(s[0] * s[1])
+    pref *= np.sqrt(s[2])
+    exponent = b * mu
+    exponent *= 0.5
+    exponent += pair[4]
+    pref *= np.exp(exponent, out=exponent)
+    pref *= (2.0 * math.pi) ** 1.5
+    return pref, s, mu
 
 
-def _kinetic_polys(gauss):
-    """-1/2 Delta acting on each ket Gaussian of ``gauss`` (5, *lead, NG),
-    as monomial coefficients (5, *lead, NG) over {1, x^2, y^2, z, z^2}."""
-    widths, b = gauss[:3], gauss[3]
+def _bra_rows(s, mu, q):
+    """f = (1, s_x, s_y, d_w, s_z + d_w^2) (5, *lead, NG, M), d_w = mu - q_w,
+    for pairs of variances ``s`` and means ``mu`` and bra centres ``q``: then
+    <n_a G_w | o> = pref f_a. A reversed pair is the conjugate, so the own
+    pairs' ket-side moments are conj(f[..., v, w])."""
+    f = np.empty((_N_MONO, *mu.shape), dtype=complex)
+    f[0] = 1.0
+    f[1:3] = s[:2]
+    d = np.subtract(mu, q[..., None], out=f[3])
+    np.multiply(d, d, out=f[4])
+    f[4] += s[2]
+    return f
+
+
+def _kinetic_polys(gauss, p):
+    """-Delta/2 G_v = Q_v G_v for each Gaussian of ``gauss`` (5, *lead, NG)
+    with momenta ``p`` (*lead, NG): Q_v = (A_x + A_y + A_z + p^2/2, -2A_x^2,
+    -2A_y^2, 2i p A_z, -2A_z^2) over its centred monomials, (5, *lead, NG)."""
     Q = np.empty_like(gauss)
-    Q[0] = widths.sum(axis=0) - 0.5 * b**2
-    Q[[1, 2, 4]] = -2.0 * widths**2
-    Q[3] = 2.0 * widths[2] * b
+    np.multiply(-2.0 * gauss[:3], gauss[:3], out=Q[1:4])
+    Q[4] = Q[3]
+    np.multiply(2j * gauss[2], p, out=Q[3])
+    Q[0] = gauss[0] + gauss[1] + gauss[2] + 0.5 * p * p
     return Q
 
 
@@ -301,12 +306,8 @@ class TrapKernel:
       interaction, which ``_kets`` forms after the state's own Gaussians
       and the N_wells * NG potential kets (well-major);
     - the weights (M, 2) of the M scalar kets: the well depth V_m for the
-      potential kets (the linear part), g times the multiplicity for the
-      triples (the cubic part);
-    - the centring matrix C (5 NG, 5 NG) of :func:`assemble_eom`, real
-      and block-diagonal, whose row 5 w + a holds the centred monomial n_a of
-      Gaussian w over the plain ones; its constant entries are filled in,
-      and :meth:`centring` rewrites the q-dependent ones.
+      potential kets (the linear part) and g times the multiplicity for the
+      triples (the cubic part).
 
     :meth:`brackets` then reads the state straight from the packed vector
     (or each of a stack of them), forms its ket objects and does only the
@@ -330,68 +331,61 @@ class TrapKernel:
         self._weights = np.zeros((len(lin) + len(mult), 2), dtype=complex)
         self._weights[:len(lin), 0] = lin
         self._weights[len(lin):, 1] = self.units.g * mult
-        # C[w, a, w, :] = n_a over {1, x^2, y^2, z, z^2}: the identity but for
-        # z - q = z - q 1 and (z - q)^2 = z^2 - 2q z + q^2 1. Its entries are
-        # real; held complex, it enters the products with the table uncast
-        own = np.arange(n)
-        self._centring = np.zeros((n, _N_MONO, n, _N_MONO), dtype=complex)
-        self._centring[own, :, own, :] = np.eye(_N_MONO)
         self._n, self._packed_len = n, PARAMS_PER_WELL * n
 
-    def centring(self, q):
-        """The centring matrix C (5 NG, 5 NG) at the centres ``q`` (NG,):
-        the kernel's buffer, with its q-dependent entries rewritten."""
-        own, C = np.arange(self._n), self._centring
-        C[own, 3, own, 0] = -q
-        C[own, 4, own, 0] = q * q
-        C[own, 4, own, 3] = -2.0 * q
-        return C.reshape(_N_MONO * self._n, _N_MONO * self._n)
-
     def brackets(self, x):
-        """The Gaussians' moment table and H psi for the packed vector ``x``
-        (see ``VariationalState.to_vector``), or for each of a stack of them.
+        """The Gram matrix, the kinetic polynomials and the scalar kets'
+        brackets for the packed vector ``x`` (see
+        ``VariationalState.to_vector``), or for each of a stack of them.
 
         ``x`` is one packed vector (10 NG,) or a stack (..., 10 NG) with
         leading axes, as in numpy; every output then gains the same leading
         axes, and each point of the stack gets the same bits as that point
         evaluated alone. For one vector:
 
-        Returns (table, lin, nl). ``table`` (5, 5, NG, NG), indexed [i, j,
-        w, v], holds <m_i G_w | m_j G_v> for the monomials m in {1, x^2,
-        y^2, z, z^2} of the state's Gaussians G; the Gram matrix and the
-        kinetic ket share it. ``lin`` and
-        ``nl`` (5, NG) hold <m_i G_w| (T + V) psi> and
-        <m_i G_w| g |psi|^2 psi> for bra monomial m_i and bra Gaussian G_w,
-        summed over the ket objects, so that for a polynomial P,
-        <P G_w | H | psi> = sum_i conj(P_i) (lin + nl)[i, w]. A width with
+        Returns (gram, kinetic, sums), with rows 5 w + a for the centred
+        monomial n_a of Gaussian G_w. ``gram`` (5 NG, 5 NG) is the Gram
+        matrix of :class:`VariationalSystem`; ``kinetic`` (5 NG,) holds each
+        Gaussian's Q_v of ``_kinetic_polys``, so that <n_a G_w | T | psi> =
+        (gram @ kinetic)[5 w + a]; ``sums`` (5 NG, 2) holds
+        <n_a G_w | V | psi> and <n_a G_w | g |psi|^2 | psi>. A width with
         Re A <= 0 at any point raises NonNormalizable.
         """
         if np.shape(x)[-1] != self._packed_len:
             self._lay_out(np.shape(x)[-1] // PARAMS_PER_WELL)
         n = self._n
-        # inside, the stack's axes follow the first (component or order)
-        # axis of every array, as in _gaussians
+        # inside, the stack's axes follow the first (component) axis of the
+        # Gaussians' rows, as in _gaussians
         gauss = _gaussians(x)
-        s = gauss.ndim - 2
-        if (gauss[:3].real <= 0).any():
+        if gauss[:3].real.min() <= 0:
             # as the pair of that Gaussian with itself has: checked once here
             raise NonNormalizable("pair Gaussian with nonpositive real width")
         conj = np.conjugate(gauss)
-        moments = _pair_moments(conj, _kets(gauss, conj, self._shifts, self._triples), n)
-        mx, my, mz = (m[..., :n] for m in moments)
-        table = mx[_IXTAB] * my[_IYTAB] * mz[_IZTAB]
-        lin = np.einsum("j...m,ij...wm->...iw", _kinetic_polys(gauss), table)
-        # the scalar kets need only the bra-monomial column (5, NG, M), and are
-        # summed over objects before the bra wells are gathered into directions
-        mx, my, mz = (m[..., n:] for m in moments)
-        column = np.multiply(mx[_XDEG], my[_YDEG])
-        column *= mz[_ZDEG]
-        sums = column @ self._weights
-        if s:
-            # the stack's axes lead in what is returned
-            sums = sums.transpose(*range(1, s + 1), 0, s + 1, s + 2)
-            table = table.transpose(*range(2, s + 2), 0, 1, s + 2, s + 3)
-        return table, lin + sums[..., 0], sums[..., 1]
+        pref, s, mu = _pair_moments(conj, _kets(gauss, conj, self._shifts, self._triples))
+        # the bra rows F = pref f against every ket object, summed over the scalar kets
+        f = _bra_rows(s, mu, x[..., 6::10])
+        F = f * pref
+        sums = (F.reshape(-1, F.shape[-1])[:, n:] @ self._weights).reshape(*F.shape[:-1], 2)
+        # the own pairs: G_(a w),(b v) = F_a(w, v) conj(f_b(v, w)), plus what
+        # the product leaves of the fourth moments, E[u^4] = 3 s^2 for u = z -
+        # mu: 2 s^2 pref on the diagonal of x^2, y^2 and (z - q)^2, and
+        # s_z pref (1, 2 d_w) (1, 2 d_v)^T on the block of z - q, (z - q)^2
+        ket = np.conj(f[..., :n].swapaxes(-1, -2))
+        gram = F[:, None, ..., :n] * ket
+        pref, sz = pref[..., :n], s[2, ..., :n]
+        gram.reshape(_N_MONO**2, *pref.shape)[6:13:6] *= 3.0
+        spref = sz * pref
+        block = f[0:4:3, None, ..., :n] * ket[0:4:3]
+        block *= _Z_BLOCK.reshape(2, 2, *(1,) * spref.ndim) * spref
+        gram[3:, 3:] += block
+        gram[4, 4] += 2.0 * sz * spref
+        # Gaussian-major rows 5 w + a, the stack's axes leading
+        lead = tuple(range(2, pref.ndim))
+        rows = _N_MONO * n
+        return (gram.transpose(*lead, -2, 0, -1, 1).reshape(*pref.shape[:-2], rows, rows),
+                _kinetic_polys(gauss, x[..., 7::10]).transpose(*range(1, pref.ndim), 0).reshape(
+                    *pref.shape[:-2], rows),
+                sums.transpose(*range(1, pref.ndim), 0, -1).reshape(*pref.shape[:-2], rows, 2))
 
     def rhs(self, t, x):
         """Time-derivative of the packed vector ``x``, through
@@ -421,13 +415,12 @@ def gaussian_matrices(state: VariationalState, wells: WellPotentialSpec | None):
     conj = np.conj(gauss)
     shifts = np.empty((5, 0)) if wells is None else _well_shifts(wells)
     kets = _kets(gauss, conj, shifts, np.indices((n, n, n)).reshape(3, -1))
-    mx, my, mz = _pair_moments(conj, kets, 0)
-    # <G_l| m G_k> for the ket monomials m; row 0 is <G_l|ket> for every object
-    column = mx[_XDEG] * my[_YDEG] * mz[_ZDEG]
-    T = np.einsum("jk,jlk->lk", _kinetic_polys(gauss), column[:, :, :n])
-    flat = column[0]
-    return (flat[:, :n], T, flat[:, n:-n**3].reshape(n, shifts.shape[1], n),
-            flat[:, -n**3:].reshape(n, n, n, n))
+    pref, s, mu = _pair_moments(conj, kets)
+    # T_lk = <G_l| Q_k G_k>, Q_k against the ket-side rows of the own pairs
+    f = _bra_rows(s[..., :n], mu[:, :n], state.q_z)
+    T = pref[:, :n] * np.einsum("bkl,bk->lk", np.conj(f), _kinetic_polys(gauss, state.p_z))
+    return (pref[:, :n], T, pref[:, n:-n**3].reshape(n, shifts.shape[1], n),
+            pref[:, -n**3:].reshape(n, n, n, n))
 
 
 def gaussian_overlaps(state: VariationalState):
@@ -435,22 +428,30 @@ def gaussian_overlaps(state: VariationalState):
     their own pairs alone: ``gaussian_matrices(state, wells)[0]`` bit for
     bit, without the potential kets and the interaction triples."""
     gauss = _gaussians(state.to_vector())
-    mx, my, mz = _pair_moments(np.conj(gauss), gauss, 0)
-    return mx[0] * my[0] * mz[0]
+    return _pair_moments(np.conj(gauss), gauss)[0]
 
 
 def _project(D, wells_of, ket):
-    """sum_i conj(D[d, i]) ket[i, well(d)]: each direction's polynomial at
-    its own well against a ket already summed per bra well; D (..., d, 5)
-    and ket (..., 5, NG) may carry a stack's leading axes."""
-    return np.einsum("...di,...id->...d", np.conj(D), ket[..., wells_of])
+    """sum_i conj(D[d, i]) ket[5 well(d) + i]: each direction's polynomial
+    at its own well against a ket in the rows of the Gram matrix; D (..., d,
+    5) and ket (..., 5 NG) may carry a stack's leading axes."""
+    rows = ket.reshape(*ket.shape[:-1], -1, _N_MONO)[..., wells_of, :]
+    return np.einsum("...di,...di->...d", np.conj(D), rows)
+
+
+def _projections(brackets):
+    """(<n_a G_w | psi>, <n_a G_w | T + V | psi>, <n_a G_w | g |psi|^2 | psi>)
+    (..., 5 NG) from the ``brackets`` of :meth:`TrapKernel.brackets`: psi's
+    projection is the Gram matrix's columns of constant monomials, summed."""
+    gram, kinetic, sums = brackets
+    return (gram[..., 0::_N_MONO].sum(axis=-1),
+            (gram @ kinetic[..., None])[..., 0] + sums[..., 0], sums[..., 1])
 
 
 def norm_and_energy(state: VariationalState, kernel: TrapKernel):
     """(<psi|psi>, <psi|T+V|psi> + g/2 <psi| |psi|^2 |psi>) on ``kernel``'s trap."""
-    table, lin, nl = kernel.brackets(state.to_vector())
-    nrm = float(table[0, 0].sum().real)
-    return nrm, float((lin[0].sum() + 0.5 * nl[0].sum()).real)
+    psi, lin, nl = _projections(kernel.brackets(state.to_vector()))
+    return float(psi[0::5].sum().real), float((lin[0::5].sum() + 0.5 * nl[0::5].sum()).real)
 
 
 def assemble_eom(state, kernel: TrapKernel):
@@ -462,8 +463,9 @@ def assemble_eom(state, kernel: TrapKernel):
 
     Solves the Gram system G c = -i k (see :class:`VariationalSystem`) for
     the coefficients c of d psi / dt over each Gaussian's centred
-    monomials {1, x^2, y^2, z - q, (z - q)^2}, with G = C T C^T and
-    k = C (lin + nl) from the kernel's brackets and centring matrix C.
+    monomials {1, x^2, y^2, z - q, (z - q)^2}, from the kernel's brackets.
+    The kinetic ket G Q is solved in closed form, so c = -i (Q + G^-1 k_sc)
+    for the potential and interaction kets' k_sc, and k = G Q + k_sc.
     The packed velocities follow per Gaussian:
 
         dA_x/dt = -c_x2,  dA_y/dt = -c_y2,  dA_z/dt = -c_(z-q)2,
@@ -475,14 +477,13 @@ def assemble_eom(state, kernel: TrapKernel):
     a breakdown of the ansatz, raised as SingularMetric; nothing is floored
     (see ``_solve_metric``)."""
     x = _packed(state)
-    table, lin, nl = kernel.brackets(x)
-    n = table.shape[-1]
-    C = kernel.centring(x[6::10])
-    gram = C @ table.transpose(2, 0, 3, 1).reshape(_N_MONO * n, _N_MONO * n) @ C.T
-    k = C @ (lin + nl).T.reshape(-1)
-    c, rcond = _solve_metric(gram, -1j * k)
+    gram, kinetic, sums = kernel.brackets(x)
+    scalar = sums[:, 0] + sums[:, 1]
+    c, rcond = _solve_metric(gram, scalar)
     kernel.metric_rcond_min = min(kernel.metric_rcond_min, rcond)
-    return VariationalSystem(metric=gram, rhs_vector=k), _velocities(x, c)
+    c += kinetic
+    c *= -1j
+    return VariationalSystem(gram, gram @ kinetic + scalar), _velocities(x, c)
 
 
 def inverse_and_rcond(matrix):
@@ -548,30 +549,28 @@ def _squares(a):
     return np.reshape([v**2 for v in np.ravel(a).tolist()], np.shape(a))
 
 
+# d psi / d x_i over the centred monomials of the direction's Gaussian, per
+# packed entry (AxR, AxI, AyR, AyI, AzR, AzI, q, p, gR, gI): -x^2, -y^2,
+# -(z - q)^2 and -1 times 1 or i, p's i (z - q), and q's 2 A_z (z - q) - i p,
+# the one entry _derivative_polys fills from the state
+_DIRECTIONS = np.zeros((PARAMS_PER_WELL, _N_MONO), dtype=complex)
+_DIRECTIONS[[0, 2, 4, 8], [1, 2, 4, 0]] = -1.0
+_DIRECTIONS[[1, 3, 5, 9], [1, 2, 4, 0]] = -1j
+_DIRECTIONS[7, 3] = 1j
+_DIRECTIONS.flags.writeable = False
+
+
 def _derivative_polys(x):
     """d psi / d x for every direction of the packed vector ``x`` (10 NG,),
     or of each of a stack (..., 10 NG): the coefficients (..., 10 NG, 5) of
-    each direction's polynomial over {1, x^2, y^2, z, z^2}, which
-    multiplies Gaussian d // 10."""
+    each direction's polynomial over the centred monomials of Gaussian
+    d // 10, which it multiplies (see ``_DIRECTIONS``)."""
     x = np.ascontiguousarray(x, dtype=float)
     n = x.shape[-1] // PARAMS_PER_WELL
-    D = np.zeros((*x.shape[:-1], n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
-    D[..., 0, 1] = -1.0                        # AxR: -x^2
-    D[..., 1, 1] = -1j                         # AxI
-    D[..., 2, 2] = -1.0                        # AyR
-    D[..., 3, 2] = -1j                         # AyI
-    D[..., 4, 4], D[..., 5, 4] = -1.0, -1j     # AzR, AzI: -(z-q)^2
-    D[..., 7, 3] = 1j                          # p: i(z-q)
-    D[..., 8, 0] = -1.0                        # gamma_R
-    D[..., 9, 0] = -1j                         # gamma_I
-    q, p, az = x[..., 6::10], x[..., 7::10], x.view(complex)[..., 2::5]
-    two_az, qq = 2.0 * az, q * q
-    D_re, D_im = D.real, D.imag
-    D_re[..., 4, 0] = D_im[..., 5, 0] = -qq   # AzR, AzI: -(z-q)^2
-    D_re[..., 4, 3] = D_im[..., 5, 3] = 2.0 * q
-    np.negative(two_az * q + 1j * p, out=D[..., 6, 0])  # q: 2A_z(z-q)-ip
-    D[..., 6, 3] = two_az
-    D_im[..., 7, 0] = -q                      # p: i(z-q)
+    D = np.empty((*x.shape[:-1], n, PARAMS_PER_WELL, _N_MONO), dtype=complex)
+    D[...] = _DIRECTIONS
+    D[..., 6, 0] = -1j * x[..., 7::10]
+    D[..., 6, 3] = 2.0 * x.view(complex)[..., 2::5]
     return D.reshape(*x.shape, _N_MONO)
 
 
@@ -594,21 +593,17 @@ def normalized_energy(state, kernel: TrapKernel, directions=None):
         parts = [normalized_energy(x[i:i + STACK_BLOCK], kernel, directions)
                  for i in range(0, len(x), STACK_BLOCK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    table, lin, nl = kernel.brackets(x)
+    psi, lin, nl = _projections(kernel.brackets(x))
     D = _derivative_polys(x)
     wells_of = np.arange(D.shape[-2]) // PARAMS_PER_WELL
     if directions is not None:
         D, wells_of = D[..., directions, :], wells_of[directions]
-    nrm = table[..., 0, 0, :, :].sum(axis=(-2, -1)).real
-    e_lin = lin[..., 0, :].sum(axis=-1).real
-    e_nl = nl[..., 0, :].sum(axis=-1).real
+    nrm, e_lin, e_nl = (v[..., 0::_N_MONO].sum(axis=-1).real for v in (psi, lin, nl))
     nrm2 = _squares(nrm)
     e_n = e_lin / nrm + 0.5 * e_nl / nrm2
     mu = e_lin / nrm + e_nl / nrm2
-    # d/dx of E/N: <D|H_lin psi> + <D|H_nl psi>/N - mu <D|psi>, where the
-    # table's ket-constant column summed over kets is the bare psi
-    ket = (lin + nl / nrm[..., None, None]
-           - mu[..., None, None] * table[..., :, 0, :, :].sum(axis=-1))
+    # d/dx of E/N: <D|H_lin psi> + <D|H_nl psi>/N - mu <D|psi>
+    ket = lin + nl / nrm[..., None] - mu[..., None] * psi
     grad = (2.0 / nrm)[..., None] * _project(D, wells_of, ket).real
     return e_n, grad
 
@@ -651,28 +646,24 @@ def box_observables(state: VariationalState, wells: WellPotentialSpec):
     integrates |psi|^2 between neighboring walls (outer slabs reach
     infinity); j_{k,k+1} integrates the z-current density over the wall
     plane. Both are sums over the pair Gaussians conj(G_l) G_k, whose
-    widths, centres and overlaps K_lk come from one ``_pair_moments`` call:
-    along z, a pair is K_lk times a normal density of variance 1/(2 S_z)
-    about mu_lk, so its slab integral is the complex error function
-    (:func:`ptembed.special.erf`).
+    overlaps K_lk, z variances s_z and means mu_lk come from one
+    ``_pair_moments`` call: along z, a pair is K_lk times a normal density
+    of variance s_z about mu_lk, so its slab integral is the complex error
+    function (:func:`ptembed.special.erf`).
     """
     p = wells.positions
     walls = 0.5 * (p[:-1] + p[1:])
     gauss = _gaussians(state.to_vector())
-    conj = np.conj(gauss)
-    mx, my, mz = _pair_moments(conj, gauss, 0)
-    overlap = mx[0] * my[0] * mz[0]
-    # the z width and slope of the pair Gaussians conj(G_l) G_k, summed as
-    # in _pair_moments
-    sz, bz = conj[2:4, :, None] + gauss[2:4, None, :]
-    # each wall's offset from every pair centre, (walls, NG, NG)
-    dz = walls[:, None, None] - bz / (2.0 * sz)
-    ends = np.ones((1, *sz.shape))
-    cdf = np.concatenate([-ends, erf(np.sqrt(sz) * dz), ends])
+    overlap, s, mu = _pair_moments(np.conj(gauss), gauss)
+    # each wall's offset from every pair mean over sqrt(2 s_z), (walls, NG, NG)
+    root = np.sqrt(2.0 * s[2])
+    u = (walls[:, None, None] - mu) / root
+    ends = np.ones((1, *mu.shape))
+    cdf = np.concatenate([-ends, erf(u), ends])
     n = (0.5 * overlap * np.diff(cdf, axis=0)).sum(axis=(1, 2)).real
     # Im(psi* dpsi/dz) over the wall plane: the pair density at the wall
     # times the ket exponent's slope -2 A_z z + b there
-    density = overlap * np.sqrt(sz / math.pi) * np.exp(-sz * dz**2)
+    density = overlap * np.exp(-u * u) / (math.sqrt(math.pi) * root)
     slope = gauss[3] - 2.0 * gauss[2] * walls[:, None]
     j = (density * slope[:, None, :]).sum(axis=(1, 2)).imag
     return n, j

@@ -106,6 +106,18 @@ class TestFreeMotion:
         assert abs(stf.q_z[0] - (0.3 + 0.4 * 1.0)) < 1e-9
         assert abs(stf.p_z[0] - 0.4) < 1e-9
 
+    def test_equations_of_motion_are_the_free_evolution(self):
+        # without wells and interaction the TDVP is exact: each width
+        # obeys dA/dt = -2i A^2, the packet drifts at p and its phase turns
+        # at the zero-point energy less p^2/2
+        st = single_packet()
+        xdot = assemble_eom(st, TrapKernel(None, FREE_UNITS))[1]
+        widths = -2j * np.array([st.A_x[0], st.A_y[0], st.A_z[0]]) ** 2
+        gamma = 1j * (st.A_x[0] + st.A_y[0] + st.A_z[0]) - 0.5j * st.p_z[0] ** 2
+        expected = np.concatenate([widths.view(float), [st.p_z[0], 0.0],
+                                   np.array([gamma]).view(float)])
+        assert np.max(np.abs(xdot - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_norm_and_energy_conserved(self):
         st = single_packet()
         n0, e0 = norm_and_energy(st, TrapKernel(None, FREE_UNITS))
@@ -378,10 +390,26 @@ def reference_brackets(state, wells, units, polys):
     return metric, h
 
 
+def near_branch_cut(state):
+    """``state`` with every width moved to Re A ~ 0.5 and Im A = +-3,
+    alternating in sign from one Gaussian to the next: the widths of its
+    mixed pairs, conj(A_w) + A_v ~ 1 -+ 6i, then have |arg S| near pi/2 on
+    all three axes, so one square root over the three axes' product would
+    cross its branch cut."""
+    twist = 3j * (-1.0) ** np.arange(state.size)
+    return VariationalState(A_x=0.45 + 0.1 * state.A_x.real + twist,
+                            A_y=0.45 + 0.1 * state.A_y.real + twist,
+                            A_z=0.45 + 0.1 * state.A_z.real + twist,
+                            q_z=state.q_z, p_z=state.p_z, gamma=state.gamma)
+
+
 @settings(max_examples=25)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4))
-def test_assembly_matches_object_by_object_reference(seed, n, n_wells):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4),
+       near_cut=st.booleans())
+def test_assembly_matches_object_by_object_reference(seed, n, n_wells, near_cut):
     state, wells, units = random_system(seed, n, n_wells)
+    if near_cut:
+        state = near_branch_cut(state)
     system, _ = assemble_eom(state, TrapKernel(wells, units))
     gram, k = reference_brackets(state, wells, units, centred_polys(state))
     assert np.max(np.abs(system.metric - gram)) <= 1e-11 * np.max(np.abs(gram))
@@ -407,8 +435,8 @@ def test_velocities_solve_the_packed_real_metric_system(seed, n, n_wells):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_wells=st.integers(1, 4),
        trapped=st.booleans(), interacting=st.booleans())
 def test_kernel_reuse_matches_a_fresh_kernel_bit_for_bit(seed, n, n_wells, trapped, interacting):
-    # one kernel serves a whole integration; its laid-out constants and its
-    # centring buffer must carry nothing from one state to the next
+    # one kernel serves a whole integration; its laid-out constants must
+    # carry nothing from one state to the next
     first, wells, units = random_system(seed, n, n_wells)
     second, _, _ = random_system(seed + 1, n, n_wells)
     wells = wells if trapped else None
